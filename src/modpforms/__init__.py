@@ -34,6 +34,7 @@ from .densities import (
 from .errors import (
     ConductorNotFoundError,
     FormSyntaxError,
+    InternalInvariantError,
     ModpFormsError,
     NotInSpanError,
     SpanNotClosedError,

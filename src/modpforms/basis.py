@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import NotInSpanError
+from .errors import InternalInvariantError, NotInSpanError
 from .series import QSeries, delta_power, eisenstein, linear_combine, mul, power
 
 _SLACK = 8
@@ -148,8 +148,8 @@ def _elimination_matrix(k):
     dim = dim_level_one(k)
     mono = [_int_monomial(a, b, c, dim) for a, b, c in _monomials(k)]
     L = [[mono[j][i] for i in range(dim)] for j in range(dim)]  # row j = monomial j
-    for i in range(dim):
-        assert L[i][i] == 1, "leading block is not unitriangular"
+    if any(L[i][i] != 1 for i in range(dim)):
+        raise InternalInvariantError("leading block is not unitriangular")
     # monomial j starts at q^j with coefficient 1, so L is upper unitriangular;
     # its exact integer inverse U gives the echelon rows U @ monomials
     U = [[0] * dim for _ in range(dim)]
@@ -194,7 +194,7 @@ def miller_basis(p, k, prec):
     for i, row in enumerate(rows):
         head = row.coeffs[:dim]
         if head[i] != 1 or np.count_nonzero(head) != 1:
-            raise AssertionError("echelon property lost after reduction")
+            raise InternalInvariantError("echelon property lost after reduction")
     out = WeightBasis(p, k, dim, tuple(rows))
     with _basis_lock:
         cached = _basis_cache.get((p, k))
@@ -252,7 +252,3 @@ def from_coordinates(coords, basis, prec):
         basis = miller_basis(basis.p, basis.weight, prec)
     pairs = [(int(c), b.truncate(prec)) for c, b in zip(coords, basis.basis)]
     return linear_combine(pairs) if pairs else series.zero(basis.p, prec)
-
-
-def graded_from_coordinates(coords, basis, prec):
-    return GradedForm(from_coordinates(coords, basis, prec), basis.weight)

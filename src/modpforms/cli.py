@@ -2,7 +2,11 @@
 
 Deterministic output: fixed key order, floats at 12 significant digits,
 seeded randomness.  Exit codes: 0 success, 2 input error, 3 mathematical
-failure (conductor not found, splitting field needed).
+failure (conductor not found, splitting field needed), 4 internal
+invariant failure.
+
+Each command parses and evaluates its form once, builds at most one Hecke
+module, and formats what the library's report builders return.
 """
 
 import argparse
@@ -15,18 +19,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import counting, densities, hecke, module as module_mod
-from .basis import dim_level_one
+from .basis import GradedForm
 from .densities import GroupDescriptor, alpha_of_group
 from .errors import (
     ConductorNotFoundError,
     FormSyntaxError,
+    InternalInvariantError,
     ModpFormsError,
     NotInSpanError,
     SplittingFieldNeededError,
 )
 from .expr import evaluate, parse_form_expression
-
-_DEFAULT_CHECKPOINTS = "1000,10000,100000,1000000"
 
 
 def _fmt_float(x):
@@ -89,20 +92,30 @@ def _parse_checkpoints(text):
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _module_prec(weight, sample_bound):
-    return sample_bound * max(dim_level_one(weight) - 1, 1) + 9
+def _module_prec(args, ast):
+    """--prec, or the module work precision for the weight read off a short probe."""
+    if args.prec:
+        return args.prec
+    return module_mod.work_precision(evaluate(ast, args.p, 32).weight, args.sample_bound)
 
 
 def _evaluate_form(args, prec=None):
     ast = parse_form_expression(args.form, args.p)
-    probe = evaluate(ast, args.p, 32)
-    if prec is None:
-        prec = args.prec or _module_prec(probe.weight, args.sample_bound)
-    return evaluate(ast, args.p, prec)
+    return evaluate(ast, args.p, prec or _module_prec(args, ast))
 
 
-def _profile_kwargs(args):
-    return dict(
+def _evaluate_with_table(args, xmax):
+    """One evaluation to max(x_max, module precision): the module's form and the x_max table."""
+    ast = parse_form_expression(args.form, args.p)
+    prec = _module_prec(args, ast)
+    f = evaluate(ast, args.p, max(xmax, prec))
+    return GradedForm(f.series.truncate(prec), f.weight), counting.table_of_series(f.series, xmax)
+
+
+def _leading_constants(args, f):
+    return densities.profile(
+        f,
+        squarefree=args.squarefree,
         prime_bound=args.prime_bound,
         sfull_bound=args.sfull_bound,
         generator_bound=args.gen_bound,
@@ -156,17 +169,22 @@ def cmd_hecke(args):
     return 0
 
 
+def _build_module(args, f, require_conductor=True):
+    return module_mod.build_module(
+        f,
+        generator_bound=args.gen_bound,
+        sample_bound=args.sample_bound,
+        require_conductor=require_conductor,
+    )
+
+
 def cmd_module(args):
     f = _evaluate_form(args)
-    mod = module_mod.build_module(
-        f, generator_bound=args.gen_bound, sample_bound=args.sample_bound
-    )
+    mod = _build_module(args, f)
     report = module_mod.classify_classes(mod)
-    prof = densities.profile(f, with_constants=False, **_profile_kwargs(args))
+    prof = densities.module_profile(mod, seed=args.seed, with_constants=False)
     gamma = module_mod.gamma_group(mod, report)
-    equi = module_mod.equidistribution_report(
-        f, generator_bound=args.gen_bound, sample_bound=args.sample_bound
-    )
+    equi = module_mod.equidistribution_report(mod, report, gamma)
     classes = []
     for u in mod.classes:
         classes.append(
@@ -200,27 +218,27 @@ def cmd_module(args):
     return 0
 
 
+def _pure_parts(args, f, require_conductor):
+    """Each pure part of the module of f, with its class report, alpha and h."""
+    mod = _build_module(args, f, require_conductor)
+    return [
+        (part.module, densities._pure_profile(part.module, with_constants=False))
+        for part in module_mod.decompose(mod, seed=args.seed)
+    ]
+
+
 def cmd_decompose(args):
     f = _evaluate_form(args)
-    mod = module_mod.build_module(
-        f,
-        generator_bound=args.gen_bound,
-        sample_bound=args.sample_bound,
-        require_conductor=False,
-    )
-    parts = module_mod.decompose(mod, seed=args.seed)
     payload_parts = []
-    for part in parts:
-        sub = part.module
-        rep = module_mod.classify_classes(sub)
+    for sub, pp in _pure_parts(args, f, require_conductor=False):
         payload_parts.append(
             {
                 "dim": sub.dim,
                 "conductor": sub.conductor,
-                "class_modulus": rep.modulus,
-                "nil_classes": sorted(rep.nilpotent_classes),
-                "alpha": densities.class_density(rep.nilpotent_classes, rep.modulus),
-                "h": module_mod.strict_nilpotence_order(sub, report=rep),
+                "class_modulus": pp.report.modulus,
+                "nil_classes": sorted(pp.report.nilpotent_classes),
+                "alpha": pp.alpha,
+                "h": pp.h,
                 "coeffs_prefix": [
                     int(c) for c in sub.vector_to_series(sub.f_coords, 16).coeffs
                 ],
@@ -239,11 +257,7 @@ def cmd_decompose(args):
 
 def cmd_predict(args):
     f = _evaluate_form(args)
-    prof = (
-        densities.leading_constants_sf(f, **_profile_kwargs(args))
-        if args.squarefree
-        else densities.leading_constants(f, **_profile_kwargs(args))
-    )
+    prof = _leading_constants(args, f)
     payload = {
         "p": args.p,
         "form": args.form,
@@ -271,87 +285,65 @@ def cmd_predict(args):
     return 0
 
 
-def _count_reports(args):
-    xmax = args.xmax or 10**6
-    table = counting.coefficient_table(args.form, args.p, xmax, cap=max(xmax, 10**6))
-    checkpoints = _parse_checkpoints(args.checkpoints or _DEFAULT_CHECKPOINTS)
-    checkpoints = [c for c in checkpoints if c <= xmax] or [xmax]
-    plain = counting.count_pi(table, checkpoints, by_value=True, threads=args.threads)
-    sf = counting.count_pi_sf(table, checkpoints, threads=args.threads)
-    return table, checkpoints, plain, sf
+def _checkpoints(args, xmax):
+    """--checkpoints up to x_max, or the default checkpoints up to x_max and x_max itself."""
+    if args.checkpoints:
+        return [c for c in _parse_checkpoints(args.checkpoints) if c <= xmax] or [xmax]
+    marks = [c for c in counting.DEFAULT_CHECKPOINTS if c <= xmax]
+    return marks if xmax in marks else marks + [xmax]
+
+
+def _count_report(args, table):
+    checkpoints = _checkpoints(args, table.x_max)
+    report = counting.count_pi(table, checkpoints, by_value=True, threads=args.threads)
+    report.pi_sf = counting.count_pi_sf(table, checkpoints, threads=args.threads).pi_sf
+    return report
+
+
+def _emit_counts(args, report, prof=None):
+    """The count table; compare passes its profile and gets the prediction columns."""
+    values = sorted(report.per_value)
+    compare = prof is not None
+    if args.out == "csv":
+        predicted = ["predicted", "ratio"] if compare else []
+        rows = []
+        for i, x in enumerate(report.checkpoints):
+            row = [x, report.pi[i], report.pi_sf[i]]
+            if compare:
+                row += [float(report.predicted[i]), float(report.ratios[i])]
+            rows.append(row + [report.per_value[a][i] for a in values])
+        _emit_csv(["x", "pi", "pi_sf"] + predicted + [f"a={a}" for a in values], rows)
+        return
+    payload = {"p": args.p, "form": args.form}
+    if compare:
+        payload.update(
+            {"squarefree": bool(args.squarefree), "alpha": prof.alpha, "h": prof.h, "c": prof.c}
+        )
+    payload.update({"checkpoints": report.checkpoints, "pi": report.pi, "pi_sf": report.pi_sf})
+    if compare:
+        payload.update({"predicted": report.predicted, "ratio": report.ratios})
+    payload["per_value"] = {str(a): report.per_value[a] for a in values}
+    _emit_json(payload)
 
 
 def cmd_count(args):
-    _, checkpoints, plain, sf = _count_reports(args)
-    if args.out == "csv":
-        header = ["x", "pi", "pi_sf"] + [f"a={a}" for a in sorted(plain.per_value)]
-        rows = []
-        for i, x in enumerate(checkpoints):
-            rows.append(
-                [x, plain.pi[i], sf.pi_sf[i]]
-                + [plain.per_value[a][i] for a in sorted(plain.per_value)]
-            )
-        _emit_csv(header, rows)
-    else:
-        _emit_json(
-            {
-                "p": args.p,
-                "form": args.form,
-                "checkpoints": checkpoints,
-                "pi": plain.pi,
-                "pi_sf": sf.pi_sf,
-                "per_value": {str(a): plain.per_value[a] for a in sorted(plain.per_value)},
-            }
-        )
+    xmax = args.xmax or 10**6
+    table = counting.table_of_series(_evaluate_form(args, prec=xmax).series)
+    _emit_counts(args, _count_report(args, table))
     return 0
 
 
 def cmd_compare(args):
-    _, checkpoints, plain, sf = _count_reports(args)
-    f = _evaluate_form(args)
-    prof = (
-        densities.leading_constants_sf(f, **_profile_kwargs(args))
-        if args.squarefree
-        else densities.leading_constants(f, **_profile_kwargs(args))
-    )
-    points = densities.predict(prof, checkpoints)
-    counts = sf.pi_sf if args.squarefree else plain.pi
-    ratios = [c / pt.value if pt.value else float("nan") for c, pt in zip(counts, points)]
-    if args.out == "csv":
-        header = ["x", "pi", "pi_sf", "predicted", "ratio"] + [
-            f"a={a}" for a in sorted(plain.per_value)
-        ]
-        rows = []
-        for i, x in enumerate(checkpoints):
-            rows.append(
-                [x, plain.pi[i], sf.pi_sf[i], float(points[i].value), float(ratios[i])]
-                + [plain.per_value[a][i] for a in sorted(plain.per_value)]
-            )
-        _emit_csv(header, rows)
-    else:
-        _emit_json(
-            {
-                "p": args.p,
-                "form": args.form,
-                "squarefree": bool(args.squarefree),
-                "alpha": prof.alpha,
-                "h": prof.h,
-                "c": prof.c,
-                "checkpoints": checkpoints,
-                "pi": plain.pi,
-                "pi_sf": sf.pi_sf,
-                "predicted": [pt.value for pt in points],
-                "ratio": ratios,
-                "per_value": {str(a): plain.per_value[a] for a in sorted(plain.per_value)},
-            }
-        )
+    f, table = _evaluate_with_table(args, args.xmax or 10**6)
+    report = _count_report(args, table)
+    prof = _leading_constants(args, f)
+    _emit_counts(args, counting.compare_report(report, prof, args.squarefree), prof)
     return 0
 
 
 def cmd_oracle(args):
     xmax = args.xmax or 10**4
-    table = counting.coefficient_table(args.form, args.p, xmax, cap=max(xmax, 10**6))
-    f = _evaluate_form(args)
+    f, table = _evaluate_with_table(args, xmax)
     comps = counting.oracle_components(
         f, seed=args.seed, generator_bound=args.gen_bound, sample_bound=args.sample_bound
     )
@@ -386,23 +378,20 @@ def cmd_alpha_group(args):
 
 def cmd_constants(args):
     f = _evaluate_form(args)
-    mod = module_mod.build_module(
-        f, generator_bound=args.gen_bound, sample_bound=args.sample_bound
-    )
-    parts = module_mod.decompose(mod, seed=args.seed)
     payload_parts = []
-    for part in parts:
-        sub = part.module
-        rep = module_mod.classify_classes(sub)
-        alpha = densities.class_density(rep.nilpotent_classes, sub.conductor)
+    for sub, pp in _pure_parts(args, f, require_conductor=True):
+        sub.require_conductor()  # C(U) is a product over the component's conductor classes
         cu = densities.euler_constant_C(
-            rep.invertible_classes, sub.conductor, 1 - alpha, prime_bound=args.prime_bound
+            pp.report.invertible_classes,
+            pp.report.modulus,
+            1 - pp.alpha,
+            prime_bound=args.prime_bound,
         )
         payload_parts.append(
             {
                 "conductor": sub.conductor,
-                "invertible_classes": sorted(rep.invertible_classes),
-                "beta": 1 - alpha,
+                "invertible_classes": sorted(pp.report.invertible_classes),
+                "beta": 1 - pp.alpha,
                 "value": cu.value,
                 "tail": cu.tail,
                 "prime_bound": cu.prime_bound,
@@ -469,6 +458,9 @@ def main(argv=None):
     except (FormSyntaxError, NotInSpanError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ModpFormsError as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 3

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
+from .errors import InternalInvariantError
 from .densities import _spf_sieve, _factor_with_spf
 from .module import classify_classes, decompose
 
@@ -148,7 +149,7 @@ def oracle_components(f, seed=0, **build_kwargs):
     for part in parts:
         report = classify_classes(part.module)
         if not report.pure:
-            raise AssertionError("decomposition produced a non-pure part")
+            raise InternalInvariantError("decomposition produced a non-pure part")
         out.append(
             OracleComponent(
                 part.module,

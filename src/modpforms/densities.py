@@ -18,9 +18,12 @@ import numpy as np
 
 from . import linalg
 from .basis import GradedForm, dim_level_one, miller_basis, to_coordinates
-from .errors import ModpFormsError, NotInSpanError
+from .errors import InternalInvariantError, ModpFormsError, NotInSpanError
 from .hecke import apply_U_m, apply_W
 from .module import (
+    DEFAULT_GENERATOR_BOUND,
+    DEFAULT_SAMPLE_BOUND,
+    ClassReport,
     build_module,
     classify_classes,
     decompose,
@@ -364,21 +367,22 @@ class _PartProfile:
     c: float
     c_err: float
     per_value: dict
+    report: ClassReport
 
 
 def _pure_profile(
     module,
     *,
-    squarefree,
-    with_constants,
-    prime_bound,
-    sfull_bound,
+    squarefree=False,
+    with_constants=True,
+    prime_bound=DEFAULT_PRIME_BOUND,
+    sfull_bound=DEFAULT_SFULL_BOUND,
 ):
-    """alpha, h, and (optionally) the leading constants of one pure component."""
+    """Class report, alpha, h, and (optionally) the leading constants of one pure component."""
     p = module.p
     report = classify_classes(module)
     if not report.pure:
-        raise AssertionError("component is not pure")
+        raise InternalInvariantError("component is not pure")
     if not report.nilpotent_classes:
         raise ModpFormsError(
             "no nilpotent class: alpha would vanish, contradicting the trace-zero "
@@ -389,7 +393,7 @@ def _pure_profile(
         raise ModpFormsError(f"alpha {alpha} out of the admissible range (0, 3/4]")
     h = strict_nilpotence_order(module, report=report)
     if not with_constants:
-        return _PartProfile(alpha, h, 0.0, 0.0, {})
+        return _PartProfile(alpha, h, 0.0, 0.0, {}, report)
 
     module.require_conductor()
     cu = euler_constant_C(
@@ -455,12 +459,12 @@ def _pure_profile(
         raise ModpFormsError("no value is attained; the component seed must be zero")
     h_attained = max(v.h for v in tops)
     if h_attained != h:
-        raise AssertionError(
+        raise InternalInvariantError(
             f"per-value heights reach {h_attained} but the nilpotence order is {h}"
         )
     c_total = sum(v.c for v in tops if v.h == h)
     c_err = sum(v.err for v in tops if v.h == h)
-    return _PartProfile(alpha, h, c_total, c_err, per_value)
+    return _PartProfile(alpha, h, c_total, c_err, per_value, report)
 
 
 def _combine_parts(parts_with_weights, p):
@@ -488,30 +492,17 @@ def _combine_parts(parts_with_weights, p):
     return AsymptoticProfile(alpha, h, c, c_err, per_value)
 
 
-def _component_profiles(g, **kw):
-    """Profiles of the pure components of a coprime-support form, combined.
+def module_profile(module, *, seed=0, **part_kw):
+    """Profile of the seed of a built module: its pure components, combined.
 
-    The parent module is built without demanding a class-determined action;
+    For a coprime-support form f this is profile(f), whose U_p tower is
+    just [f, 0].  The module need not have a class-determined action;
     only the constant evaluation of an individual component insists on it.
+    part_kw are the keywords of _pure_profile.
     """
-    module = build_module(
-        g,
-        generator_bound=kw["generator_bound"],
-        sample_bound=kw["sample_bound"],
-        require_conductor=False,
-    )
-    parts = decompose(module, seed=kw["seed"])
-    profiles = [
-        _pure_profile(
-            part.module,
-            squarefree=kw["squarefree"],
-            with_constants=kw["with_constants"],
-            prime_bound=kw["prime_bound"],
-            sfull_bound=kw["sfull_bound"],
-        )
-        for part in parts
-    ]
-    return _combine_parts([(1.0, pp) for pp in profiles], g.p)
+    parts = decompose(module, seed=seed)
+    profiles = [_pure_profile(part.module, **part_kw) for part in parts]
+    return _combine_parts([(1.0, pp) for pp in profiles], module.p)
 
 
 def _lift_weight(series, p, cap, try_first=None):
@@ -551,16 +542,11 @@ def profile(
     all-zero cycle); layer j is weighted 1/p^j, and a detected cycle's
     geometric tail is summed in closed form.
     """
-    from .module import DEFAULT_GENERATOR_BOUND, DEFAULT_SAMPLE_BOUND
-
-    kw = dict(
+    part_kw = dict(
         squarefree=squarefree,
         with_constants=with_constants,
         prime_bound=prime_bound,
         sfull_bound=sfull_bound,
-        generator_bound=generator_bound or DEFAULT_GENERATOR_BOUND,
-        sample_bound=sample_bound or DEFAULT_SAMPLE_BOUND,
-        seed=seed,
     )
     p = f.p
     if f.series.is_zero():
@@ -620,7 +606,13 @@ def profile(
             contributions.append((weight, None))
             continue
         g = _lift_weight(g_series, p, cap=p * f.weight, try_first=f.weight)
-        contributions.append((weight, _component_profiles(g, **kw)))
+        module = build_module(
+            g,
+            generator_bound=generator_bound or DEFAULT_GENERATOR_BOUND,
+            sample_bound=sample_bound or DEFAULT_SAMPLE_BOUND,
+            require_conductor=False,
+        )
+        contributions.append((weight, module_profile(module, seed=seed, **part_kw)))
 
     live = [(w, pr) for w, pr in contributions if pr is not None]
     if not live:

@@ -31,3 +31,7 @@ class FormSyntaxError(ModpFormsError):
     def __init__(self, message, column):
         super().__init__(f"{message} at column {column}")
         self.column = column
+
+
+class InternalInvariantError(ModpFormsError):
+    """An internal consistency check failed: a bug, not a property of the input."""

@@ -6,6 +6,8 @@ stay below the module-size cap (64), so cubic algorithms are fine.
 
 import numpy as np
 
+from .errors import InternalInvariantError
+
 
 def identity(n, p):
     return np.eye(n, dtype=np.int64) % p
@@ -53,10 +55,6 @@ def rref(mat, p):
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rank(mat, p):
-    return len(rref(mat, p)[1])
 
 
 def det(mat, p):
@@ -131,7 +129,7 @@ def min_poly(mat, p):
             return [int((-c) % p) for c in x] + [1]
         powers.append(nxt)
         if d > n:
-            raise AssertionError("minimal polynomial search exceeded the dimension")
+            raise InternalInvariantError("minimal polynomial search exceeded the dimension")
 
 
 def poly_eval(coeffs, x, p):
@@ -148,7 +146,8 @@ def poly_divmod_linear(coeffs, root, p):
     for i in range(len(coeffs) - 1, 0, -1):
         acc = (acc * root + coeffs[i]) % p
         out[i - 1] = acc
-    assert (acc * root + coeffs[0]) % p == 0, "not a root"
+    if (acc * root + coeffs[0]) % p:
+        raise InternalInvariantError(f"{root} is not a root")
     return out
 
 

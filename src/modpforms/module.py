@@ -37,7 +37,12 @@ from .basis import (
     miller_basis,
     to_coordinates,
 )
-from .errors import ConductorNotFoundError, SpanNotClosedError, SplittingFieldNeededError
+from .errors import (
+    ConductorNotFoundError,
+    InternalInvariantError,
+    SpanNotClosedError,
+    SplittingFieldNeededError,
+)
 from .hecke import ell_s_ell
 from .series import QSeries
 
@@ -225,6 +230,34 @@ def _tl_coords(series_rows, ell, scalar, dim, p):
     return out % p
 
 
+def work_precision(weight, sample_bound=DEFAULT_SAMPLE_BOUND):
+    """q-expansion precision at which build_module reads T_l for every sampled l."""
+    return sample_bound * max(dim_level_one(weight) - 1, 1) + 1 + _SLACK
+
+
+def _closure(seed, matrices, p, dim_cap):
+    """Rows spanning the closure of seed under the matrices, seed first.
+
+    Breadth-first: each new image outside the current span is appended and
+    queued; raises SpanNotClosedError once the span exceeds dim_cap.
+    """
+    rows = [seed % p]
+    span_rref = linalg.row_basis(np.stack(rows), p)
+    queue = [rows[0]]
+    while queue:
+        v = queue.pop()
+        for mat in matrices:
+            w = linalg.matvec(v, mat, p)
+            if not w.any() or linalg.solve_in_rowspan(span_rref, w, p) is not None:
+                continue
+            rows.append(w)
+            queue.append(w)
+            span_rref = linalg.row_basis(np.stack(rows), p)
+            if len(rows) > dim_cap:
+                raise SpanNotClosedError(f"closure exceeded the dimension cap {dim_cap}")
+    return np.stack(rows)
+
+
 def build_module(
     f,
     generator_bound=DEFAULT_GENERATOR_BOUND,
@@ -247,7 +280,7 @@ def build_module(
     if sample_bound < generator_bound:
         raise ValueError("sample_bound must be at least generator_bound")
     dim = dim_level_one(k)
-    work_prec = sample_bound * max(dim - 1, 1) + 1 + _SLACK
+    work_prec = work_precision(k, sample_bound)
 
     ambient = miller_basis(p, k, work_prec)
     g = GradedForm(f.series.truncate(min(f.prec, work_prec)), k)
@@ -266,27 +299,8 @@ def build_module(
     sampled = [ell for ell in primes_upto(sample_bound) if ell != p]
     gens = [ell for ell in sampled if ell <= generator_bound]
 
-    gen_mats = {ell: _tl_coords(B, ell, ell_s_ell(ell, k, p), dim, p) for ell in gens}
-
-    # breadth-first closure in ambient coordinates
-    rows = [f_amb % p]
-    span_rref = linalg.row_basis(np.stack(rows), p)
-    queue = [rows[0]]
-    while queue:
-        v = queue.pop()
-        for ell in gens:
-            w = linalg.matvec(v, gen_mats[ell], p)
-            if not w.any():
-                continue
-            if linalg.solve_in_rowspan(span_rref, w, p) is not None:
-                continue
-            rows.append(w)
-            queue.append(w)
-            span_rref = linalg.row_basis(np.stack(rows), p)
-            if len(rows) > dim_cap:
-                raise SpanNotClosedError(f"closure exceeded the dimension cap {dim_cap}")
-
-    V = np.stack(rows)  # r x dim
+    gen_mats = [_tl_coords(B, ell, ell_s_ell(ell, k, p), dim, p) for ell in gens]
+    V = _closure(f_amb, gen_mats, p, dim_cap)  # r x dim, in ambient coordinates
     r = V.shape[0]
     S = ((V @ B.astype(np.int64)) % p).astype(np.uint8)
 
@@ -300,7 +314,7 @@ def build_module(
         amb_img = _tl_coords(S, ell, ell_s_ell(ell, k, p), dim, p)
         x = (amb_img[:, J] @ Minv) % p
         if ((x @ V) % p != amb_img).any():
-            raise AssertionError("a sampled image left the module span")
+            raise InternalInvariantError("a sampled image left the module span")
         per_prime[ell] = x
 
     conductor, class_matrices, failure = _detect_conductor(
@@ -335,7 +349,7 @@ def _invert(mat, p):
     aug = np.concatenate([mat % p, linalg.identity(n, p)], axis=1)
     red, pivots = linalg.rref(aug, p)
     if pivots != list(range(n)):
-        raise AssertionError("matrix not invertible")
+        raise InternalInvariantError("matrix not invertible")
     return red[:, n:]
 
 
@@ -489,7 +503,7 @@ def strict_nilpotence_order(module, vec=None, report=None):
         level = nxt
         h += 1
         if h > module.dim:
-            raise AssertionError("nilpotence order exceeded the module dimension")
+            raise InternalInvariantError("nilpotence order exceeded the module dimension")
 
 
 def gamma_group(module, report=None, order_cap=100000):
@@ -511,7 +525,7 @@ def gamma_group(module, report=None, order_cap=100000):
                     elements[key] = y
                     nxt.append(y)
         if len(elements) > order_cap:
-            raise AssertionError("invertible-class group exceeded the order cap")
+            raise InternalInvariantError("invertible-class group exceeded the order cap")
         frontier = nxt
     contains = all(
         (lam * linalg.identity(r, p) % p).tobytes() in elements for lam in range(1, p)
@@ -526,7 +540,7 @@ def _restrict(rows, mat, p):
     for i in range(rows.shape[0]):
         x = linalg.solve_in_rowspan(rows, img[i], p)
         if x is None:
-            raise AssertionError("subspace not stable under the sampled action")
+            raise InternalInvariantError("subspace not stable under the sampled action")
         out[i] = x
     return out
 
@@ -545,19 +559,7 @@ def submodule(parent, vec, max_conductor_exponent=MAX_CONDUCTOR_EXPONENT):
         if parent.conductor
         else list(_distinct(parent.per_prime.values()))
     )
-    rows = [vec % p]
-    span_rref = linalg.row_basis(np.stack(rows), p)
-    queue = [rows[0]]
-    while queue:
-        v = queue.pop()
-        for mat in source:
-            w = linalg.matvec(v, mat, p)
-            if not w.any() or linalg.solve_in_rowspan(span_rref, w, p) is not None:
-                continue
-            rows.append(w)
-            queue.append(w)
-            span_rref = linalg.row_basis(np.stack(rows), p)
-    W = np.stack(rows)
+    W = _closure(vec, source, p, parent.dim)  # a subspace: the cap never binds
     restricted = {ell: _restrict(W, mat, p) for ell, mat in parent.per_prime.items()}
     conductor, class_matrices, _ = _detect_conductor(
         restricted, p, parent.weight, W.shape[0], max_conductor_exponent
@@ -650,7 +652,7 @@ def _split_blocks(module, X, gens):
         )
         blocks.append(ker)
     if sum(b.shape[0] for b in blocks) != r:
-        raise AssertionError("generalized eigenspaces do not fill the module")
+        raise InternalInvariantError("generalized eigenspaces do not fill the module")
     # every sampled matrix must act with a single eigenvalue on every block
     out = []
     for rows in blocks:
@@ -675,7 +677,7 @@ def _group_blocks(module, blocks):
     stacked = np.concatenate([rows for rows, _ in blocks])
     x = linalg.solve_in_rowspan(stacked, module.f_coords, p)
     if x is None:
-        raise AssertionError("seed vector escaped the block decomposition")
+        raise InternalInvariantError("seed vector escaped the block decomposition")
     # the nilpotent status-class set of each block, validated across samples
     groups = {}
     offset = 0
@@ -726,11 +728,10 @@ def pure_decomposition(f, seed=0, **build_kwargs):
     return out
 
 
-def equidistribution_report(f, **build_kwargs):
-    """Sufficient/necessary equidistribution criteria for the values of f."""
-    module = build_module(f, **build_kwargs)
-    report = classify_classes(module)
-    gamma = gamma_group(module, report)
+def equidistribution_report(module, report=None, gamma=None):
+    """Sufficient/necessary equidistribution criteria for the values of the module's seed."""
+    report = report or classify_classes(module)
+    gamma = gamma or gamma_group(module, report)
     p = module.p
     shortcut = _is_primitive_root(2, p)
     converse = False

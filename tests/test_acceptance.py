@@ -317,15 +317,15 @@ def test_criterion_9_squarefree_support():
 
 
 def test_criterion_10_equidistribution(delta7_table_1e6):
-    rep7 = equidistribution_report(_delta_form(7, 1))
+    rep7 = equidistribution_report(build_module(_delta_form(7, 1)))
     ok = rep7.eigenform_converse_applies and not rep7.criterion_holds
     ok = ok and rep7.scalar_values == (1, 2, 4)
 
     for expr, k in [("delta", 1), ("delta^2", 2), ("delta^4", 4), ("delta^5", 5)]:
-        rep3 = equidistribution_report(_delta_form(3, k))
+        rep3 = equidistribution_report(build_module(_delta_form(3, k)))
         ok = ok and rep3.criterion_holds
 
-    rep5 = equidistribution_report(_delta_form(5, 1))
+    rep5 = equidistribution_report(build_module(_delta_form(5, 1)))
     ok = ok and rep5.primitive_root_shortcut and rep5.criterion_holds
 
     counts = count_pi(delta7_table_1e6, [10**6], by_value=True)

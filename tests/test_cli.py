@@ -1,7 +1,10 @@
 import csv
+import importlib
 import io
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from modpforms.cli import canonical_json, main
@@ -11,6 +14,23 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_calls(monkeypatch, module_name, name):
+    """Count the calls of a package function through every modpforms module binding it."""
+    original = getattr(importlib.import_module(f"modpforms.{module_name}"), name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "modpforms":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
 
 
 class TestCanonicalJson:
@@ -121,6 +141,26 @@ class TestCountsAndOracle:
         assert data["pi_sf"][0] <= data["pi"][0]
         assert sum(data["per_value"][a][1] for a in ("1", "2")) == data["pi"][1]
 
+    def test_unsorted_checkpoints_label_their_counts(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "count", "--p", "3", "--form", "delta", "--xmax", "10000",
+            "--checkpoints", "10000,1000",
+        )
+        data = json.loads(out)
+        assert code == 0
+        assert data["checkpoints"] == [1000, 10000]
+        assert data["pi"][0] < data["pi"][1]
+
+    def test_count_reports_xmax_after_default_checkpoints(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "count", "--p", "5", "--form", "E6*delta", "--xmax", "50000"
+        )
+        data = json.loads(out)
+        assert code == 0
+        assert data["checkpoints"] == [1000, 10000, 50000]
+        assert len(data["pi"]) == len(data["pi_sf"]) == 3
+
     def test_compare_csv_schema(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -152,6 +192,32 @@ class TestCountsAndOracle:
         assert code == 0
         assert data["matches"] == data["checked"]
         assert data["mismatches"] == []
+
+
+class TestWorkPerCommand:
+    def test_module_builds_one_module(self, capsys, monkeypatch):
+        builds = count_calls(monkeypatch, "module", "build_module")
+        code, _, _ = run_cli(
+            capsys, "module", "--p", "3", "--form", "delta^2", "--sample-bound", "600"
+        )
+        assert code == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (
+                "compare", "--p", "3", "--form", "delta", "--xmax", "10000",
+                "--squarefree", "--prime-bound", "100000", "--sample-bound", "600",
+            ),
+            ("oracle", "--p", "3", "--form", "delta^2", "--xmax", "2000", "--sample-bound", "600"),
+        ],
+    )
+    def test_form_evaluated_once_after_the_weight_probe(self, capsys, monkeypatch, argv):
+        evaluations = count_calls(monkeypatch, "expr", "evaluate")
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(evaluations) <= 2
 
 
 class TestAlphaGroupAndConstants:
@@ -190,6 +256,17 @@ class TestExitCodes:
         )
         assert code == 3
         assert "mathematical failure" in err
+
+    def test_internal_invariant_failure_has_its_own_code(self, capsys, monkeypatch):
+        from modpforms import module
+
+        # a wrong inverse makes the sampled images leave the module span
+        monkeypatch.setattr(module, "_invert", lambda mat, p: np.zeros_like(mat))
+        code, _, err = run_cli(
+            capsys, "module", "--p", "3", "--form", "delta^2", "--sample-bound", "600"
+        )
+        assert code == 4
+        assert "internal error" in err
 
     def test_bad_threads(self, capsys):
         code, _, err = run_cli(capsys, "count", "--p", "3", "--form", "delta", "--threads", "0")

@@ -307,18 +307,18 @@ class TestSubmodule:
 
 class TestEquidistribution:
     def test_delta_square_mod3_holds(self):
-        rep = equidistribution_report(_delta_form(3, 2))
+        rep = equidistribution_report(build_module(_delta_form(3, 2)))
         assert rep.criterion_holds
         assert rep.primitive_root_shortcut  # 2 generates F_3*
 
     def test_delta_mod7_not_equidistributed(self):
-        rep = equidistribution_report(_delta_form(7, 1))
+        rep = equidistribution_report(build_module(_delta_form(7, 1)))
         assert rep.eigenform_converse_applies
         assert not rep.criterion_holds
         assert rep.scalar_values == (1, 2, 4)
 
     def test_mod5_shortcut(self):
-        rep = equidistribution_report(_delta_form(5, 1))
+        rep = equidistribution_report(build_module(_delta_form(5, 1)))
         assert rep.primitive_root_shortcut  # 2 is a primitive root mod 5
         assert rep.criterion_holds
 
