@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the NumPy fallback.
+"""Benchmark the kernel backends and the series builders on top of them.
 
-Covers the three hot loops: sparse series multiplication (cusp-form
-generation), truncated dense multiplication (basis expansion), and
-table counting with per-value tallies.
+Covers the hot loops: sparse series multiplication (cusp-form
+generation), truncated dense multiplication (basis expansion), table
+counting with per-value tallies and the divisor-sum sieve (Eisenstein
+series), for every importable backend; then the cusp form itself,
+built by Frobenius digits on the selected backend.  Times are the best of
+--repeat runs.
 
     python benchmarks/bench_kernels.py [--prec 1000000] [--repeat 3]
 """
@@ -35,25 +38,30 @@ def bench(prec, repeat):
     table = delta_power(3, 1, prec).coeffs
     bounds = np.array([prec // 100, prec // 10, prec], dtype=np.int64)
 
+    columns = [
+        ("mul_sparse", f"({prec} coeffs)"),
+        ("mul_dense", "(20k x 20k)"),
+        ("count", f"({prec})"),
+        ("sigma", f"({prec // 10})"),
+        ("sigma", f"({prec})"),
+    ]
     rows = []
     for name, impl in backends.items():
-        t_sparse = _time(
-            lambda: impl.mul_sparse(dense, eta.exponents, eta.coefficients, 3, prec),
-            repeat,
-        )
-        t_dense = _time(
-            lambda: impl.mul_dense(dense_small_a, dense_small_b, 7, 20000), repeat
-        )
-        t_count = _time(lambda: impl.count_segments(table, bounds, 3), repeat)
-        t_sigma = _time(lambda: impl.sigma_sieve(prec // 10, 3, 7), repeat)
-        rows.append((name, t_sparse, t_dense, t_count, t_sigma))
+        times = [
+            _time(lambda: impl.mul_sparse(dense, eta.exponents, eta.coefficients, 3, prec), repeat),
+            _time(lambda: impl.mul_dense(dense_small_a, dense_small_b, 7, 20000), repeat),
+            _time(lambda: impl.count_segments(table, bounds, 3), repeat),
+            _time(lambda: impl.sigma_sieve(prec // 10, 3, 7), repeat),
+            _time(lambda: impl.sigma_sieve(prec, 3, 7), repeat),
+        ]
+        rows.append((name, times))
 
-    print(f"{'backend':<8} {'mul_sparse':>12} {'mul_dense':>12} {'count':>12} {'sigma':>12}")
-    print(f"{'':8} {f'({prec} coeffs)':>12} {'(20k x 20k)':>12} {f'({prec})':>12} {f'({prec // 10})':>12}")
-    for name, *times in rows:
+    print(f"{'backend':<8}" + "".join(f" {label:>12}" for label, _ in columns))
+    print(f"{'':8}" + "".join(f" {size:>12}" for _, size in columns))
+    for name, times in rows:
         print(f"{name:<8}" + "".join(f" {t * 1000:>10.1f}ms" for t in times))
     if len(rows) == 2:
-        speedups = [rows[0][i] / rows[1][i] if rows[1][i] else 0 for i in range(1, 5)]
+        speedups = [a / b if b else 0 for a, b in zip(rows[0][1], rows[1][1])]
         print(
             f"{'speedup':<8}"
             + "".join(f" {s:>11.2f}x" for s in speedups)
@@ -64,6 +72,10 @@ def bench(prec, repeat):
     for name, impl in backends.items():
         t = _time(lambda: impl.count_segments(table, bounds[-1:], 3), repeat)
         print(f"scan throughput [{name}]: {prec / t / 1e6:.0f}M coefficients/s")
+
+    for p in (3, 7):
+        t = _time(lambda: delta_power(p, 1, prec), repeat)
+        print(f"delta_power p={p} [{kernels.BACKEND}]: {t * 1000:.1f}ms ({prec} coeffs)")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ recurrences and the invertible-class group have all been validated at
 once.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,11 @@ def table_of_series(qs, x_max=None):
 def _segment_counts(coeffs, mask, bounds, p, threads):
     """Dispatch to the kernel backend, optionally splitting blocks across threads.
 
+    The thread count is clamped to the CPU count and the table length.
     Per-block tallies are integers merged by summation, so the result is
     independent of the thread count.
     """
+    threads = min(threads, os.cpu_count() or 1, len(coeffs))
     if threads <= 1:
         if mask is None:
             return kernels.count_segments(coeffs, bounds, p)

@@ -506,18 +506,22 @@ def module_profile(module, *, seed=0, **part_kw):
 
 
 def _lift_weight(series, p, cap, try_first=None):
-    """Smallest even weight whose graded space contains the series."""
+    """Smallest even weight whose graded space contains the series.
+
+    Each candidate is tested on a prefix longer than the Sturm bound of
+    every weight up to cap, so a passing prefix fixes the lift; the caller's
+    build_module checks the series at full precision.
+    """
     candidates = []
     if try_first is not None:
         candidates.append(try_first)
     candidates.extend(k for k in range(0, cap + 1, 2) if k != try_first)
-    probe_prec = min(series.prec, 512)
+    probe_prec = min(series.prec, max(512, cap // 12 + 2))
     for k in candidates:
         if dim_level_one(k) == 0 or series.prec < dim_level_one(k):
             continue
         try:
             to_coordinates(GradedForm(series.truncate(probe_prec), k), miller_basis(p, k, probe_prec))
-            to_coordinates(GradedForm(series, k), miller_basis(p, k, series.prec))
             return GradedForm(series, k)
         except NotInSpanError:
             continue

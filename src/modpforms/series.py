@@ -1,13 +1,18 @@
 """Exact truncated q-series arithmetic over a prime field F_p.
 
 Coefficients are stored one byte per entry (p < 256) in immutable NumPy
-arrays.  The weight-12 level-one cusp form and its powers are generated
-through the sparse cube-of-eta identity
+arrays.  Products pick a sparse kernel when one operand has few nonzero
+terms and an exact FFT convolution otherwise.
+
+Powers use Frobenius: over F_p, f^p = f(q^p), so f^e is the product of
+f(q^{p^j})^{d_j} over the base-p digits d_j of e.  The weight-12 level-one
+cusp form and its powers come from the sparse cube-of-eta identity
 
     sum_{m >= 0} (-1)^m (2m+1) q^{m(m+1)/2},
 
-whose eighth power (shifted by q^k) gives the k-th power of the cusp form
-in O(k * prec^1.5) byte operations instead of O(prec^2) dense squarings.
+whose 8k-th power (shifted by q^k) is the k-th power of the cusp form; a
+digit expansion of 8k takes about its base-p digit sum of sparse products
+instead of 8k - 1.
 """
 
 from dataclasses import dataclass
@@ -217,9 +222,9 @@ def eta_cubed(p, prec):
 def delta_power(p, k, prec, cap=MAX_PREC):
     """k-th power of the weight-12 cusp form mod p, to prec coefficients.
 
-    Computed as q^k times the 8k-th power of the cube-of-eta series, by
-    repeated dense-by-sparse products: O(k * prec^1.5) byte operations.
-    Precision is capped (override cap= for more).
+    Computed as q^k times power(cube-of-eta series, 8k), so the Frobenius
+    digits of 8k set the number of sparse products.  Precision is capped
+    (override cap= for more).
     """
     _check_modulus(p)
     if k < 0:
@@ -232,13 +237,8 @@ def delta_power(p, k, prec, cap=MAX_PREC):
         return one(p, prec)
     if prec <= k:
         return zero(p, prec)
-    body = prec - k
-    eta3 = eta_cubed(p, body)
-    acc = eta3.dense().coeffs
-    for _ in range(8 * k - 1):
-        acc = kernels.mul_sparse(acc, eta3.exponents, eta3.coefficients, p, body)
     out = np.zeros(prec, dtype=np.uint8)
-    out[k:] = acc
+    out[k:] = power(eta_cubed(p, prec - k), 8 * k).coeffs
     return QSeries(p, out)
 
 
@@ -288,18 +288,38 @@ def mul(a, b):
 
 
 def power(a, e):
-    """e-th power by square-and-multiply, truncated at a's precision."""
+    """e-th power, truncated at a's precision.
+
+    Frobenius is a ring endomorphism of F_p[[q]], so a^(p^j) = a(q^(p^j)).
+    With e = sum_j d_j p^j in base p, the power is the product of
+    a(q^(p^j))^(d_j): the digit sum of e, less one, products through mul.
+    Every factor is a dilation of a, so a sparse a takes only sparse
+    products.
+    """
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    result = one(a.p, a.prec)
-    base = a
+    if isinstance(a, SparseSeries):
+        a = a.dense()
+    result = None
+    step = 1
     while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
+        e, digit = divmod(e, a.p)
+        if digit:
+            factor = _dilate(a, step)
+            for _ in range(digit):
+                result = factor if result is None else mul(result, factor)
+        # every dilation by a step >= prec is the constant a_0
+        step = min(step * a.p, a.prec)
+    return one(a.p, a.prec) if result is None else result
+
+
+def _dilate(a, step):
+    """a(q^step) at a's precision."""
+    if step == 1:
+        return a
+    out = np.zeros(a.prec, dtype=np.uint8)
+    out[::step] = a.coeffs[: -(-a.prec // step)]
+    return QSeries(a.p, out)
 
 
 def linear_combine(pairs):

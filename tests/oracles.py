@@ -2,13 +2,18 @@
 
 Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
-Gaussian elimination.  Slow but unarguable.
+Gaussian elimination.  Slow but unarguable.  The package's former routes
+for dense products, divisor sums, powers and cusp-form powers are kept
+here as differential references for the fast paths that replaced them.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from modpforms import kernels
+from modpforms.series import QSeries, eta_cubed, one, zero
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +71,54 @@ def dense_euler_product_modp(p, prec):
 def poly_mul_modp(a, b, p, prec):
     full = np.convolve(a.astype(np.int64), b.astype(np.int64))[:prec]
     return full % p
+
+
+def mul_dense_convolve(a, b, p, out_len):
+    """Truncated dense product mod p by an exact integer convolution."""
+    n = min(len(a), out_len)
+    m = min(len(b), out_len)
+    full = np.convolve(a[:n].astype(np.int64), b[:m].astype(np.int64))
+    out = np.zeros(out_len, dtype=np.uint8)
+    k = min(out_len, len(full))
+    out[:k] = (full[:k] % p).astype(np.uint8)
+    return out
+
+
+def sigma_sieve_walk(prec, e, p):
+    """sigma_e(n) mod p for 0 <= n < prec by adding d^e to every multiple of d."""
+    acc = np.zeros(prec, dtype=np.int64)
+    for d in range(1, prec):
+        acc[d::d] += pow(d, e, p)
+    return (acc % p).astype(np.uint8)
+
+
+def power_by_squaring(a, e):
+    """e-th power of a QSeries by binary square-and-multiply of integer convolutions."""
+    result = one(a.p, a.prec).coeffs
+    base = a.coeffs
+    while e:
+        if e & 1:
+            result = mul_dense_convolve(result, base, a.p, a.prec)
+        e >>= 1
+        if e:
+            base = mul_dense_convolve(base, base, a.p, a.prec)
+    return QSeries(a.p, result)
+
+
+def delta_power_by_eta_products(p, k, prec):
+    """q^k times the cube-of-eta series multiplied by itself 8k - 1 times."""
+    if k == 0:
+        return one(p, prec)
+    if prec <= k:
+        return zero(p, prec)
+    body = prec - k
+    eta3 = eta_cubed(p, body)
+    acc = eta3.dense().coeffs
+    for _ in range(8 * k - 1):
+        acc = kernels.mul_sparse(acc, eta3.exponents, eta3.coefficients, p, body)
+    out = np.zeros(prec, dtype=np.uint8)
+    out[k:] = acc
+    return QSeries(p, out)
 
 
 def int_poly_mul(a, b, prec):

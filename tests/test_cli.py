@@ -16,13 +16,16 @@ def run_cli(capsys, *args):
     return code, out.out, out.err
 
 
-def count_calls(monkeypatch, module_name, name):
-    """Count the calls of a package function through every modpforms module binding it."""
+def count_calls(monkeypatch, module_name, name, record=None):
+    """Count the calls of a package function through every modpforms module binding it.
+
+    Each call appends ``record(*args, **kwargs)``, or the function's name.
+    """
     original = getattr(importlib.import_module(f"modpforms.{module_name}"), name)
     calls = []
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(record(*args, **kwargs) if record else name)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -218,6 +221,35 @@ class TestWorkPerCommand:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(evaluations) <= 2
+
+    def test_predict_checks_each_layer_at_full_precision_once(self, capsys, monkeypatch):
+        precisions = count_calls(
+            monkeypatch, "basis", "to_coordinates", record=lambda f, basis: f.prec
+        )
+        builds = count_calls(monkeypatch, "module", "build_module")
+        code, _, _ = run_cli(capsys, "predict", "--p", "3", "--form", "delta")
+        assert code == 0
+        assert precisions.count(max(precisions)) == len(builds) >= 1
+
+    @pytest.mark.parametrize("index", [101, 1001])
+    def test_series_outside_every_weight_is_input_error(self, capsys, monkeypatch, index):
+        # one coefficient off, inside and beyond the weight-lift probe
+        from modpforms import cli, expr
+        from modpforms.basis import GradedForm
+        from modpforms.series import QSeries
+
+        def corrupted(ast, p, prec):
+            f = expr.evaluate(ast, p, prec)
+            if prec <= index:
+                return f
+            coeffs = f.series.coeffs.copy()
+            coeffs[index] = (int(coeffs[index]) + 1) % p
+            return GradedForm(QSeries(p, coeffs), f.weight)
+
+        monkeypatch.setattr(cli, "evaluate", corrupted)
+        code, _, err = run_cli(capsys, "predict", "--p", "3", "--form", "delta")
+        assert code == 2
+        assert "input error" in err
 
 
 class TestAlphaGroupAndConstants:

@@ -91,6 +91,40 @@ class TestCounts:
         sb = count_pi_sf(t, [10**5], threads=3)
         assert sa.pi_sf == sb.pi_sf
 
+    def test_thread_count_is_clamped(self, monkeypatch):
+        # record the requested pool size and run the blocks inline: no thread starts
+        import concurrent.futures
+        import os
+
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        t = coefficient_table("delta", 7, 10**4)
+        serial = count_pi(t, [10**3, 10**4], by_value=True)
+        wide = count_pi(t, [10**3, 10**4], by_value=True, threads=100000)
+        assert requested == [4]
+        assert wide.pi == serial.pi and wide.per_value == serial.per_value
+        short = table_of_series(delta_power(7, 1, 3))
+        count_pi_sf(short, [3], threads=100000)
+        assert requested == [4, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert count_pi(t, [10**4], threads=100000).pi == serial.pi[-1:]
+        assert requested == [4, 3]
+
     def test_checkpoint_beyond_table(self):
         t = coefficient_table("delta", 3, 100)
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from modpforms import kernels
+from modpforms import _kernels_py, kernels, series
+from modpforms.errors import InternalInvariantError
+
+from oracles import mul_dense_convolve, sigma_sieve_walk
 
 BACKENDS = kernels.backends()
 PAIRS = [("numpy", other) for other in BACKENDS if other != "numpy"]
@@ -94,3 +99,76 @@ class TestKernelContracts:
         sparse_dense[exps] = p - 1
         exact = np.convolve(dense.astype(np.int64), sparse_dense)[:n] % p
         assert np.array_equal(got.astype(np.int64), exact)
+
+
+class TestMulDenseAgainstConvolution:
+    """The FFT product against np.convolve-then-mod, bit for bit."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 251])
+    @pytest.mark.parametrize(
+        "n,m,out_len",
+        [
+            (1, 1, 1),
+            (1, 1, 5),
+            (1, 40, 40),
+            (40, 1, 20),
+            (300, 170, 100),
+            (300, 170, 469),
+            (300, 170, 468),
+            (300, 170, 1000),
+            (2, 2, 3),
+            (129, 129, 257),
+            (256, 256, 511),
+            (257, 256, 512),
+        ],
+    )
+    def test_random_operands(self, p, n, m, out_len):
+        rng = np.random.default_rng(1000 * p + n + m + out_len)
+        a = _random_case(rng, p, n)
+        b = _random_case(rng, p, m)
+        got = kernels.mul_dense(a, b, p, out_len)
+        assert got.dtype == np.uint8 and len(got) == out_len
+        assert np.array_equal(got, mul_dense_convolve(a, b, p, out_len))
+
+    def test_adversarial_extreme_residues(self):
+        # every entry +-(p-1)/2 after centring: the largest norms and outputs.
+        # Against a constant operand h the product is h times the prefix sums
+        # of the other operand, exact in int64 (np.convolve is too slow here).
+        p, n = 251, 2**17
+        half = (p - 1) // 2
+        rng = np.random.default_rng(7)
+        signs = np.where(rng.integers(0, 2, n) == 1, 1, -1)
+        a = (signs * half % p).astype(np.uint8)
+        b = np.full(n, half, dtype=np.uint8)
+        for x, centred in ((a, signs * half), (b, np.full(n, half))):
+            expect = (half * np.cumsum(centred)) % p
+            assert np.array_equal(kernels.mul_dense(x, b, p, n), expect.astype(np.uint8))
+
+    def test_bound_holds_at_the_largest_legal_input(self):
+        # both operands of length MAX_PREC with every entry at the extreme
+        # residue (p-1)/2, evaluated from the norms alone
+        p, n = 251, series.MAX_PREC
+        norm = (p - 1) / 2 * math.sqrt(n)
+        size = 1 << (2 * n - 2).bit_length()
+        bound = _kernels_py.fft_error_bound(norm, norm, size)
+        assert bound < 0.5
+        assert _kernels_py.fft_error_bound(norm, norm, 2 * size) > bound
+
+    def test_bound_failure_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(_kernels_py, "fft_error_bound", lambda *args: 0.5)
+        ones = np.ones(4, dtype=np.uint8)
+        with pytest.raises(InternalInvariantError, match="FFT rounding bound"):
+            _kernels_py.mul_dense(ones, ones, 3, 4)
+
+
+class TestSigmaSieveAgainstDivisorWalk:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 251])
+    @pytest.mark.parametrize("e", [3, 5])
+    def test_prefixes_at_square_boundaries(self, p, e):
+        for prec in (1, 2, 3, 4, 5, 9, 10, 16, 17, 49, 50, 121, 122, 2000):
+            got = kernels.sigma_sieve(prec, e, p)
+            assert got.dtype == np.uint8 and got[0] == 0
+            assert np.array_equal(got, sigma_sieve_walk(prec, e, p))
+
+    def test_large_prefix(self):
+        assert np.array_equal(kernels.sigma_sieve(50000, 5, 7), sigma_sieve_walk(50000, 5, 7))

@@ -18,11 +18,13 @@ from modpforms.series import (
 )
 
 from oracles import (
+    delta_power_by_eta_products,
     dense_euler_product_modp,
     integer_delta,
     integer_delta_power,
     integer_eisenstein,
     poly_mul_modp,
+    power_by_squaring,
     sigma,
     tau,
 )
@@ -115,6 +117,35 @@ class TestDeltaPower:
     def test_pow_route_agrees(self):
         assert power(delta_power(3, 1, 2000), 2) == delta_power(3, 2, 2000)
         assert power(delta_power(7, 1, 500), 3) == delta_power(7, 3, 500)
+
+
+class TestFrobeniusPowersAgainstOldRoutes:
+    """Frobenius-digit powers against repeated products, bit for bit."""
+
+    # k = 0..24 puts 8k on both sides of a power of p for p <= 13 (27 and 81;
+    # 25 and 125; 49; 121; 169) and keeps it one digit for p = 251
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 251])
+    def test_delta_power(self, p):
+        for k in range(25):
+            for prec in sorted({1, max(1, k), k + 1, k + 2, 8 * k + 1, 240}):
+                assert delta_power(p, k, prec) == delta_power_by_eta_products(p, k, prec), (k, prec)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 251])
+    def test_power_of_dense_series(self, p):
+        rng = np.random.default_rng(p)
+        a = _random_series(rng, p, 150)
+        for e in (0, 1, 2, p - 1, p, p * p - 1, p * p, p * p + p - 1):
+            assert power(a, e) == power_by_squaring(a, e), e
+
+    def test_exponent_beyond_precision(self):
+        # digits past the precision act on the constant term only
+        a = QSeries(7, [3, 1, 4, 1, 5])
+        for e in (7**5, 7**5 + 2, 3 * 7**9 + 7**6 + 1):
+            assert power(a, e) == power_by_squaring(a, e), e
+
+    def test_sparse_input(self):
+        eta3 = eta_cubed(5, 400)
+        assert power(eta3, 16) == power_by_squaring(eta3.dense(), 16)
 
 
 class TestEisenstein:
