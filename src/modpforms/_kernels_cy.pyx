@@ -3,7 +3,8 @@
 
 Same contracts as _kernels_py: uint8 coefficient arrays with entries
 reduced mod p (p < 256), accumulation in wide integers with chunked
-reduction so nothing overflows.
+reduction so nothing overflows.  There is no compiled dense product:
+``kernels.mul_dense`` is the NumPy FFT on every backend.
 """
 
 import numpy as np
@@ -13,31 +14,6 @@ cimport numpy as cnp
 cnp.import_array()
 
 BACKEND = "cython"
-
-
-def mul_dense(a, b, int p, Py_ssize_t out_len):
-    """Truncated product of two dense coefficient arrays mod p."""
-    cdef cnp.ndarray[cnp.uint8_t, ndim=1] aa = np.ascontiguousarray(a[:out_len], dtype=np.uint8)
-    cdef cnp.ndarray[cnp.uint8_t, ndim=1] bb = np.ascontiguousarray(b[:out_len], dtype=np.uint8)
-    cdef cnp.ndarray[cnp.uint8_t, ndim=1] out = np.zeros(out_len, dtype=np.uint8)
-    cdef Py_ssize_t n = aa.shape[0]
-    cdef Py_ssize_t m = bb.shape[0]
-    cdef Py_ssize_t i, j, lim
-    cdef unsigned long long acc
-    # schoolbook with the outer index over the output; exact in 64 bits
-    # because min(n, out_len) * (p-1)^2 < 2^63 for p < 256 and out_len <= 1e7
-    for i in range(out_len):
-        acc = 0
-        lim = i if i < n - 1 else n - 1
-        j = i - (m - 1)
-        if j < 0:
-            j = 0
-        while j <= lim:
-            if aa[j] != 0:
-                acc += <unsigned long long> aa[j] * bb[i - j]
-            j += 1
-        out[i] = <unsigned char> (acc % <unsigned long long> p)
-    return out
 
 
 def mul_sparse(dense, exps, coefs, int p, Py_ssize_t out_len):

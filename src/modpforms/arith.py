@@ -1,0 +1,123 @@
+"""Elementary number theory: primality, factoring, sieves and unit orders.
+
+The Hecke action at each prime, the conductor search over unit classes,
+the Euler products, the square-full sums and the square-free counts all
+take their primes and factorizations from here.
+"""
+
+import math
+import threading
+
+import numpy as np
+
+_prime_cache = {}
+_prime_lock = threading.Lock()
+
+
+def is_prime(n):
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1 if d == 2 else 2
+    return True
+
+
+def primes_upto(n):
+    """The primes <= n as a read-only int64 array.
+
+    The largest sieve made so far is cached and smaller bounds are cut
+    from it.  The entries are NumPy integers: convert with ``.tolist()``
+    before ``pow(., ., m)``, dict keys or JSON.
+    """
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    with _prime_lock:
+        best = max((b for b in _prime_cache if b >= n), default=None)
+        if best is not None:
+            arr = _prime_cache[best]
+            return arr[: np.searchsorted(arr, n, side="right")]
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    arr = np.flatnonzero(sieve).astype(np.int64)
+    arr.flags.writeable = False
+    with _prime_lock:
+        _prime_cache.clear()
+        _prime_cache[n] = arr
+    return arr
+
+
+def factorize(n):
+    """Prime factorization by trial division, as a dict prime -> exponent ({} for n <= 1)."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_odd_prime_power(q):
+    return q % 2 == 1 and len(factorize(q)) == 1
+
+
+def multiplicative_order(g, m):
+    """Order of g in the unit group mod m."""
+    if math.gcd(g, m) != 1:
+        raise ValueError(f"{g} is not a unit mod {m}")
+    order = m
+    for q in factorize(m):
+        order = order // q * (q - 1)
+    for q in factorize(order):
+        while order % q == 0 and pow(g, order // q, m) == 1:
+            order //= q
+    return order
+
+
+def spf_sieve(n):
+    """Smallest prime factor of each index 0..n (entry 0 is 0, entry 1 is 1)."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    spf[1] = 1
+    for q in range(2, math.isqrt(n) + 1):
+        if spf[q] == 0:
+            multiples = spf[q * q :: q]
+            multiples[multiples == 0] = q
+    # what no prime <= sqrt(n) divides is prime
+    rest = np.flatnonzero(spf == 0)
+    spf[rest] = rest
+    return spf
+
+
+def factor_with_spf(n, spf):
+    """Factorization of n <= len(spf) - 1 as a dict prime -> exponent."""
+    out = {}
+    while n > 1:
+        q = int(spf[n])
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        out[q] = e
+    return out
+
+
+def squarefree_mask(n):
+    """Byte mask of square-free indices below n (index 0 excluded)."""
+    mask = np.ones(n, dtype=np.uint8)
+    if n:
+        mask[0] = 0
+    q = 2
+    while q * q < n:
+        mask[q * q :: q * q] = 0
+        q += 1
+    return mask

@@ -1,10 +1,12 @@
 """Weight-graded linear algebra for level-one forms.
 
-The echelonized basis of the weight-k space is built once over the
-integers (where its pivots are 1, so echelon shape survives reduction mod
-any prime) and then re-expanded mod p at whatever precision callers need.
-Coordinates of a form are read off its first dim coefficients; a full
-round-trip check guards against wrong weight lifts.
+The echelonized basis of the weight-k space is built mod p from the
+monomials E4^a E6^b Delta^c: the monomial with Delta-exponent c starts at
+q^c with coefficient 1, so the leading dim x dim block of the monomials is
+unitriangular and its inverse mod p turns them into the echelon basis.
+Each basis is cached per (p, k) and re-expanded when callers need more
+precision.  Coordinates of a form are read off its first dim coefficients;
+a full round-trip check guards against wrong weight lifts.
 """
 
 import threading
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series
+from . import linalg, series
 from .errors import InternalInvariantError, NotInSpanError
 from .series import QSeries, delta_power, eisenstein, linear_combine, mul, power
 
@@ -76,92 +78,6 @@ def _monomials(k):
     return out
 
 
-def _int_series_mul(a, b, prec):
-    out = [0] * prec
-    for i, ai in enumerate(a[:prec]):
-        if ai:
-            for j, bj in enumerate(b[: prec - i]):
-                out[i + j] += ai * bj
-    return out
-
-
-def _int_series_pow(a, e, prec):
-    result = [1] + [0] * (prec - 1)
-    base = list(a[:prec]) + [0] * max(0, prec - len(a))
-    while e:
-        if e & 1:
-            result = _int_series_mul(result, base, prec)
-        e >>= 1
-        if e:
-            base = _int_series_mul(base, base, prec)
-    return result
-
-
-def _int_eisenstein(k, prec):
-    const, e = {4: 240, 6: -504}[k], {4: 3, 6: 5}[k]
-    out = [0] * prec
-    out[0] = 1
-    for d in range(1, prec):
-        for m in range(d, prec, d):
-            out[m] += const * d**e
-    return out
-
-
-def _int_delta(prec):
-    # q * (cube-of-eta series)^8 over the integers
-    if prec <= 1:
-        return [0] * prec
-    body = [0] * (prec - 1)
-    m = 0
-    while m * (m + 1) // 2 < prec - 1:
-        body[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
-        m += 1
-    body = _int_series_pow(body, 8, prec - 1)
-    return [0] + body
-
-
-def _int_monomial(a, b, c, prec):
-    out = [1] + [0] * (prec - 1)
-    if a:
-        out = _int_series_mul(out, _int_series_pow(_int_eisenstein(4, prec), a, prec), prec)
-    if b:
-        out = _int_series_mul(out, _int_series_pow(_int_eisenstein(6, prec), b, prec), prec)
-    if c:
-        out = _int_series_mul(out, _int_series_pow(_int_delta(prec), c, prec), prec)
-    return out
-
-
-_elim_cache = {}
-_elim_lock = threading.Lock()
-
-
-def _elimination_matrix(k):
-    """Integer matrix U with U @ monomials = echelon basis (pivots 1).
-
-    The monomial with delta-exponent c starts at q^c with leading
-    coefficient 1, so the leading dim x dim block is unitriangular and its
-    exact inverse is integral.
-    """
-    with _elim_lock:
-        if k in _elim_cache:
-            return _elim_cache[k]
-    dim = dim_level_one(k)
-    mono = [_int_monomial(a, b, c, dim) for a, b, c in _monomials(k)]
-    L = [[mono[j][i] for i in range(dim)] for j in range(dim)]  # row j = monomial j
-    if any(L[i][i] != 1 for i in range(dim)):
-        raise InternalInvariantError("leading block is not unitriangular")
-    # monomial j starts at q^j with coefficient 1, so L is upper unitriangular;
-    # its exact integer inverse U gives the echelon rows U @ monomials
-    U = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        U[i][i] = 1
-        for j in range(i + 1, dim):
-            U[i][j] = -sum(U[i][t] * L[t][j] for t in range(i, j))
-    with _elim_lock:
-        _elim_cache[k] = U
-    return U
-
-
 _basis_cache = {}
 _basis_lock = threading.Lock()
 
@@ -185,12 +101,10 @@ def miller_basis(p, k, prec):
         if cached is not None and cached.prec >= prec:
             return WeightBasis(p, k, dim, tuple(b.truncate(prec) for b in cached.basis))
 
-    U = _elimination_matrix(k)
     mono = _mod_monomials(p, k, prec)
-    rows = []
-    for i in range(dim):
-        pairs = [(U[i][j] % p, mono[j]) for j in range(dim) if U[i][j] % p]
-        rows.append(linear_combine(pairs) if pairs else series.zero(p, prec))
+    U = linalg.inverse(np.stack([m.coeffs[:dim] for m in mono]), p)
+    # U is unitriangular like the head block, so no row of it is zero
+    rows = [linear_combine([(int(c), m) for c, m in zip(u, mono) if c]) for u in U]
     for i, row in enumerate(rows):
         head = row.coeffs[:dim]
         if head[i] != 1 or np.count_nonzero(head) != 1:

@@ -22,6 +22,7 @@ from . import counting, densities, hecke, module as module_mod
 from .basis import GradedForm
 from .densities import GroupDescriptor, alpha_of_group
 from .errors import (
+    BudgetExceededError,
     ConductorNotFoundError,
     FormSyntaxError,
     InternalInvariantError,
@@ -455,7 +456,7 @@ def main(argv=None):
     except (ConductorNotFoundError, SplittingFieldNeededError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 3
-    except (FormSyntaxError, NotInSpanError, ValueError) as exc:
+    except (BudgetExceededError, FormSyntaxError, NotInSpanError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

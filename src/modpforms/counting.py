@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
+from .arith import factor_with_spf, spf_sieve, squarefree_mask
 from .errors import InternalInvariantError
-from .densities import _spf_sieve, _factor_with_spf
 from .module import classify_classes, decompose
 
 DEFAULT_XMAX_CAP = 10**6
@@ -99,18 +99,6 @@ def count_pi(table, checkpoints, by_value=False, threads=1):
     return report
 
 
-def squarefree_mask(n):
-    """Byte mask of square-free indices below n (index 0 excluded)."""
-    mask = np.ones(n, dtype=np.uint8)
-    if n:
-        mask[0] = 0
-    q = 2
-    while q * q < n:
-        mask[q * q :: q * q] = 0
-        q += 1
-    return mask
-
-
 def count_pi_sf(table, checkpoints, by_value=False, threads=1):
     """Counts restricted to square-free indices."""
     bounds = _checked_bounds(checkpoints, table.x_max)
@@ -179,13 +167,13 @@ def decomposition_oracle(components, X, p):
     predicted coefficient is the first-coefficient functional of the
     corresponding operator chain applied on the component module.
     """
-    spf = _spf_sieve(max(X - 1, 3))
+    spf = spf_sieve(max(X - 1, 3))
     records = []
     caches = [{} for _ in components]
     for n in range(1, X):
         if n % p == 0:
             continue
-        fac = _factor_with_spf(n, spf)
+        fac = factor_with_spf(n, spf)
         total = 0
         parts = []
         for comp, cache in zip(components, caches):

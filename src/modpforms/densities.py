@@ -9,7 +9,6 @@ component's class densities, Euler products and square-full sums.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -17,6 +16,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import linalg
+from .arith import factor_with_spf, factorize, is_odd_prime_power, primes_upto, spf_sieve
 from .basis import GradedForm, dim_level_one, miller_basis, to_coordinates
 from .errors import InternalInvariantError, ModpFormsError, NotInSpanError
 from .hecke import apply_U_m, apply_W
@@ -65,21 +65,8 @@ class GroupDescriptor:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind in ("reducible", "dihedral") and self.parameter < 1:
             raise ValueError(f"{self.kind} needs a positive order parameter")
-        if self.kind in ("PGL2", "PSL2") and not _is_odd_prime_power(self.parameter):
+        if self.kind in ("PGL2", "PSL2") and not is_odd_prime_power(self.parameter):
             raise ValueError(f"{self.kind} needs an odd prime power, got {self.parameter}")
-
-
-def _is_odd_prime_power(q):
-    if q < 3 or q % 2 == 0:
-        return False
-    r = 2
-    while r * r <= q:
-        if q % r == 0:
-            while q % r == 0:
-                q //= r
-            return q == 1
-        r += 1
-    return True  # q itself prime
 
 
 def alpha_of_group(d):
@@ -160,28 +147,6 @@ def _nilpotent_images(module, source, height, report):
 # ---------------------------------------------------------------------------
 # Euler products and square-full sums
 
-_prime_cache = {}
-_prime_lock = threading.Lock()
-
-
-def _primes(bound):
-    with _prime_lock:
-        best = max((b for b in _prime_cache if b >= bound), default=None)
-        if best is not None:
-            arr = _prime_cache[best]
-            return arr[arr <= bound]
-    sieve = np.ones(bound + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(bound**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    arr = np.flatnonzero(sieve).astype(np.int64)
-    with _prime_lock:
-        _prime_cache.clear()
-        _prime_cache[bound] = arr
-    return arr
-
-
 @dataclass(frozen=True)
 class EulerConstant:
     value: float
@@ -204,11 +169,11 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
         raise ValueError("beta must lie strictly between 0 and 1")
     if prime_bound < 10**3:
         raise ValueError("prime_bound below 1000 is meaningless here")
-    pr = _primes(prime_bound)
+    pr = primes_upto(prime_bound)
     u_arr = np.array(sorted({int(u) % modulus for u in u_classes}), dtype=np.int64)
     in_u = np.isin(pr % modulus, u_arr)
     if r != 1:
-        r_primes = np.array([q for q in set(_small_factors(r)) if q <= prime_bound])
+        r_primes = np.array([q for q in factorize(r) if q <= prime_bound])
         if len(r_primes):
             in_u &= ~np.isin(pr, r_primes)
     x = 1.0 / pr
@@ -221,53 +186,18 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
     return EulerConstant(value, value * math.expm1(tail_log), beta, prime_bound)
 
 
-def _small_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _spf_sieve(n):
-    spf = np.zeros(n + 1, dtype=np.int64)
-    spf[1] = 1
-    for q in range(2, n + 1):
-        if spf[q] == 0:
-            spf[q::q][spf[q::q] == 0] = q
-    return spf
-
-
-def _factor_with_spf(n, spf):
-    out = {}
-    while n > 1:
-        q = int(spf[n])
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
-        out[q] = e
-    return out
-
-
 def _squarefull_numbers(bound):
     """(n, factorization) for square-full n <= bound, via n = a^2 b^3 with b square-free."""
     amax = int(math.isqrt(bound))
-    spf = _spf_sieve(max(amax, int(round(bound ** (1 / 3))) + 2, 3))
+    spf = spf_sieve(max(amax, int(round(bound ** (1 / 3))) + 2, 3))
     out = []
     b = 1
     while b**3 <= bound:
-        fb = _factor_with_spf(b, spf)
+        fb = factor_with_spf(b, spf)
         if all(e == 1 for e in fb.values()):
             a = 1
             while a * a * b**3 <= bound:
-                fa = _factor_with_spf(a, spf)
+                fa = factor_with_spf(a, spf)
                 fac = {q: 2 * e for q, e in fa.items()}
                 for q, e in fb.items():
                     fac[q] = fac.get(q, 0) + 3 * e

@@ -25,6 +25,10 @@ class SplittingFieldNeededError(ModpFormsError):
     """The joint eigen-system is not rational over the prime field."""
 
 
+class BudgetExceededError(ModpFormsError):
+    """An input would need more work than a fixed limit allows; the message names the limit."""
+
+
 class FormSyntaxError(ModpFormsError):
     """Parse error in a form expression; carries the 1-based column."""
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import factorize, is_prime
 from .basis import GradedForm
 from .series import MAX_PREC, QSeries
 
@@ -28,31 +29,6 @@ class HeckeOpSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.index < 1:
             raise ValueError("operator index must be positive")
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def factorize(n):
-    """Prime factorization by trial division, as a dict prime -> exponent."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def ell_s_ell(ell, weight, p):

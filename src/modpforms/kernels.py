@@ -2,7 +2,8 @@
 
 Imports the compiled Cython kernels when available, falling back to the
 NumPy implementations otherwise.  Set ``MODPFORMS_PURE=1`` to force the
-fallback (used by the benchmark and the backend-equivalence tests).
+fallback (used by the benchmark and the backend-equivalence tests).  The
+dense product is the NumPy FFT on every backend.
 """
 
 import os
@@ -18,7 +19,7 @@ else:
         _impl = _kernels_py
 
 BACKEND = _impl.BACKEND
-mul_dense = _impl.mul_dense
+mul_dense = _kernels_py.mul_dense
 mul_sparse = _impl.mul_sparse
 sigma_sieve = _impl.sigma_sieve
 count_segments = _impl.count_segments

@@ -77,6 +77,16 @@ def det(mat, p):
     return d % p
 
 
+def inverse(mat, p):
+    """Inverse of a square matrix over F_p; raises if it is singular."""
+    n = mat.shape[0]
+    aug = np.concatenate([mat % p, identity(n, p)], axis=1)
+    red, pivots = rref(aug, p)
+    if pivots != list(range(n)):
+        raise InternalInvariantError("matrix not invertible")
+    return red[:, n:]
+
+
 def is_nilpotent(mat, p):
     return not matpow(mat, mat.shape[0], p).any()
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .arith import multiplicative_order, primes_upto
 from .basis import (
     GradedForm,
     dim_level_one,
@@ -38,6 +39,7 @@ from .basis import (
     to_coordinates,
 )
 from .errors import (
+    BudgetExceededError,
     ConductorNotFoundError,
     InternalInvariantError,
     SpanNotClosedError,
@@ -49,23 +51,13 @@ from .series import QSeries
 DEFAULT_GENERATOR_BOUND = 50
 DEFAULT_SAMPLE_BOUND = 2000
 DIMENSION_CAP = 64
+GAMMA_ORDER_CAP = 100000
 MAX_CONDUCTOR_EXPONENT = 4
 _SLACK = 8
 
 NILPOTENT = "nilpotent"
 INVERTIBLE = "invertible"
 MIXED = "mixed"
-
-
-def primes_upto(n):
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(n**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return [int(q) for q in np.flatnonzero(sieve)]
 
 
 def _status_of(mat, p):
@@ -296,7 +288,7 @@ def build_module(
             "apply the W projector first"
         )
 
-    sampled = [ell for ell in primes_upto(sample_bound) if ell != p]
+    sampled = [ell for ell in primes_upto(sample_bound).tolist() if ell != p]
     gens = [ell for ell in sampled if ell <= generator_bound]
 
     gen_mats = [_tl_coords(B, ell, ell_s_ell(ell, k, p), dim, p) for ell in gens]
@@ -307,7 +299,7 @@ def build_module(
     # pseudo-inverse data for ambient -> module coordinates
     _, pivots = linalg.rref(V, p)
     J = np.array(pivots, dtype=np.int64)
-    Minv = _invert(V[:, J], p)
+    Minv = linalg.inverse(V[:, J], p)
 
     per_prime = {}
     for ell in sampled:
@@ -344,36 +336,6 @@ def build_module(
     )
 
 
-def _invert(mat, p):
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, linalg.identity(n, p)], axis=1)
-    red, pivots = linalg.rref(aug, p)
-    if pivots != list(range(n)):
-        raise InternalInvariantError("matrix not invertible")
-    return red[:, n:]
-
-
-def _multiplicative_order(g, modulus, phi):
-    order = phi
-    for q in set(_prime_factors(phi)):
-        while order % q == 0 and pow(g, order // q, modulus) == 1:
-            order //= q
-    return order
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _detect_conductor(per_prime, p, weight, r, max_exponent):
     """Smallest p-power modulus whose classes explain every sampled action matrix.
 
@@ -389,7 +351,7 @@ def _detect_conductor(per_prime, p, weight, r, max_exponent):
         phi = cand - cand // p
         gen = None
         for ell in per_prime:
-            if _multiplicative_order(ell % cand, cand, phi) == phi:
+            if multiplicative_order(ell % cand, cand) == phi:
                 gen = ell
                 break
         if gen is None:
@@ -506,7 +468,7 @@ def strict_nilpotence_order(module, vec=None, report=None):
             raise InternalInvariantError("nilpotence order exceeded the module dimension")
 
 
-def gamma_group(module, report=None, order_cap=100000):
+def gamma_group(module, report=None):
     """Closure of the invertible class matrices under multiplication."""
     module.require_conductor()
     report = report or classify_classes(module)
@@ -524,8 +486,10 @@ def gamma_group(module, report=None, order_cap=100000):
                 if key not in elements:
                     elements[key] = y
                     nxt.append(y)
-        if len(elements) > order_cap:
-            raise InternalInvariantError("invertible-class group exceeded the order cap")
+        if len(elements) > GAMMA_ORDER_CAP:
+            raise BudgetExceededError(
+                f"the invertible-class group exceeded the order cap {GAMMA_ORDER_CAP}"
+            )
         frontier = nxt
     contains = all(
         (lam * linalg.identity(r, p) % p).tobytes() in elements for lam in range(1, p)
@@ -733,7 +697,7 @@ def equidistribution_report(module, report=None, gamma=None):
     report = report or classify_classes(module)
     gamma = gamma or gamma_group(module, report)
     p = module.p
-    shortcut = _is_primitive_root(2, p)
+    shortcut = multiplicative_order(2, p) == p - 1
     converse = False
     scalar_values = ()
     if module.dim == 1:
@@ -765,12 +729,3 @@ def _multiplicative_closure(values, p):
                     nxt.append(y)
         frontier = nxt
     return out
-
-
-def _is_primitive_root(g, p):
-    order = 1
-    x = g % p
-    while x != 1:
-        x = x * g % p
-        order += 1
-    return order == p - 1

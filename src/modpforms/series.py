@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .arith import is_prime
 
 # Largest precision a single series may occupy (overridable per call where
 # an operation can grow precision, e.g. index dilation).
@@ -30,19 +31,8 @@ MAX_PREC = 10**7
 _SPARSE_FRACTION = 0.05
 
 
-def is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _check_modulus(p):
-    if not isinstance(p, (int, np.integer)) or not is_odd_prime(p) or p >= 256:
+    if not isinstance(p, (int, np.integer)) or p >= 256 or p == 2 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime < 256, got {p!r}")
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from modpforms import linalg
+from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, from_coordinates, miller_basis
 from modpforms.counting import (
     coefficient_table,
@@ -33,7 +34,6 @@ from modpforms.densities import (
     leading_constants_sf,
     multi_frobenian_class_density,
     multi_frobenian_density,
-    _primes,
 )
 from modpforms.hecke import apply_T_ell, apply_T_m, apply_W, ell_s_ell
 from modpforms.module import (
@@ -192,7 +192,7 @@ def test_criterion_5_constants():
 def test_criterion_6_full_constant_cross_check():
     prof = leading_constants(_delta_form(3, 2), prime_bound=10**6, sfull_bound=10**10)
     cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**6)
-    pr = _primes(10**6).astype(np.float64)
+    pr = primes_upto(10**6).astype(np.float64)
     p1, p2 = pr[pr % 3 == 1], pr[pr % 3 == 2]
     closed = (
         cu.value / 3

@@ -1,0 +1,99 @@
+"""Each arith helper against a brute-force loop, for every n <= 2000."""
+
+import math
+
+import numpy as np
+import pytest
+
+from modpforms.arith import (
+    factor_with_spf,
+    factorize,
+    is_odd_prime_power,
+    is_prime,
+    multiplicative_order,
+    primes_upto,
+    spf_sieve,
+    squarefree_mask,
+)
+
+N = 2000
+
+
+def brute_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, n))
+
+
+def brute_factorization(n):
+    out = {}
+    d = 2
+    while n > 1:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    return out
+
+
+def brute_squarefree(n):
+    return n >= 1 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+
+PRIMES = [n for n in range(N + 1) if brute_is_prime(n)]
+
+
+def test_is_prime():
+    assert [n for n in range(-3, N + 1) if is_prime(n)] == PRIMES
+
+
+def test_primes_upto_from_a_fresh_sieve_and_from_the_cache():
+    # ascending bounds each sieve afresh; descending ones cut the cached sieve
+    for n in list(range(-1, N + 1)) + list(range(N, -2, -1)):
+        got = primes_upto(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [q for q in PRIMES if q <= n]
+
+
+def test_factorize():
+    for n in range(-2, N + 1):
+        assert factorize(n) == brute_factorization(n)
+
+
+@pytest.mark.parametrize(
+    "size", sorted({1, 2, 3, 4} | {d * d + e for d in range(2, 45) for e in (0, 1)})
+)
+def test_factor_with_spf(size):
+    spf = spf_sieve(size)
+    assert len(spf) == size + 1
+    assert spf[0] == 0 and spf[1] == 1
+    for n in range(2, size + 1):
+        fac = brute_factorization(n)
+        assert spf[n] == min(fac)
+        assert factor_with_spf(n, spf) == fac
+
+
+def test_is_odd_prime_power():
+    for n in range(-3, N + 1):
+        expect = n % 2 == 1 and len(brute_factorization(n)) == 1
+        assert is_odd_prime_power(n) == expect
+
+
+@pytest.mark.parametrize("m", [p for p in PRIMES if 2 < p < 256] + [9, 25, 27, 49, 81, 125])
+def test_multiplicative_order(m):
+    for g in range(m):
+        if math.gcd(g, m) != 1:
+            with pytest.raises(ValueError):
+                multiplicative_order(g, m)
+            continue
+        order, x = 1, g
+        while x != 1:
+            x = x * g % m
+            order += 1
+        assert multiplicative_order(g, m) == order
+
+
+def test_squarefree_mask():
+    expect = [int(brute_squarefree(n)) for n in range(N)]
+    for n in range(N + 1):
+        mask = squarefree_mask(n)
+        assert mask.dtype == np.uint8
+        assert mask.tolist() == expect[:n]

@@ -47,20 +47,27 @@ class TestMillerBasis:
             head = [row[j] for j in range(3)]
             assert head == [1 if j == i else 0 for j in range(3)]
 
-    def test_weight_24_mod7_against_fraction_echelon(self):
+    @pytest.mark.parametrize("k,p", [(24, 7), (60, 3), (60, 251), (120, 5)])
+    def test_against_fraction_echelon(self, k, p):
         # independent oracle: echelonize the integer expansions of
-        # E4^6, E4^3*Delta, Delta^2 over Q, then reduce mod 7
-        prec = 9
+        # E4^a * E6^b * Delta^c (c < dim) over Q, then reduce mod p
+        dim = dim_level_one(k)
+        prec = dim + 6
         e4 = list(integer_eisenstein(4, prec))
-        e4_3 = int_poly_mul(int_poly_mul(e4, e4, prec), e4, prec)
-        e4_6 = int_poly_mul(e4_3, e4_3, prec)
-        delta = list(integer_delta_power(1, prec))
-        rows = [e4_6, int_poly_mul(e4_3, delta, prec), list(integer_delta_power(2, prec))]
+        e6 = list(integer_eisenstein(6, prec))
+        rows = []
+        for c in range(dim):
+            r = k - 12 * c
+            b = 0 if r % 4 == 0 else 1
+            row = list(integer_delta_power(c, prec))
+            for factor in [e4] * ((r - 6 * b) // 4) + [e6] * b:
+                row = int_poly_mul(row, factor, prec)
+            rows.append(row)
         ech = fraction_echelon(rows)
-        expect = [[int(x) % 7 for x in row] for row in ech]
+        expect = [[int(x) % p for x in row] for row in ech]
         for x in sum(([f.denominator for f in row] for row in ech), []):
             assert x == 1  # pivots are 1, so the echelon basis stays integral
-        got = miller_basis(7, 24, prec)
+        got = miller_basis(p, k, prec)
         assert [[int(c) for c in b.coeffs] for b in got.basis] == expect
 
     @pytest.mark.parametrize("p", [3, 5, 7])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from modpforms.cli import canonical_json, main
+from modpforms.errors import BudgetExceededError
 
 
 def run_cli(capsys, *args):
@@ -290,15 +291,26 @@ class TestExitCodes:
         assert "mathematical failure" in err
 
     def test_internal_invariant_failure_has_its_own_code(self, capsys, monkeypatch):
-        from modpforms import module
+        from modpforms import linalg
 
-        # a wrong inverse makes the sampled images leave the module span
-        monkeypatch.setattr(module, "_invert", lambda mat, p: np.zeros_like(mat))
+        # a wrong inverse breaks the echelon basis or makes the sampled
+        # images leave the module span
+        monkeypatch.setattr(linalg, "inverse", lambda mat, p: np.zeros_like(mat))
         code, _, err = run_cli(
             capsys, "module", "--p", "3", "--form", "delta^2", "--sample-bound", "600"
         )
         assert code == 4
         assert "internal error" in err
+
+    def test_gamma_order_cap_is_a_budget(self, capsys, monkeypatch, delta2_mod3_module):
+        from modpforms import module
+
+        monkeypatch.setattr(module, "GAMMA_ORDER_CAP", 1)
+        with pytest.raises(BudgetExceededError, match="order cap 1"):
+            module.gamma_group(delta2_mod3_module)
+        code, _, err = run_cli(capsys, "module", "--p", "3", "--form", "delta^2")
+        assert code == 2
+        assert "order cap 1" in err
 
     def test_bad_threads(self, capsys):
         code, _, err = run_cli(capsys, "count", "--p", "3", "--form", "delta", "--threads", "0")

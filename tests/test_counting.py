@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modpforms.arith import squarefree_mask
 from modpforms.basis import GradedForm, dim_level_one
 from modpforms.counting import (
     coefficient_table,
@@ -10,7 +11,6 @@ from modpforms.counting import (
     decomposition_oracle,
     oracle_check,
     oracle_components,
-    squarefree_mask,
     table_of_series,
 )
 from modpforms.densities import leading_constants_sf

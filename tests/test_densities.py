@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one
 from modpforms.densities import (
     AsymptoticProfile,
     GroupDescriptor,
     ValueProfile,
-    _primes,
     alpha_of_form,
     alpha_of_group,
     class_density,
@@ -166,7 +166,7 @@ class TestEulerConstant:
     def test_closed_form_cross_check(self):
         # (3^{1/4} / (pi sqrt 2)) * prod_{l = 1 mod 3} (1 - l^-2)^{1/2}
         cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**6)
-        pr = _primes(10**6).astype(np.float64)
+        pr = primes_upto(10**6).astype(np.float64)
         sel = pr[pr % 3 == 1]
         closed = (
             3**0.25 / (math.pi * math.sqrt(2))
@@ -244,7 +244,7 @@ class TestLeadingConstants:
     def test_full_constant_against_closed_form(self):
         prof = leading_constants(_delta_form(3, 2), prime_bound=10**6, sfull_bound=10**8)
         cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**6)
-        pr = _primes(10**6).astype(np.float64)
+        pr = primes_upto(10**6).astype(np.float64)
         p1, p2 = pr[pr % 3 == 1], pr[pr % 3 == 2]
         closed = (
             cu.value / 3

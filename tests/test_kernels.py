@@ -1,8 +1,12 @@
+import importlib
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import modpforms
 from modpforms import _kernels_py, kernels, series
 from modpforms.errors import InternalInvariantError
 
@@ -18,18 +22,6 @@ def _random_case(rng, p, n):
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("pair", PAIRS)
-    def test_mul_dense(self, pair):
-        a_impl, b_impl = (BACKENDS[name] for name in pair)
-        rng = np.random.default_rng(0)
-        for p in (3, 7, 251):
-            a = _random_case(rng, p, 400)
-            b = _random_case(rng, p, 300)
-            for out_len in (1, 250, 400):
-                x = a_impl.mul_dense(a, b, p, out_len)
-                y = b_impl.mul_dense(a, b, p, out_len)
-                assert np.array_equal(x, y)
-
     @pytest.mark.parametrize("pair", PAIRS)
     def test_mul_sparse(self, pair):
         a_impl, b_impl = (BACKENDS[name] for name in pair)
@@ -74,6 +66,29 @@ class TestKernelContracts:
         out = kernels.mul_dense(a, b, 7, 4)
         # (1 + 2q + 3q^2)(4 + 5q) = 4 + 13q + 22q^2 + 15q^3
         assert list(out) == [4, 13 % 7, 22 % 7, 15 % 7]
+
+    def test_compiled_backend_keeps_the_fft_dense_product(self, monkeypatch):
+        fake = types.ModuleType("modpforms._kernels_cy")
+        fake.BACKEND = "fake"
+        for name in (
+            "mul_dense",
+            "mul_sparse",
+            "sigma_sieve",
+            "count_segments",
+            "count_segments_masked",
+        ):
+            setattr(fake, name, lambda *args: None)
+        monkeypatch.delenv("MODPFORMS_PURE", raising=False)
+        monkeypatch.setitem(sys.modules, "modpforms._kernels_cy", fake)
+        monkeypatch.setattr(modpforms, "_kernels_cy", fake, raising=False)
+        try:
+            importlib.reload(kernels)
+            assert kernels.BACKEND == "fake"
+            assert kernels.mul_sparse is fake.mul_sparse
+            assert kernels.mul_dense is _kernels_py.mul_dense
+        finally:
+            monkeypatch.undo()
+            importlib.reload(kernels)
 
     def test_sigma_small_values(self):
         out = kernels.sigma_sieve(7, 3, 7)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modpforms import linalg
+from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, from_coordinates, miller_basis
 from modpforms.errors import ConductorNotFoundError, SpanNotClosedError
 from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell
@@ -15,7 +16,6 @@ from modpforms.module import (
     decompose,
     equidistribution_report,
     gamma_group,
-    primes_upto,
     pure_decomposition,
     strict_nilpotence_order,
     submodule,
@@ -39,7 +39,7 @@ class TestBuildModule:
         assert int(m.class_matrices[1][0, 0]) == 2
         assert int(m.class_matrices[2][0, 0]) == 0
         # cross-check against sampled cusp form coefficients
-        for ell in primes_upto(200):
+        for ell in primes_upto(200).tolist():
             if ell == 3:
                 continue
             assert tau(ell) % 3 == (1 + ell) % 3
@@ -89,7 +89,7 @@ class TestBuildModule:
         # for primes beyond the sample bound
         m = delta2_mod3_module
         rng = np.random.default_rng(0)
-        pool = [q for q in primes_upto(10**4) if q > 2000]
+        pool = [q for q in primes_upto(10**4).tolist() if q > 2000]
         picks = rng.choice(len(pool), size=100, replace=False)
         prec = 10**4 * 2 + 9
         basis = miller_basis(3, 24, prec)
@@ -202,7 +202,7 @@ class TestNilpotenceOrder:
         primes = []
         for u in found:
             ell = next(
-                q for q in primes_upto(10**4) if q % m.conductor == u and q not in primes
+                q for q in primes_upto(10**4).tolist() if q % m.conductor == u and q not in primes
             )
             primes.append(ell)
         assert len(set(primes)) == h
