@@ -6,7 +6,8 @@ generation), table counting with per-value tallies and the divisor-sum
 sieve (Eisenstein series), for every importable backend; truncated dense
 multiplication (basis expansion), which is the NumPy FFT on every backend;
 then the cusp form itself, built by Frobenius digits on the selected
-backend.  Times are the best of --repeat runs.
+backend, and the square-full sum of the leading constant of Delta mod 7.
+Times are the best of --repeat runs.
 
     python benchmarks/bench_kernels.py [--prec 1000000] [--repeat 3]
 """
@@ -17,6 +18,9 @@ import time
 import numpy as np
 
 from modpforms import kernels
+from modpforms.basis import GradedForm
+from modpforms.densities import class_density, euler_constant_C, squarefull_buckets
+from modpforms.module import build_module, classify_classes
 from modpforms.series import delta_power, eta_cubed
 
 
@@ -77,6 +81,19 @@ def bench(prec, repeat):
     for p in (3, 7):
         t = _time(lambda: delta_power(p, 1, prec), repeat)
         print(f"delta_power p={p} [{kernels.BACKEND}]: {t * 1000:.1f}ms ({prec} coeffs)")
+
+    module = build_module(GradedForm(delta_power(7, 1, 4009), 12))
+    report = classify_classes(module)
+    beta = 1 - class_density(report.nilpotent_classes, report.modulus)
+    cu = euler_constant_C(report.invertible_classes, report.modulus, beta)
+    for s_bound in (10**8, 10**10):
+        t = _time(
+            lambda: squarefull_buckets(
+                module, module.f_coords, cu, s_bound, report.invertible_classes
+            ),
+            repeat,
+        )
+        print(f"squarefull_buckets delta mod 7 (S = {s_bound:.0e}): {t * 1000:.1f}ms")
 
 
 if __name__ == "__main__":

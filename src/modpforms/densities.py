@@ -16,9 +16,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import linalg
-from .arith import factor_with_spf, factorize, is_odd_prime_power, primes_upto, spf_sieve
+from .arith import factorize, is_odd_prime_power, primes_upto
 from .basis import GradedForm, dim_level_one, miller_basis, to_coordinates
-from .errors import InternalInvariantError, ModpFormsError, NotInSpanError
+from .errors import BudgetExceededError, InternalInvariantError, ModpFormsError, NotInSpanError
 from .hecke import apply_U_m, apply_W
 from .module import (
     DEFAULT_GENERATOR_BOUND,
@@ -33,6 +33,9 @@ from .module import (
 
 DEFAULT_PRIME_BOUND = 10**6
 DEFAULT_SFULL_BOUND = 10**10
+PRIME_BOUND_CAP = 10**8
+SFULL_BOUND_CAP = 10**12
+GROUP_PARAMETER_CAP = 10**12
 _CYCLE_PREC_FLOOR = 16
 _ENUM_CAP = 10**6
 
@@ -65,8 +68,13 @@ class GroupDescriptor:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind in ("reducible", "dihedral") and self.parameter < 1:
             raise ValueError(f"{self.kind} needs a positive order parameter")
-        if self.kind in ("PGL2", "PSL2") and not is_odd_prime_power(self.parameter):
-            raise ValueError(f"{self.kind} needs an odd prime power, got {self.parameter}")
+        if self.kind in ("PGL2", "PSL2"):
+            if self.parameter > GROUP_PARAMETER_CAP:
+                raise BudgetExceededError(
+                    f"{self.kind} parameter {self.parameter} exceeds the cap {GROUP_PARAMETER_CAP}"
+                )
+            if not is_odd_prime_power(self.parameter):
+                raise ValueError(f"{self.kind} needs an odd prime power, got {self.parameter}")
 
 
 def alpha_of_group(d):
@@ -169,6 +177,10 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
         raise ValueError("beta must lie strictly between 0 and 1")
     if prime_bound < 10**3:
         raise ValueError("prime_bound below 1000 is meaningless here")
+    if prime_bound > PRIME_BOUND_CAP:
+        raise BudgetExceededError(
+            f"prime_bound {prime_bound} exceeds the prime bound cap {PRIME_BOUND_CAP}"
+        )
     pr = primes_upto(prime_bound)
     u_arr = np.array(sorted({int(u) % modulus for u in u_classes}), dtype=np.int64)
     in_u = np.isin(pr % modulus, u_arr)
@@ -186,61 +198,108 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
     return EulerConstant(value, value * math.expm1(tail_log), beta, prime_bound)
 
 
-def _squarefull_numbers(bound):
-    """(n, factorization) for square-full n <= bound, via n = a^2 b^3 with b square-free."""
-    amax = int(math.isqrt(bound))
-    spf = spf_sieve(max(amax, int(round(bound ** (1 / 3))) + 2, 3))
-    out = []
-    b = 1
-    while b**3 <= bound:
-        fb = factor_with_spf(b, spf)
-        if all(e == 1 for e in fb.values()):
-            a = 1
-            while a * a * b**3 <= bound:
-                fa = factor_with_spf(a, spf)
-                fac = {q: 2 * e for q, e in fa.items()}
-                for q, e in fb.items():
-                    fac[q] = fac.get(q, 0) + 3 * e
-                out.append((a * a * b**3, fac))
-                a += 1
-        b += 1
-    out.sort()
-    return out
-
-
 def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
-    """Accumulate C(U,s)/s over square-full s, bucketed by the image vector T_s(seed).
+    """Accumulate C(U,s)/s over square-full s <= s_bound, bucketed by the image vector T_s(seed).
 
     Skips s divisible by p.  Returns (dict image-bytes -> partial sum,
     dict image-bytes -> vector, tail bound 2.2 * max C(U,s) / sqrt(s_bound)).
+
+    The square-full s are built prime by prime, as parallel arrays of s,
+    image rows T_s(seed) and the weight C(U,s)/C(U).  Each prime
+    q <= s_bound^(1/4) extends, for each e >= 2, every row with
+    s <= s_bound // q^e by one batched product with T_{q^e}, the matrix of
+    q's class.  A larger prime occurs at most once in s, with e = 2 or 3,
+    so its terms are taken per (class, e) from the rows the small primes
+    built.  An image that turns zero stays zero and is dropped at once.
+    The terms are then summed per bucket in increasing s, and the buckets
+    kept in order of first appearance.  Primes are taken in increasing
+    order, so each weight is divided by its factors (1 + 1/q) in the same
+    order as a walk over the factors of each s; with the summation order,
+    this makes the sums the floats of that walk, bit for bit.
     """
+    if s_bound < 1:
+        raise ValueError(f"sfull_bound must be at least 1, got {s_bound}")
+    if s_bound > SFULL_BOUND_CAP:
+        raise BudgetExceededError(
+            f"sfull_bound {s_bound} exceeds the square-full bound cap {SFULL_BOUND_CAP}"
+        )
     p = module.p
     c = module.conductor
     inv_set = set(inv_classes)
     ppm_cache = {}
+
+    def images(rows, q, e):
+        key = (q % c, e)
+        if key not in ppm_cache:
+            ppm_cache[key] = module.prime_power_matrix(module.class_of(q), e)
+        return linalg.matvec(rows, ppm_cache[key], p)
+
+    primes = primes_upto(math.isqrt(s_bound))
+    primes = primes[primes != p]
+    split = int(np.searchsorted(primes, math.isqrt(math.isqrt(s_bound)), side="right"))
+
+    vecs = np.array(seed, dtype=np.int64, ndmin=2)
+    vecs = vecs[vecs.any(axis=1)]
+    s = np.ones(len(vecs), dtype=np.int64)
+    adjust = np.ones(len(vecs))
+    for q in primes[:split].tolist():
+        grown = [(s, vecs, adjust)]
+        e, qe = 2, q * q
+        while qe <= s_bound:
+            take = s <= s_bound // qe
+            img = images(vecs[take], q, e)
+            live = img.any(axis=1)
+            weight = adjust[take][live]
+            if q % c in inv_set:
+                weight = weight / (1.0 + 1.0 / q)
+            grown.append((s[take][live] * qe, img[live], weight))
+            e, qe = e + 1, qe * q
+        s, vecs, adjust = (np.concatenate(parts) for parts in zip(*grown))
+
+    # each term: s, weight, and the index of its image row in `table`
+    terms = [(s, adjust, np.arange(len(s)))]
+    table = [vecs]
+    rows = len(vecs)
+    large = primes[split:]
+    for u in np.unique(large % c).tolist():
+        in_class = large[large % c == u]
+        e = 2
+        while int(in_class[0]) ** e <= s_bound:
+            in_class = in_class[in_class**e <= s_bound]
+            img = images(vecs, int(in_class[0]), e)
+            # how many primes of the class fit beside each row
+            fits = np.searchsorted(in_class**e, s_bound // s, side="right")
+            live = np.flatnonzero(img.any(axis=1) & (fits > 0))
+            fits = fits[live]
+            pos = np.repeat(np.arange(len(live)), fits)
+            row = live[pos]
+            qs = in_class[np.arange(len(pos)) - np.repeat(np.cumsum(fits) - fits, fits)]
+            weight = adjust[row]
+            if u in inv_set:
+                weight = weight / (1.0 + 1.0 / qs)
+            terms.append((s[row] * qs**e, weight, rows + pos))
+            table.append(img[live])
+            rows += len(live)
+            e += 1
+    s, adjust, image = (np.concatenate(parts) for parts in zip(*terms))
+    order = np.argsort(s, kind="stable")
+    values = cu.value * adjust[order] / s[order]
+    distinct, bucket_of_row = np.unique(np.concatenate(table), axis=0, return_inverse=True)
+    # NumPy 2.0.0 returns this inverse as a column
+    bucket = bucket_of_row.reshape(-1)[image[order]]
+    # number the buckets by first appearance, so dict order and sums follow s
+    _, first = np.unique(bucket, return_index=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(by_first), dtype=np.int64)
+    rank[by_first] = np.arange(len(by_first))
+    totals = np.bincount(rank[bucket], weights=values, minlength=len(by_first))
     sums = {}
     vecs = {}
-    for s, fac in _squarefull_numbers(s_bound):
-        if s % p == 0:
-            continue
-        v = seed
-        adjust = 1.0
-        for q, e in sorted(fac.items()):
-            key = (q % c, e)
-            if key not in ppm_cache:
-                ppm_cache[key] = module.prime_power_matrix(module.class_of(q), e)
-            v = linalg.matvec(v, ppm_cache[key], p)
-            if not v.any():
-                break
-            if q % c in inv_set:
-                adjust /= 1.0 + 1.0 / q
-        if not v.any():
-            continue
-        key = v.tobytes()
-        sums[key] = sums.get(key, 0.0) + cu.value * adjust / s
-        vecs[key] = v
-    tail = 2.2 * cu.value / math.sqrt(s_bound)
-    return sums, vecs, tail
+    for i, b in enumerate(by_first.tolist()):
+        key = distinct[b].tobytes()
+        sums[key] = float(totals[i])
+        vecs[key] = distinct[b]
+    return sums, vecs, 2.2 * cu.value / math.sqrt(s_bound)
 
 
 def squarefull_sum(module, f_target, s_bound=DEFAULT_SFULL_BOUND, prime_bound=DEFAULT_PRIME_BOUND):

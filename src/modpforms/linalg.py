@@ -18,7 +18,7 @@ def matmul(a, b, p):
 
 
 def matvec(v, m, p):
-    """Row vector times matrix."""
+    """Row vector, or each row of a stack, times matrix."""
     return (v @ m) % p
 
 

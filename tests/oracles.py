@@ -3,16 +3,19 @@
 Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
-for dense products, divisor sums, powers and cusp-form powers are kept
-here as differential references for the fast paths that replaced them.
+for dense products, divisor sums, powers, cusp-form powers and square-full
+sums are kept here as differential references for the fast paths that
+replaced them.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from modpforms import kernels
+from modpforms import kernels, linalg
+from modpforms.arith import factor_with_spf, spf_sieve
 from modpforms.series import QSeries, eta_cubed, one, zero
 
 
@@ -151,3 +154,60 @@ def fraction_echelon(rows):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return rows
+
+
+def squarefull_numbers(bound):
+    """(n, factorization) for square-full n <= bound, via n = a^2 b^3 with b square-free."""
+    amax = int(math.isqrt(bound))
+    spf = spf_sieve(max(amax, int(round(bound ** (1 / 3))) + 2, 3))
+    out = []
+    b = 1
+    while b**3 <= bound:
+        fb = factor_with_spf(b, spf)
+        if all(e == 1 for e in fb.values()):
+            a = 1
+            while a * a * b**3 <= bound:
+                fa = factor_with_spf(a, spf)
+                fac = {q: 2 * e for q, e in fa.items()}
+                for q, e in fb.items():
+                    fac[q] = fac.get(q, 0) + 3 * e
+                out.append((a * a * b**3, fac))
+                a += 1
+        b += 1
+    out.sort()
+    return out
+
+
+def squarefull_buckets_walk(module, seed, cu, s_bound, inv_classes):
+    """densities.squarefull_buckets by enumeration: each square-full s <= s_bound in turn.
+
+    Factors every s, applies T_{q^e} for its prime powers in increasing q,
+    and adds C(U,s)/s to the bucket of the image; same return values.
+    """
+    p = module.p
+    c = module.conductor
+    inv_set = set(inv_classes)
+    ppm_cache = {}
+    sums = {}
+    vecs = {}
+    for s, fac in squarefull_numbers(s_bound):
+        if s % p == 0:
+            continue
+        v = seed
+        adjust = 1.0
+        for q, e in sorted(fac.items()):
+            key = (q % c, e)
+            if key not in ppm_cache:
+                ppm_cache[key] = module.prime_power_matrix(module.class_of(q), e)
+            v = linalg.matvec(v, ppm_cache[key], p)
+            if not v.any():
+                break
+            if q % c in inv_set:
+                adjust /= 1.0 + 1.0 / q
+        if not v.any():
+            continue
+        key = v.tobytes()
+        sums[key] = sums.get(key, 0.0) + cu.value * adjust / s
+        vecs[key] = v
+    tail = 2.2 * cu.value / math.sqrt(s_bound)
+    return sums, vecs, tail

@@ -312,6 +312,26 @@ class TestExitCodes:
         assert code == 2
         assert "order cap 1" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--sfull-bound", "0", "sfull_bound must be at least 1"),
+            ("--sfull-bound", "-5", "sfull_bound must be at least 1"),
+            ("--sfull-bound", str(10**13), "square-full bound cap"),
+            ("--prime-bound", str(10**9), "prime bound cap"),
+        ],
+    )
+    def test_predict_bounds_are_input_errors(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "predict", "--p", "3", "--form", "delta", flag, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_group_parameter_cap_is_a_budget(self, capsys):
+        code, _, err = run_cli(capsys, "alpha-group", "--case", "PSL2", "--param", str(10**20 + 1))
+        assert code == 2
+        assert "cap" in err
+
     def test_bad_threads(self, capsys):
         code, _, err = run_cli(capsys, "count", "--p", "3", "--form", "delta", "--threads", "0")
         assert code == 2

@@ -4,9 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import squarefull_buckets_walk
+
+from modpforms import arith, densities
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one
 from modpforms.densities import (
+    GROUP_PARAMETER_CAP,
+    PRIME_BOUND_CAP,
     AsymptoticProfile,
     GroupDescriptor,
     ValueProfile,
@@ -20,11 +25,16 @@ from modpforms.densities import (
     multi_frobenian_class_density,
     multi_frobenian_density,
     predict,
+    squarefull_buckets,
     squarefull_sum,
 )
-from modpforms.errors import ModpFormsError
-from modpforms.module import build_module, decompose
+from modpforms.errors import BudgetExceededError, ModpFormsError
+from modpforms.module import build_module, classify_classes, decompose
 from modpforms.series import delta_power
+
+
+def _refuse(n):
+    raise AssertionError(f"called with {n}: the budget check must come first")
 
 
 def _delta_form(p, k, sample_bound=2000):
@@ -77,6 +87,12 @@ class TestAlphaOfGroup:
             GroupDescriptor("PSL2", 15)  # not a prime power
         with pytest.raises(ValueError):
             GroupDescriptor("cyclic", 3)
+
+    @pytest.mark.parametrize("kind", ["PGL2", "PSL2"])
+    def test_parameter_cap_checked_before_factoring(self, kind, monkeypatch):
+        monkeypatch.setattr(arith, "factorize", _refuse)
+        with pytest.raises(BudgetExceededError, match=f"cap {GROUP_PARAMETER_CAP}"):
+            GroupDescriptor(kind, GROUP_PARAMETER_CAP + 2)
 
 
 class TestAlphaOfForm:
@@ -185,11 +201,76 @@ class TestEulerConstant:
             hi = euler_constant_C(classes, mod, beta, prime_bound=4 * 10**5)
             assert abs(hi.value - lo.value) < lo.tail
 
+    def test_prime_bound_cap_checked_before_sieving(self, monkeypatch):
+        monkeypatch.setattr(densities, "primes_upto", _refuse)
+        with pytest.raises(BudgetExceededError, match=f"cap {PRIME_BOUND_CAP}"):
+            euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=PRIME_BOUND_CAP + 1)
+
     def test_beta_range_enforced(self):
         with pytest.raises(ValueError):
             euler_constant_C({1}, 3, Fraction(1, 1))
         with pytest.raises(ValueError):
             euler_constant_C({1}, 3, Fraction(0, 1))
+
+
+@pytest.fixture(scope="module")
+def sfull_walk_inputs():
+    """(module, C(U), invertible classes) for conductors 3, 5, 7 and 9."""
+    out = {}
+    for p, k in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+        m = build_module(GradedForm(delta_power(p, k, 4009), 12 * k), require_conductor=True)
+        report = classify_classes(m)
+        alpha = class_density(report.nilpotent_classes, report.modulus)
+        cu = euler_constant_C(
+            report.invertible_classes, report.modulus, 1 - alpha, prime_bound=10**4
+        )
+        out[p, k] = (m, cu, report.invertible_classes)
+    return out
+
+
+def _assert_same_buckets(p, k, inputs, s_bound):
+    m, cu, inv = inputs[p, k]
+    sums, vecs, tail = squarefull_buckets(m, m.f_coords, cu, s_bound, inv)
+    ref_sums, ref_vecs, ref_tail = squarefull_buckets_walk(m, m.f_coords, cu, s_bound, inv)
+    assert list(sums) == list(ref_sums)
+    for key, ref in ref_sums.items():
+        assert vecs[key].dtype == np.int64
+        assert np.array_equal(vecs[key], ref_vecs[key])
+        # both routes add the same terms in increasing s, so the floats agree exactly
+        assert sums[key] == ref
+    assert tail == ref_tail
+
+
+# S = q^e and q^e - 1 on both sides of the square root, the cube root and
+# the fourth-root split of the prime walk (q = 5 and 7 are p for two modules);
+# at S = (11 * 13)^2 the split is 11, so 11^2 * 13^2 needs 11 below it
+_SPLIT_BOUNDS = [q**e - d for q in (5, 7, 11) for e in (2, 3, 4) for d in (0, 1)]
+_SPLIT_BOUNDS += [143**2, 143**2 - 1]
+
+
+class TestSquarefullWalk:
+    @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+    @pytest.mark.parametrize(
+        "s_bound", [1, 2, 4, 8, 9, 10**4, 10**6, 10**8] + _SPLIT_BOUNDS
+    )
+    def test_matches_enumeration(self, sfull_walk_inputs, p, k, s_bound):
+        _assert_same_buckets(p, k, sfull_walk_inputs, s_bound)
+
+    def test_matches_enumeration_at_default_bound(self, sfull_walk_inputs):
+        _assert_same_buckets(3, 2, sfull_walk_inputs, 10**10)
+
+    def test_zero_seed_has_no_buckets(self, sfull_walk_inputs):
+        m, cu, inv = sfull_walk_inputs[3, 2]
+        sums, vecs, _ = squarefull_buckets(m, np.zeros(m.dim, dtype=np.int64), cu, 10**6, inv)
+        assert sums == {} and vecs == {}
+
+    def test_cap_checked_before_sieving(self, sfull_walk_inputs, monkeypatch):
+        m, cu, inv = sfull_walk_inputs[3, 1]
+        monkeypatch.setattr(densities, "SFULL_BOUND_CAP", 10**4)
+        squarefull_buckets(m, m.f_coords, cu, 10**4, inv)
+        monkeypatch.setattr(densities, "primes_upto", _refuse)
+        with pytest.raises(BudgetExceededError, match="sfull_bound 10001 .* cap 10000"):
+            squarefull_buckets(m, m.f_coords, cu, 10**4 + 1, inv)
 
 
 class TestSquarefullSum:
