@@ -1,6 +1,6 @@
 """Empirical coefficient statistics and the exact decomposition oracle.
 
-Tables are byte-packed; counting runs through the kernel backend in one
+Tables are byte-packed; counting runs through the NumPy kernels in one
 pass per checkpoint segment.  The oracle re-derives every coefficient at
 an index coprime to p from pure-component class data alone (square-full
 part, nilpotent part, unit part) and compares against the table; when
@@ -56,7 +56,7 @@ def table_of_series(qs, x_max=None):
 
 
 def _segment_counts(coeffs, mask, bounds, p, threads):
-    """Dispatch to the kernel backend, optionally splitting blocks across threads.
+    """Count through kernels.count_segments(_masked), optionally in blocks across threads.
 
     The thread count is clamped to the CPU count and the table length.
     Per-block tallies are integers merged by summation, so the result is

@@ -163,6 +163,24 @@ class EulerConstant:
     prime_bound: int
 
 
+def _check_prime_bound(prime_bound):
+    if prime_bound < 10**3:
+        raise ValueError("prime_bound below 1000 is meaningless here")
+    if prime_bound > PRIME_BOUND_CAP:
+        raise BudgetExceededError(
+            f"prime_bound {prime_bound} exceeds the prime bound cap {PRIME_BOUND_CAP}"
+        )
+
+
+def _check_sfull_bound(s_bound):
+    if s_bound < 1:
+        raise ValueError(f"sfull_bound must be at least 1, got {s_bound}")
+    if s_bound > SFULL_BOUND_CAP:
+        raise BudgetExceededError(
+            f"sfull_bound {s_bound} exceeds the square-full bound cap {SFULL_BOUND_CAP}"
+        )
+
+
 def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BOUND):
     """Truncated Euler product (1/Gamma(beta)) prod w_l with its tail estimate.
 
@@ -175,12 +193,7 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie strictly between 0 and 1")
-    if prime_bound < 10**3:
-        raise ValueError("prime_bound below 1000 is meaningless here")
-    if prime_bound > PRIME_BOUND_CAP:
-        raise BudgetExceededError(
-            f"prime_bound {prime_bound} exceeds the prime bound cap {PRIME_BOUND_CAP}"
-        )
+    _check_prime_bound(prime_bound)
     pr = primes_upto(prime_bound)
     u_arr = np.array(sorted({int(u) % modulus for u in u_classes}), dtype=np.int64)
     in_u = np.isin(pr % modulus, u_arr)
@@ -217,12 +230,7 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
     order as a walk over the factors of each s; with the summation order,
     this makes the sums the floats of that walk, bit for bit.
     """
-    if s_bound < 1:
-        raise ValueError(f"sfull_bound must be at least 1, got {s_bound}")
-    if s_bound > SFULL_BOUND_CAP:
-        raise BudgetExceededError(
-            f"sfull_bound {s_bound} exceeds the square-full bound cap {SFULL_BOUND_CAP}"
-        )
+    _check_sfull_bound(s_bound)
     p = module.p
     c = module.conductor
     inv_set = set(inv_classes)
@@ -533,8 +541,11 @@ def profile(
     Walks the p-power tower U_{p^j}, projecting each layer to coprime
     support with W, until the tower series repeats (always including the
     all-zero cycle); layer j is weighted 1/p^j, and a detected cycle's
-    geometric tail is summed in closed form.
+    geometric tail is summed in closed form.  Both bounds are checked
+    before any work, even where the square-free path never reads sfull_bound.
     """
+    _check_prime_bound(prime_bound)
+    _check_sfull_bound(sfull_bound)
     part_kw = dict(
         squarefree=squarefree,
         with_constants=with_constants,

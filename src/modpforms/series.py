@@ -258,7 +258,12 @@ def _sparsify(f, max_terms):
 
 
 def mul(a, b):
-    """Truncated product at the smaller precision; picks the dense or sparse path."""
+    """Truncated product at the smaller precision.
+
+    An operand with at most max(8, _SPARSE_FRACTION * out_len) nonzero
+    entries goes to kernels.mul_sparse; otherwise the product is the FFT
+    kernels.mul_dense.
+    """
     if isinstance(a, SparseSeries):
         a = a.dense()
     if isinstance(b, SparseSeries):

@@ -312,6 +312,7 @@ class TestExitCodes:
         assert code == 2
         assert "order cap 1" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--squarefree",)], ids=["full", "squarefree"])
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -321,8 +322,10 @@ class TestExitCodes:
             ("--prime-bound", str(10**9), "prime bound cap"),
         ],
     )
-    def test_predict_bounds_are_input_errors(self, capsys, flag, value, message):
-        code, out, err = run_cli(capsys, "predict", "--p", "3", "--form", "delta", flag, value)
+    def test_predict_bounds_are_input_errors(self, capsys, flag, value, message, mode):
+        code, out, err = run_cli(
+            capsys, "predict", "--p", "3", "--form", "delta", *mode, flag, value
+        )
         assert code == 2
         assert out == ""
         assert message in err
