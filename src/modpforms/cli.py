@@ -93,6 +93,13 @@ def _parse_checkpoints(text):
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _module_prec(args, ast):
     """--prec, or the module work precision for the weight read off a short probe."""
     if args.prec:
@@ -119,7 +126,6 @@ def _leading_constants(args, f):
         squarefree=args.squarefree,
         prime_bound=args.prime_bound,
         sfull_bound=args.sfull_bound,
-        generator_bound=args.gen_bound,
         sample_bound=args.sample_bound,
         seed=args.seed,
     )
@@ -134,7 +140,7 @@ def _per_value_payload(profile):
 
 
 def cmd_expand(args):
-    f = _evaluate_form(args, prec=args.prec or 64)
+    f = _evaluate_form(args, prec=args.prec)
     coeffs = [int(c) for c in f.series.coeffs]
     if args.out == "csv":
         _emit_csv(["n", "a_n"], list(enumerate(coeffs)))
@@ -146,8 +152,7 @@ def cmd_expand(args):
 
 
 def cmd_hecke(args):
-    prec = args.prec or 64
-    need = prec * max(args.index, 1)
+    need = args.prec * args.index
     f = _evaluate_form(args, prec=need)
     spec = hecke.HeckeOpSpec(args.op, args.index)
     out = hecke.apply_operator(spec, f)
@@ -172,10 +177,7 @@ def cmd_hecke(args):
 
 def _build_module(args, f, require_conductor=True):
     return module_mod.build_module(
-        f,
-        generator_bound=args.gen_bound,
-        sample_bound=args.sample_bound,
-        require_conductor=require_conductor,
+        f, sample_bound=args.sample_bound, require_conductor=require_conductor
     )
 
 
@@ -328,14 +330,13 @@ def _emit_counts(args, report, prof=None):
 
 
 def cmd_count(args):
-    xmax = args.xmax or 10**6
-    table = counting.table_of_series(_evaluate_form(args, prec=xmax).series)
+    table = counting.table_of_series(_evaluate_form(args, prec=args.xmax).series)
     _emit_counts(args, _count_report(args, table))
     return 0
 
 
 def cmd_compare(args):
-    f, table = _evaluate_with_table(args, args.xmax or 10**6)
+    f, table = _evaluate_with_table(args, args.xmax)
     report = _count_report(args, table)
     prof = _leading_constants(args, f)
     _emit_counts(args, counting.compare_report(report, prof, args.squarefree), prof)
@@ -343,18 +344,15 @@ def cmd_compare(args):
 
 
 def cmd_oracle(args):
-    xmax = args.xmax or 10**4
-    f, table = _evaluate_with_table(args, xmax)
-    comps = counting.oracle_components(
-        f, seed=args.seed, generator_bound=args.gen_bound, sample_bound=args.sample_bound
-    )
-    matches, total, mismatches = counting.oracle_check(table, comps, xmax)
+    f, table = _evaluate_with_table(args, args.xmax)
+    comps = counting.oracle_components(f, seed=args.seed, sample_bound=args.sample_bound)
+    matches, total, mismatches = counting.oracle_check(table, comps, args.xmax)
     if args.out == "json":
         _emit_json(
             {
                 "p": args.p,
                 "form": args.form,
-                "xmax": xmax,
+                "xmax": args.xmax,
                 "matches": matches,
                 "checked": total,
                 "mismatches": [list(m) for m in mismatches],
@@ -402,47 +400,64 @@ def cmd_constants(args):
     return 0
 
 
+# every flag a command may take; each command declares the ones it reads
+_FLAGS = {
+    "--p": dict(type=int, required=True),
+    "--form": dict(required=True),
+    "--prec": dict(type=_positive_int, default=None),
+    "--xmax": dict(type=_positive_int, default=None),
+    "--checkpoints": dict(default=None),
+    "--sample-bound": dict(type=int, default=module_mod.DEFAULT_SAMPLE_BOUND),
+    "--prime-bound": dict(type=int, default=densities.DEFAULT_PRIME_BOUND),
+    "--sfull-bound": dict(type=int, default=densities.DEFAULT_SFULL_BOUND),
+    "--squarefree": dict(action="store_true"),
+    "--out": dict(choices=("json", "csv"), default="json"),
+    "--seed": dict(type=int, default=0),
+    "--threads": dict(type=int, default=1),
+    "--op": dict(choices=("T", "U", "V", "W", "S"), required=True),
+    "--index": dict(type=_positive_int, default=1),
+    "--case": dict(required=True, choices=GroupDescriptor._KINDS),
+    "--param": dict(type=int, default=0),
+}
+_FORM = ("--p", "--form")
+_MODULE = _FORM + ("--prec", "--sample-bound", "--seed")
+_PREDICT = _MODULE + ("--squarefree", "--prime-bound", "--sfull-bound", "--xmax", "--checkpoints")
+# count draws nothing at random; it takes --seed because the benchmark
+# runner (perfbench/run.py) appends one to every job
+_COUNT = _FORM + ("--xmax", "--checkpoints", "--threads", "--out", "--seed")
+# oracle prints the bare match line unless asked for --out json
+_ORACLE = _FORM + ("--xmax", "--prec", "--sample-bound", "--seed")
+_ORACLE += (("--out", dict(choices=("text", "json"), default="text")),)
+
+# command -> (handler, flags, defaults); a flag is a key of _FLAGS or a
+# (flag, keywords) pair of its own
+_COMMANDS = {
+    "expand": (cmd_expand, _FORM + ("--prec", "--out"), dict(prec=64)),
+    "hecke": (cmd_hecke, _FORM + ("--prec", "--out", "--op", "--index"), dict(prec=64)),
+    "module": (cmd_module, _MODULE, {}),
+    "decompose": (cmd_decompose, _MODULE, {}),
+    "predict": (cmd_predict, _PREDICT, {}),
+    "count": (cmd_count, _COUNT, dict(xmax=10**6)),
+    "compare": (cmd_compare, _PREDICT + ("--threads", "--out"), dict(xmax=10**6)),
+    "oracle": (cmd_oracle, _ORACLE, dict(xmax=10**4)),
+    "alpha-group": (cmd_alpha_group, ("--case", "--param"), {}),
+    "constants": (cmd_constants, _MODULE + ("--prime-bound",), {}),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="modpforms",
         description="Coefficient statistics of level-one modular forms over F_p",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, needs_form=True):
-        sp = sub.add_parser(name)
-        sp.set_defaults(func=func)
-        sp.add_argument("--p", type=int, required=needs_form)
-        if needs_form:
-            sp.add_argument("--form", required=True)
-        sp.add_argument("--prec", type=int, default=None)
-        sp.add_argument("--xmax", type=int, default=None)
-        sp.add_argument("--checkpoints", default=None)
-        sp.add_argument("--gen-bound", type=int, default=module_mod.DEFAULT_GENERATOR_BOUND)
-        sp.add_argument("--sample-bound", type=int, default=module_mod.DEFAULT_SAMPLE_BOUND)
-        sp.add_argument("--prime-bound", type=int, default=densities.DEFAULT_PRIME_BOUND)
-        sp.add_argument("--sfull-bound", type=int, default=densities.DEFAULT_SFULL_BOUND)
-        sp.add_argument("--squarefree", action="store_true")
-        sp.add_argument("--out", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
-        return sp
-
-    add("expand", cmd_expand)
-    hk = add("hecke", cmd_hecke)
-    hk.add_argument("--op", choices=("T", "U", "V", "W", "S"), required=True)
-    hk.add_argument("--index", type=int, default=1)
-    add("module", cmd_module)
-    add("decompose", cmd_decompose)
-    add("predict", cmd_predict)
-    add("count", cmd_count)
-    add("compare", cmd_compare)
-    orc = add("oracle", cmd_oracle)
-    orc.set_defaults(out="text")  # the bare match line; pass --out json for detail
-    ag = add("alpha-group", cmd_alpha_group, needs_form=False)
-    ag.add_argument("--case", required=True, choices=GroupDescriptor._KINDS)
-    ag.add_argument("--param", type=int, default=0)
-    add("constants", cmd_constants)
+    for name, (func, flags, defaults) in _COMMANDS.items():
+        # no abbreviations: "alpha-group --p 3" would otherwise set --param
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            flag, keywords = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=func, **defaults)
     return parser
 
 

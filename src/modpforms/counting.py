@@ -116,6 +116,8 @@ def _checked_bounds(checkpoints, x_max):
     bounds = np.array(sorted(int(c) for c in checkpoints), dtype=np.int64)
     if len(bounds) == 0:
         raise ValueError("need at least one checkpoint")
+    if bounds[0] < 0:
+        raise ValueError(f"checkpoint {bounds[0]} is negative")
     if bounds[-1] > x_max:
         raise ValueError("checkpoint beyond the table range")
     return bounds

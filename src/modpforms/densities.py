@@ -21,7 +21,6 @@ from .basis import GradedForm, dim_level_one, miller_basis, to_coordinates
 from .errors import BudgetExceededError, InternalInvariantError, ModpFormsError, NotInSpanError
 from .hecke import apply_U_m, apply_W
 from .module import (
-    DEFAULT_GENERATOR_BOUND,
     DEFAULT_SAMPLE_BOUND,
     ClassReport,
     build_module,
@@ -347,10 +346,6 @@ class AsymptoticProfile:
     per_value: dict = field(default_factory=dict)
     degenerate: bool = False
 
-    def attained(self, a):
-        """Whether the value a is taken infinitely often (per the profile)."""
-        return self.per_value.get(a) is not None
-
 
 _DEGENERATE = AsymptoticProfile(
     alpha=Fraction(0), h=0, c=0.0, c_err=0.0, per_value={}, degenerate=True
@@ -532,8 +527,7 @@ def profile(
     with_constants=True,
     prime_bound=DEFAULT_PRIME_BOUND,
     sfull_bound=DEFAULT_SFULL_BOUND,
-    generator_bound=None,
-    sample_bound=None,
+    sample_bound=DEFAULT_SAMPLE_BOUND,
     seed=0,
 ):
     """Full asymptotic profile of a (not necessarily coprime-support) form.
@@ -610,12 +604,7 @@ def profile(
             contributions.append((weight, None))
             continue
         g = _lift_weight(g_series, p, cap=p * f.weight, try_first=f.weight)
-        module = build_module(
-            g,
-            generator_bound=generator_bound or DEFAULT_GENERATOR_BOUND,
-            sample_bound=sample_bound or DEFAULT_SAMPLE_BOUND,
-            require_conductor=False,
-        )
+        module = build_module(g, sample_bound=sample_bound, require_conductor=False)
         contributions.append((weight, module_profile(module, seed=seed, **part_kw)))
 
     live = [(w, pr) for w, pr in contributions if pr is not None]

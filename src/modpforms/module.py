@@ -48,11 +48,12 @@ from .errors import (
 from .hecke import ell_s_ell
 from .series import QSeries
 
-DEFAULT_GENERATOR_BOUND = 50
+GENERATOR_BOUND = 50  # the closure runs over the T_l with l at most this
 DEFAULT_SAMPLE_BOUND = 2000
 DIMENSION_CAP = 64
 GAMMA_ORDER_CAP = 100000
 MAX_CONDUCTOR_EXPONENT = 4
+DECOMPOSE_ATTEMPTS = 8  # random algebra elements tried before giving up
 _SLACK = 8
 
 NILPOTENT = "nilpotent"
@@ -168,9 +169,6 @@ class HeckeModule:
         amb = linalg.matvec(vec, self.ambient_coords, self.p)
         return from_coordinates(amb, self.ambient, prec)
 
-    def vector_to_form(self, vec, prec=None):
-        return GradedForm(self.vector_to_series(vec, prec), self.weight)
-
 
 @dataclass(frozen=True)
 class ClassReport:
@@ -251,12 +249,7 @@ def _closure(seed, matrices, p, dim_cap):
 
 
 def build_module(
-    f,
-    generator_bound=DEFAULT_GENERATOR_BOUND,
-    sample_bound=DEFAULT_SAMPLE_BOUND,
-    dim_cap=DIMENSION_CAP,
-    max_conductor_exponent=MAX_CONDUCTOR_EXPONENT,
-    require_conductor=True,
+    f, sample_bound=DEFAULT_SAMPLE_BOUND, dim_cap=DIMENSION_CAP, require_conductor=True
 ):
     """Close the span of f under the prime-index operators and detect conductors.
 
@@ -267,10 +260,8 @@ def build_module(
     that only need the status structure (alpha) or the raw matrices (h).
     """
     p, k = f.p, f.weight
-    if generator_bound < 2:
-        raise ValueError("generator_bound must be at least 2")
-    if sample_bound < generator_bound:
-        raise ValueError("sample_bound must be at least generator_bound")
+    if sample_bound < GENERATOR_BOUND:
+        raise ValueError(f"sample_bound must be at least the generator bound {GENERATOR_BOUND}")
     dim = dim_level_one(k)
     work_prec = work_precision(k, sample_bound)
 
@@ -289,7 +280,7 @@ def build_module(
         )
 
     sampled = [ell for ell in primes_upto(sample_bound).tolist() if ell != p]
-    gens = [ell for ell in sampled if ell <= generator_bound]
+    gens = [ell for ell in sampled if ell <= GENERATOR_BOUND]
 
     gen_mats = [_tl_coords(B, ell, ell_s_ell(ell, k, p), dim, p) for ell in gens]
     V = _closure(f_amb, gen_mats, p, dim_cap)  # r x dim, in ambient coordinates
@@ -309,15 +300,11 @@ def build_module(
             raise InternalInvariantError("a sampled image left the module span")
         per_prime[ell] = x
 
-    conductor, class_matrices, failure = _detect_conductor(
-        per_prime, p, k, r, max_conductor_exponent
-    )
+    conductor, class_matrices, failure = _detect_conductor(per_prime, p, k, r)
     if conductor is None and require_conductor:
         raise ConductorNotFoundError(failure)
 
-    status_modulus, status_by_class = _detect_status(
-        per_prime, p, r, max_conductor_exponent
-    )
+    status_modulus, status_by_class = _detect_status(per_prime, p, r)
 
     f_coords = np.zeros(r, dtype=np.int64)
     f_coords[0] = 1
@@ -336,7 +323,7 @@ def build_module(
     )
 
 
-def _detect_conductor(per_prime, p, weight, r, max_exponent):
+def _detect_conductor(per_prime, p, weight, r):
     """Smallest p-power modulus whose classes explain every sampled action matrix.
 
     Seeds the per-class table from one sampled prime whose class generates
@@ -346,7 +333,7 @@ def _detect_conductor(per_prime, p, weight, r, max_exponent):
     """
     two_id = 2 * linalg.identity(r, p) % p
     failure = None
-    for exponent in range(1, max_exponent + 1):
+    for exponent in range(1, MAX_CONDUCTOR_EXPONENT + 1):
         cand = p**exponent
         phi = cand - cand // p
         gen = None
@@ -384,7 +371,7 @@ def _detect_conductor(per_prime, p, weight, r, max_exponent):
     return None, None, f"no conductor candidate passed ({failure})"
 
 
-def _detect_status(per_prime, p, r, max_exponent):
+def _detect_status(per_prime, p, r):
     """Smallest p-power modulus with class-constant nilpotent/invertible status.
 
     Every unit class must carry a sampled prime.  This is the semisimple
@@ -393,7 +380,7 @@ def _detect_status(per_prime, p, r, max_exponent):
     """
     statuses = {ell: _status_of(mat, p) for ell, mat in per_prime.items()}
     failure = None
-    for exponent in range(1, max_exponent + 1):
+    for exponent in range(1, MAX_CONDUCTOR_EXPONENT + 1):
         cand = p**exponent
         by_class = {}
         ok = True
@@ -509,7 +496,7 @@ def _restrict(rows, mat, p):
     return out
 
 
-def submodule(parent, vec, max_conductor_exponent=MAX_CONDUCTOR_EXPONENT):
+def submodule(parent, vec):
     """The module generated by a vector inside a parent module.
 
     Closure runs over the parent's sampled matrices; the conductor and
@@ -525,12 +512,8 @@ def submodule(parent, vec, max_conductor_exponent=MAX_CONDUCTOR_EXPONENT):
     )
     W = _closure(vec, source, p, parent.dim)  # a subspace: the cap never binds
     restricted = {ell: _restrict(W, mat, p) for ell, mat in parent.per_prime.items()}
-    conductor, class_matrices, _ = _detect_conductor(
-        restricted, p, parent.weight, W.shape[0], max_conductor_exponent
-    )
-    status_modulus, status_by_class = _detect_status(
-        restricted, p, W.shape[0], max_conductor_exponent
-    )
+    conductor, class_matrices, _ = _detect_conductor(restricted, p, parent.weight, W.shape[0])
+    status_modulus, status_by_class = _detect_status(restricted, p, W.shape[0])
     series = (W @ parent.vector_series.astype(np.int64)) % p
     amb = (W @ parent.ambient_coords) % p
     f_coords = np.zeros(W.shape[0], dtype=np.int64)
@@ -557,7 +540,7 @@ def _distinct(mats):
     return [seen[k] for k in sorted(seen)]
 
 
-def decompose(module, seed=0, attempts=8):
+def decompose(module, seed=0):
     """Canonical decomposition of the module seed into pure components.
 
     Splits the module into joint generalized eigenspaces of the commuting
@@ -578,7 +561,7 @@ def decompose(module, seed=0, attempts=8):
     gens = _distinct(module.per_prime.values())
     rng = np.random.default_rng(seed)
     last_error = None
-    for _ in range(attempts):
+    for _ in range(DECOMPOSE_ATTEMPTS):
         coeffs = rng.integers(0, p, size=len(gens))
         X = np.zeros((r, r), dtype=np.int64)
         for c, mat in zip(coeffs, gens):
@@ -590,7 +573,7 @@ def decompose(module, seed=0, attempts=8):
             continue
         return _group_blocks(module, blocks)
     raise SplittingFieldNeededError(
-        f"failed to separate joint eigenspaces after {attempts} attempts ({last_error})"
+        f"failed to separate joint eigenspaces after {DECOMPOSE_ATTEMPTS} attempts ({last_error})"
     )
 
 

@@ -238,6 +238,8 @@ _EISENSTEIN = {4: (240, 3), 6: (-504, 5)}
 def eisenstein(p, k, prec):
     """Level-one Eisenstein series of weight 4 or 6, reduced mod p."""
     _check_modulus(p)
+    if prec > MAX_PREC:  # before the divisor sieve allocates its table
+        raise ValueError(f"prec {prec} exceeds the cap {MAX_PREC}")
     if k not in _EISENSTEIN:
         raise ValueError(f"unsupported weight {k}; only 4 and 6 are provided")
     const, e = _EISENSTEIN[k]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import io
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from modpforms.cli import canonical_json, main
+from modpforms import kernels, series
+from modpforms.cli import build_parser, canonical_json, main
 from modpforms.errors import BudgetExceededError
 
 
@@ -338,3 +340,116 @@ class TestExitCodes:
     def test_bad_threads(self, capsys):
         code, _, err = run_cli(capsys, "count", "--p", "3", "--form", "delta", "--threads", "0")
         assert code == 2
+
+
+# the flags each command reads, and a valid value of each flag that every
+# command once took, so that an argv differs from a valid one by one flag
+READS = {
+    "expand": "--p --form --prec --out",
+    "hecke": "--p --form --prec --out --op --index",
+    "module": "--p --form --prec --sample-bound --seed",
+    "decompose": "--p --form --prec --sample-bound --seed",
+    "constants": "--p --form --prec --sample-bound --seed --prime-bound",
+    "predict": "--p --form --prec --sample-bound --seed --squarefree --prime-bound "
+    "--sfull-bound --xmax --checkpoints",
+    "count": "--p --form --xmax --checkpoints --threads --out --seed",
+    "compare": "--p --form --prec --sample-bound --seed --squarefree --prime-bound "
+    "--sfull-bound --xmax --checkpoints --threads --out",
+    "oracle": "--p --form --xmax --prec --sample-bound --seed --out",
+    "alpha-group": "--case --param",
+}
+SHARED_FLAGS = {
+    "--p": "3", "--form": "delta", "--prec": "20", "--xmax": "1000", "--checkpoints": "1000",
+    "--gen-bound": "50", "--sample-bound": "600", "--prime-bound": "100000",
+    "--sfull-bound": "1000", "--squarefree": None, "--out": "json", "--seed": "1",
+    "--threads": "1",
+}
+BASE_ARGV = {"hecke": ("--op", "T"), "alpha-group": ("--case", "dihedral", "--param", "2")}
+UNREAD = [
+    (command, flag)
+    for command, reads in READS.items()
+    for flag in SHARED_FLAGS
+    if flag not in reads.split()
+]
+
+
+def _base_argv(command):
+    form = () if command == "alpha-group" else ("--p", "3", "--form", "delta")
+    return [command, *form, *BASE_ARGV.get(command, ())]
+
+
+class TestFlagTable:
+    def test_each_command_declares_the_flags_it_reads(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, reads in READS.items():
+            sub = commands.choices[command]
+            declared = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            assert declared == set(reads.split()), command
+            sub.parse_args(_base_argv(command)[1:])
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_is_a_usage_error(self, monkeypatch, command, flag):
+        from modpforms import cli
+
+        monkeypatch.setattr(cli, "evaluate", lambda *args: pytest.fail("form evaluated"))
+        value = SHARED_FLAGS[flag]
+        with pytest.raises(SystemExit) as exc:
+            main(_base_argv(command) + [flag] + ([value] if value else []))
+        assert exc.value.code == 2
+
+    def test_no_abbreviated_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["alpha-group", "--case", "dihedral", "--p", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--p", "3", "--form", "delta", "--xmax", "0"),
+            ("expand", "--p", "3", "--form", "delta", "--prec", "0"),
+        ],
+    )
+    def test_zero_bound_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_negative_checkpoint_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--p", "3", "--form", "delta", "--xmax", "1000",
+            "--checkpoints=-5,100",
+        )
+        assert code == 2
+        assert out == ""
+        assert "negative" in err
+
+    def test_sample_bound_below_the_generator_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys, "module", "--p", "3", "--form", "delta", "--sample-bound", "49"
+        )
+        assert code == 2
+        assert out == ""
+        assert "generator bound 50" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--p", "7", "--form", "E4", "--xmax", str(series.MAX_PREC + 1)),
+            ("expand", "--p", "7", "--form", "E6", "--prec", str(series.MAX_PREC + 1)),
+            ("hecke", "--p", "7", "--form", "E4", "--op", "U", "--index", "200000"),
+            ("module", "--p", "7", "--form", "E4", "--sample-bound", str(series.MAX_PREC)),
+        ],
+    )
+    def test_eisenstein_precision_is_capped_before_the_sieve(self, capsys, monkeypatch, argv):
+        sieve = kernels.sigma_sieve
+
+        def guarded(prec, e, p):
+            assert prec <= series.MAX_PREC, f"divisor sieve of {prec} coefficients"
+            return sieve(prec, e, p)
+
+        monkeypatch.setattr(kernels, "sigma_sieve", guarded)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the cap {series.MAX_PREC}" in err

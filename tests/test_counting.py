@@ -55,6 +55,13 @@ class TestCounts:
         rep = count_pi(t, [10, 100])
         assert rep.pi == [0, 0]
 
+    @pytest.mark.parametrize("count", [count_pi, count_pi_sf])
+    def test_negative_checkpoint_rejected(self, count):
+        # a negative bound would slice from the end of the table
+        t = coefficient_table("delta", 3, 1000)
+        with pytest.raises(ValueError, match="negative"):
+            count(t, [-5, 100])
+
     def test_by_value_sums_to_total(self):
         t = coefficient_table("delta", 3, 10**4)
         rep = count_pi(t, [10**3, 10**4], by_value=True)
