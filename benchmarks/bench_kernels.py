@@ -4,9 +4,10 @@
 Covers the hot loops: sparse series multiplication (cusp-form
 generation), table counting with per-value tallies, the divisor-sum
 sieve (Eisenstein series) and truncated dense multiplication (basis
-expansion); then the cusp form itself, built by Frobenius digits, and the
-square-full sum of the leading constant of Delta mod 7.  Times are the
-best of --repeat runs.
+expansion); then the cusp form itself, built by Frobenius digits, the
+square-full sum of the leading constant of Delta mod 7 and the
+decomposition oracle of Delta^2 mod 3.  Times are the best of --repeat
+runs.
 
     python benchmarks/bench_kernels.py [--prec 1000000] [--repeat 3]
 """
@@ -18,6 +19,7 @@ import numpy as np
 
 from modpforms import kernels
 from modpforms.basis import GradedForm
+from modpforms.counting import decomposition_oracle, oracle_components
 from modpforms.densities import class_density, euler_constant_C, squarefull_buckets
 from modpforms.module import build_module, classify_classes
 from modpforms.series import delta_power, eta_cubed
@@ -76,6 +78,11 @@ def bench(prec, repeat):
             repeat,
         )
         print(f"squarefull_buckets delta mod 7 (S = {s_bound:.0e}): {t * 1000:.1f}ms")
+
+    components = oracle_components(GradedForm(delta_power(3, 2, 4009), 24))
+    for x in (10**5, 10**6):
+        t = _time(lambda: decomposition_oracle(components, x, 3), repeat)
+        print(f"decomposition_oracle delta^2 mod 3 (X = {x:.0e}): {t * 1000:.1f}ms")
 
 
 if __name__ == "__main__":

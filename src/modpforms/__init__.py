@@ -4,7 +4,8 @@ The package computes every ingredient of the asymptotic count of nonzero
 q-expansion coefficients (finite Hecke modules, purity, the density
 exponent alpha, the nilpotence order h, frobenian densities and the
 Euler-product leading constants) and validates them against direct
-coefficient counting and an exact per-index decomposition oracle.
+coefficient counting and an exact decomposition oracle, which re-derives
+every coefficient at an index coprime to p by a prime-power sieve.
 """
 
 from .basis import GradedForm, WeightBasis, from_coordinates, miller_basis, to_coordinates

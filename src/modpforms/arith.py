@@ -84,33 +84,6 @@ def multiplicative_order(g, m):
     return order
 
 
-def spf_sieve(n):
-    """Smallest prime factor of each index 0..n (entry 0 is 0, entry 1 is 1)."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    spf[1] = 1
-    for q in range(2, math.isqrt(n) + 1):
-        if spf[q] == 0:
-            multiples = spf[q * q :: q]
-            multiples[multiples == 0] = q
-    # what no prime <= sqrt(n) divides is prime
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    return spf
-
-
-def factor_with_spf(n, spf):
-    """Factorization of n <= len(spf) - 1 as a dict prime -> exponent."""
-    out = {}
-    while n > 1:
-        q = int(spf[n])
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
-        out[q] = e
-    return out
-
-
 def squarefree_mask(n):
     """Byte mask of square-free indices below n (index 0 excluded)."""
     mask = np.ones(n, dtype=np.uint8)

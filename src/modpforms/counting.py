@@ -6,21 +6,26 @@ an index coprime to p from pure-component class data alone (square-full
 part, nilpotent part, unit part) and compares against the table; when
 those agree for every index, the module machinery, the conductor, the
 recurrences and the invertible-class group have all been validated at
-once.
+once.  It runs as a prime-power sieve over blocks of indices: one batched
+matrix product per prime power and per class of the primes above the
+square root of the range, instead of a factorization per index.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, linalg
-from .arith import factor_with_spf, spf_sieve, squarefree_mask
+from .arith import primes_upto, squarefree_mask
 from .errors import InternalInvariantError
 from .module import classify_classes, decompose
 
 DEFAULT_XMAX_CAP = 10**6
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
+# indices per oracle block: the sieve holds O(ORACLE_BLOCK * dim) integers whatever X is
+ORACLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ def _checked_bounds(checkpoints, x_max):
 
 @dataclass(frozen=True)
 class OracleComponent:
-    """Class data of one pure component, ready for per-index evaluation."""
+    """Class data of one pure component, ready for the oracle sieve."""
 
     module: object
     nil_classes: frozenset
@@ -153,11 +158,22 @@ def oracle_components(f, seed=0, **build_kwargs):
     return out
 
 
-@dataclass(frozen=True)
-class OracleRecord:
-    n: int
-    predicted: int
-    parts: tuple  # per component: (m, m_prime, m_dfull) split
+def _exact_multiples(lo, size, q, qe):
+    """Offsets i < size with qe exactly the power of q dividing lo + i (qe = q^e)."""
+    idx = np.arange((-lo) % qe, size, qe)
+    return idx[(lo + idx) // qe % q != 0]
+
+
+def _large_prime_part(n, small):
+    """n with every prime of ``small`` divided out: 1 or the one prime factor left."""
+    rest = n.copy()
+    lo, hi = int(n[0]), int(n[-1]) + 1
+    for q in small:
+        qe = q
+        while qe < hi:
+            rest[(-lo) % qe :: qe] //= q
+            qe *= q
+    return rest
 
 
 def decomposition_oracle(components, X, p):
@@ -166,75 +182,83 @@ def decomposition_oracle(components, X, p):
     For each pure component, n = m * m' * m'' with m'' the square-full
     part, m' the product of exponent-one primes in nilpotent classes and
     m the product of exponent-one primes in invertible classes; the
-    predicted coefficient is the first-coefficient functional of the
-    corresponding operator chain applied on the component module.
+    predicted coefficient is a_1 of T_m T_m' T_m'' f on the component
+    module, summed over the components.
+
+    This is a sieve, not a per-index loop: each component keeps one
+    coordinate row per n, starting at f, and each prime power q^e exactly
+    dividing n multiplies its row by the class matrix of T_{q^e}, in one
+    batched product for all such n.  Square-full parts come first, then
+    nilpotent, then invertible exponent-one primes, each by increasing q.
+    Primes with q^2 < X go one at a time; the one prime with q^2 >= X an
+    n may have is its largest and divides it once, so it comes last in
+    its pass, batched by class.  Blocks of ORACLE_BLOCK indices keep
+    memory independent of X.
+
+    Returns the predictions (uint8) for the indices 1 <= n < X not
+    divisible by p, in increasing order.
     """
-    spf = spf_sieve(max(X - 1, 3))
-    records = []
+    small = [q for q in primes_upto(math.isqrt(max(X - 1, 0))).tolist() if q != p]
+    for comp in components:
+        comp.module.require_conductor()
     caches = [{} for _ in components]
-    for n in range(1, X):
-        if n % p == 0:
-            continue
-        fac = factor_with_spf(n, spf)
-        total = 0
-        parts = []
+    out = [np.zeros(0, dtype=np.uint8)]
+    for lo in range(1, X, ORACLE_BLOCK):
+        n = np.arange(lo, min(lo + ORACLE_BLOCK, X), dtype=np.int64)
+        large = _large_prime_part(n, small)
+        total = np.zeros(len(n), dtype=np.int64)
         for comp, cache in zip(components, caches):
-            value, split = _component_prediction(comp, fac, cache)
-            total = (total + value) % p
-            parts.append(split)
-        records.append(OracleRecord(n, total, tuple(parts)))
-    return records
+            total += _component_block(comp, lo, len(n), small, large, cache)
+        out.append((total % p)[n % p != 0].astype(np.uint8))
+    return np.concatenate(out)
 
 
-def _component_prediction(comp, fac, cache):
+def _component_block(comp, lo, size, small, large, cache):
+    """a_1 of the predicted operator chain for n = lo .. lo + size - 1 on one component."""
     module = comp.module
-    p = module.p
-    v = module.f_coords
-    m = m_prime = m_dfull = 1
-    # square-full part first: f'' = T_{m''} f
-    for q, e in fac.items():
-        if e >= 2:
-            m_dfull *= q**e
-            key = ("pp", q % module.conductor, e)
-            if key not in cache:
-                cache[key] = module.prime_power_matrix(module.class_of(q), e)
-            v = linalg.matvec(v, cache[key], p)
-    if v.any():
-        # nilpotent exponent-one primes: f' = T_{m'} f''
-        for q, e in fac.items():
-            if e == 1 and q % module.conductor in comp.nil_classes:
-                m_prime *= q
-                v = module.apply_class(v, q % module.conductor)
-                if not v.any():
-                    break
-    if v.any():
-        # invertible exponent-one primes, then the a_1 functional
-        for q, e in fac.items():
-            if e == 1 and q % module.conductor in comp.inv_classes:
-                m *= q
-                v = module.apply_class(v, q % module.conductor)
-    value = module.coefficient(v, 1) if v.any() else 0
-    return value, (m, m_prime, m_dfull)
+    p, c = module.p, module.conductor
+    hi = lo + size
+    rows = np.tile(module.f_coords.astype(np.int64), (size, 1))
+
+    def apply(idx, mat):
+        if len(idx):
+            rows[idx] = linalg.matvec(rows[idx], mat, p)
+
+    # square-full parts: f'' = T_{m''} f
+    for q in small:
+        u = module.class_of(q)
+        qe, e = q * q, 2
+        while qe < hi:
+            if (u, e) not in cache:
+                cache[u, e] = module.prime_power_matrix(u, e)
+            apply(_exact_multiples(lo, size, q, qe), cache[u, e])
+            qe, e = qe * q, e + 1
+    # exponent-one primes, nilpotent classes (f' = T_{m'} f'') then invertible ones
+    large_class = np.where(large > 1, large % c, -1)
+    for classes in (comp.nil_classes, comp.inv_classes):
+        for q in small:
+            if q % c in classes:
+                apply(_exact_multiples(lo, size, q, q), module.class_matrices[q % c])
+        for u in sorted(classes):
+            apply(np.flatnonzero(large_class == u), module.class_matrices[u])
+    return rows @ module.vector_series[:, 1].astype(np.int64) % p
 
 
 def oracle_check(table, components, X):
     """Compare oracle predictions against a coefficient table.
 
     Returns (matches, total, mismatches) where mismatches lists at most
-    the first 20 offending (n, predicted, actual) triples.
+    the first 20 offending (n, predicted, actual) triples, in increasing n.
     """
     if X > table.x_max:
         raise ValueError("oracle range beyond the table")
-    records = decomposition_oracle(components, X, table.p)
-    matches = 0
-    mismatches = []
-    for rec in records:
-        actual = int(table.coeffs[rec.n])
-        if actual == rec.predicted:
-            matches += 1
-        elif len(mismatches) < 20:
-            mismatches.append((rec.n, rec.predicted, actual))
-    return matches, len(records), mismatches
+    n = np.arange(1, X, dtype=np.int64)
+    n = n[n % table.p != 0]
+    predicted = decomposition_oracle(components, X, table.p)
+    actual = table.coeffs[n]
+    bad = np.flatnonzero(predicted != actual)
+    mismatches = [(int(n[i]), int(predicted[i]), int(actual[i])) for i in bad[:20]]
+    return len(n) - len(bad), len(n), mismatches
 
 
 def compare_report(empirical, profile, squarefree=False):

@@ -24,6 +24,7 @@ from .module import (
     DEFAULT_SAMPLE_BOUND,
     ClassReport,
     build_module,
+    check_sample_bound,
     classify_classes,
     decompose,
     gamma_group,
@@ -535,11 +536,12 @@ def profile(
     Walks the p-power tower U_{p^j}, projecting each layer to coprime
     support with W, until the tower series repeats (always including the
     all-zero cycle); layer j is weighted 1/p^j, and a detected cycle's
-    geometric tail is summed in closed form.  Both bounds are checked
+    geometric tail is summed in closed form.  The bounds are checked
     before any work, even where the square-free path never reads sfull_bound.
     """
     _check_prime_bound(prime_bound)
     _check_sfull_bound(sfull_bound)
+    check_sample_bound(sample_bound)
     part_kw = dict(
         squarefree=squarefree,
         with_constants=with_constants,

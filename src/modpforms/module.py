@@ -248,6 +248,11 @@ def _closure(seed, matrices, p, dim_cap):
     return np.stack(rows)
 
 
+def check_sample_bound(sample_bound):
+    if sample_bound < GENERATOR_BOUND:
+        raise ValueError(f"sample_bound must be at least the generator bound {GENERATOR_BOUND}")
+
+
 def build_module(
     f, sample_bound=DEFAULT_SAMPLE_BOUND, dim_cap=DIMENSION_CAP, require_conductor=True
 ):
@@ -260,8 +265,7 @@ def build_module(
     that only need the status structure (alpha) or the raw matrices (h).
     """
     p, k = f.p, f.weight
-    if sample_bound < GENERATOR_BOUND:
-        raise ValueError(f"sample_bound must be at least the generator bound {GENERATOR_BOUND}")
+    check_sample_bound(sample_bound)
     dim = dim_level_one(k)
     work_prec = work_precision(k, sample_bound)
 

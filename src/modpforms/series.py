@@ -238,6 +238,8 @@ _EISENSTEIN = {4: (240, 3), 6: (-504, 5)}
 def eisenstein(p, k, prec):
     """Level-one Eisenstein series of weight 4 or 6, reduced mod p."""
     _check_modulus(p)
+    if prec < 1:
+        raise ValueError("prec must be positive")
     if prec > MAX_PREC:  # before the divisor sieve allocates its table
         raise ValueError(f"prec {prec} exceeds the cap {MAX_PREC}")
     if k not in _EISENSTEIN:

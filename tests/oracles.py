@@ -3,19 +3,19 @@
 Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
-for dense products, divisor sums, powers, cusp-form powers and square-full
-sums are kept here as differential references for the fast paths that
-replaced them.
+for dense products, divisor sums, powers, cusp-form powers, square-full
+sums and the decomposition oracle are kept here as differential
+references for the fast paths that replaced them.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from modpforms import kernels, linalg
-from modpforms.arith import factor_with_spf, spf_sieve
 from modpforms.series import QSeries, eta_cubed, one, zero
 
 
@@ -156,6 +156,33 @@ def fraction_echelon(rows):
     return rows
 
 
+def spf_sieve(n):
+    """Smallest prime factor of each index 0..n (entry 0 is 0, entry 1 is 1)."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    spf[1] = 1
+    for q in range(2, math.isqrt(n) + 1):
+        if spf[q] == 0:
+            multiples = spf[q * q :: q]
+            multiples[multiples == 0] = q
+    # what no prime <= sqrt(n) divides is prime
+    rest = np.flatnonzero(spf == 0)
+    spf[rest] = rest
+    return spf
+
+
+def factor_with_spf(n, spf):
+    """Factorization of n <= len(spf) - 1 as a dict prime -> exponent."""
+    out = {}
+    while n > 1:
+        q = int(spf[n])
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        out[q] = e
+    return out
+
+
 def squarefull_numbers(bound):
     """(n, factorization) for square-full n <= bound, via n = a^2 b^3 with b square-free."""
     amax = int(math.isqrt(bound))
@@ -211,3 +238,67 @@ def squarefull_buckets_walk(module, seed, cu, s_bound, inv_classes):
         vecs[key] = v
     tail = 2.2 * cu.value / math.sqrt(s_bound)
     return sums, vecs, tail
+
+
+@dataclass(frozen=True)
+class OracleRecord:
+    n: int
+    predicted: int
+    parts: tuple  # per component: (m, m_prime, m_dfull) split
+
+
+def decomposition_oracle_per_index(components, X, p):
+    """counting.decomposition_oracle one index at a time, as OracleRecords.
+
+    Factors each n < X coprime to p and, on each pure component, splits
+    n = m * m' * m'' (m'' square-full, m' the exponent-one primes in
+    nilpotent classes, m those in invertible classes), then applies
+    T_{m''}, T_{m'} and T_m to f's coordinates prime by prime in
+    increasing q and reads a_1.
+    """
+    spf = spf_sieve(max(X - 1, 3))
+    records = []
+    caches = [{} for _ in components]
+    for n in range(1, X):
+        if n % p == 0:
+            continue
+        fac = factor_with_spf(n, spf)
+        total = 0
+        parts = []
+        for comp, cache in zip(components, caches):
+            value, split = _component_prediction(comp, fac, cache)
+            total = (total + value) % p
+            parts.append(split)
+        records.append(OracleRecord(n, total, tuple(parts)))
+    return records
+
+
+def _component_prediction(comp, fac, cache):
+    module = comp.module
+    p = module.p
+    v = module.f_coords
+    m = m_prime = m_dfull = 1
+    # square-full part first: f'' = T_{m''} f
+    for q, e in fac.items():
+        if e >= 2:
+            m_dfull *= q**e
+            key = ("pp", q % module.conductor, e)
+            if key not in cache:
+                cache[key] = module.prime_power_matrix(module.class_of(q), e)
+            v = linalg.matvec(v, cache[key], p)
+    if v.any():
+        # nilpotent exponent-one primes: f' = T_{m'} f''
+        for q, e in fac.items():
+            if e == 1 and q % module.conductor in comp.nil_classes:
+                m_prime *= q
+                v = module.apply_class(v, q % module.conductor)
+                if not v.any():
+                    break
+    if v.any():
+        # invertible exponent-one primes, then the a_1 functional
+        for q, e in fac.items():
+            if e == 1 and q % module.conductor in comp.inv_classes:
+                m *= q
+                v = module.apply_class(v, q % module.conductor)
+    value = module.coefficient(v, 1) if v.any() else 0
+    return value, (m, m_prime, m_dfull)

@@ -1,4 +1,8 @@
-"""Each arith helper against a brute-force loop, for every n <= 2000."""
+"""Each arith helper against a brute-force loop, for every n <= 2000.
+
+The smallest-prime-factor sieve lives in the test oracles, which factor
+with it; it is checked here with the package's helpers.
+"""
 
 import math
 
@@ -6,15 +10,15 @@ import numpy as np
 import pytest
 
 from modpforms.arith import (
-    factor_with_spf,
     factorize,
     is_odd_prime_power,
     is_prime,
     multiplicative_order,
     primes_upto,
-    spf_sieve,
     squarefree_mask,
 )
+
+from oracles import factor_with_spf, spf_sieve
 
 N = 2000
 

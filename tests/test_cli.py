@@ -199,6 +199,30 @@ class TestCountsAndOracle:
         assert data["matches"] == data["checked"]
         assert data["mismatches"] == []
 
+    def test_oracle_json_reports_mismatches_and_exits_1(self, capsys, monkeypatch):
+        # flip 31 table entries, all at n = 1 mod 3; the first 20 are listed
+        from modpforms import cli, counting
+
+        flipped = list(range(1, 1000, 33))
+        clean = counting.table_of_series
+
+        def corrupted(qs, x_max=None):
+            table = clean(qs, x_max)
+            coeffs = table.coeffs.copy()
+            coeffs[flipped] = (coeffs[flipped] + 1) % 3
+            return counting.CoeffTable(table.p, table.x_max, coeffs)
+
+        monkeypatch.setattr(cli.counting, "table_of_series", corrupted)
+        argv = ("oracle", "--p", "3", "--form", "delta", "--xmax", "1000", "--sample-bound", "600")
+        code, out, _ = run_cli(capsys, *argv, "--out", "json")
+        truth = clean(series.delta_power(3, 1, 1000)).coeffs
+        data = json.loads(out)
+        assert code == 1
+        assert (data["matches"], data["checked"]) == (666 - 31, 666)
+        assert data["mismatches"] == [[n, int(truth[n]), (int(truth[n]) + 1) % 3] for n in flipped[:20]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (1, "match: 635/666\n")
+
 
 class TestWorkPerCommand:
     def test_module_builds_one_module(self, capsys, monkeypatch):
@@ -427,6 +451,15 @@ class TestFlagTable:
     def test_sample_bound_below_the_generator_bound(self, capsys):
         code, out, err = run_cli(
             capsys, "module", "--p", "3", "--form", "delta", "--sample-bound", "49"
+        )
+        assert code == 2
+        assert out == ""
+        assert "generator bound 50" in err
+
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    def test_sample_bound_is_checked_before_the_tower(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--p", "3", "--form", "delta", "--sample-bound", "30"
         )
         assert code == 2
         assert out == ""

@@ -1,9 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from modpforms import counting
 from modpforms.arith import squarefree_mask
 from modpforms.basis import GradedForm, dim_level_one
 from modpforms.counting import (
+    ORACLE_BLOCK,
+    CoeffTable,
     coefficient_table,
     compare_report,
     count_pi,
@@ -14,14 +19,40 @@ from modpforms.counting import (
     table_of_series,
 )
 from modpforms.densities import leading_constants_sf
+from modpforms.expr import evaluate, parse_form_expression
+from modpforms.module import work_precision
 from modpforms.series import delta_power
 
-from oracles import integer_delta_power
+from oracles import decomposition_oracle_per_index, integer_delta_power
+
+# the forms of acceptance criterion 7
+CRITERION_7_FORMS = [
+    ("delta", 3), ("delta^2", 3), ("delta^5", 3), ("delta", 7), ("delta^2", 7), ("delta^2-delta", 7),
+]
 
 
 def _delta_form(p, k, sample_bound=2000):
     prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
     return GradedForm(delta_power(p, k, prec), 12 * k)
+
+
+@lru_cache(maxsize=None)
+def _components(expr, p):
+    """Oracle components of a criterion-7 form, from a 600-prime sample as the CLI tests use."""
+    f = evaluate(parse_form_expression(expr, p), p, work_precision(60, 600))
+    head = GradedForm(f.series.truncate(work_precision(f.weight, 600)), f.weight)
+    return oracle_components(head, sample_bound=600)
+
+
+@lru_cache(maxsize=None)
+def _per_index(expr, p, X):
+    """Per-index predictions keyed by n, for every n < X coprime to p."""
+    return {r.n: r.predicted for r in decomposition_oracle_per_index(_components(expr, p), X, p)}
+
+
+def _expected(expr, p, X, upto):
+    per_index = _per_index(expr, p, upto)
+    return [per_index[n] for n in range(1, X) if n % p]
 
 
 class TestCoefficientTable:
@@ -149,7 +180,7 @@ class TestSquarefreeMask:
 class TestOracle:
     def test_spot_predictions_delta_square_mod3(self):
         comps = oracle_components(_delta_form(3, 2))
-        records = {r.n: r for r in decomposition_oracle(comps, 5, 3)}
+        records = {r.n: r for r in decomposition_oracle_per_index(comps, 5, 3)}
         ref = integer_delta_power(2, 5)
         # n = 2: unit part empty, nilpotent part 2, square-full part 1
         assert records[2].parts[0] == (1, 2, 1)
@@ -179,6 +210,55 @@ class TestOracle:
         table = coefficient_table("delta^2", 7, 3000)
         matches, total, _ = oracle_check(table, comps, 3000)
         assert matches == total
+
+    # tiny ranges, X = q^2 and q^2 + 1 across the small/large prime split,
+    # and, at a block of 16, one below and one above each of two block edges
+    @pytest.mark.parametrize("expr,p", CRITERION_7_FORMS)
+    def test_batched_matches_per_index(self, monkeypatch, expr, p):
+        comps = _components(expr, p)
+        xs = [1, 2, 3, 4, 5] + [x for q in (5, 7, 11) for x in (q * q, q * q + 1)]
+        for X in xs:
+            got = decomposition_oracle(comps, X, p)
+            assert got.tolist() == _expected(expr, p, X, 200), X
+        monkeypatch.setattr(counting, "ORACLE_BLOCK", 16)
+        for X in (16, 18, 32, 34, 200):
+            got = decomposition_oracle(comps, X, p)
+            assert got.tolist() == _expected(expr, p, X, 200), X
+
+    def test_batched_matches_per_index_at_the_block_edge(self):
+        expr, p = "delta^5", 3
+        comps = _components(expr, p)
+        for X in (ORACLE_BLOCK, ORACLE_BLOCK + 2):
+            got = decomposition_oracle(comps, X, p)
+            assert len(got) == X - 1 - (X - 1) // p
+            assert got.tolist() == _expected(expr, p, X, ORACLE_BLOCK + 2), X
+
+    def test_mismatches_are_the_first_twenty_in_increasing_n(self):
+        expr, p, X = "delta^2-delta", 7, 2000
+        comps = _components(expr, p)
+        table = coefficient_table(expr, p, X)
+        coeffs = table.coeffs.copy()
+        # multiples of 7 are not checked, so flipping them changes nothing
+        flipped = [n for n in range(1, X, 37) if n % p] + [7, 14, 700]
+        for n in flipped:
+            coeffs[n] = (coeffs[n] + 1) % p
+        bad = CoeffTable(p, X, coeffs)
+        per_index = [(r.n, r.predicted) for r in decomposition_oracle_per_index(comps, X, p)]
+        expect = [(n, pred, int(coeffs[n])) for n, pred in per_index if pred != coeffs[n]]
+        matches, total, mismatches = oracle_check(bad, comps, X)
+        assert len(expect) == len(flipped) - 3 > 20
+        assert (matches, total) == (len(per_index) - len(expect), len(per_index))
+        assert mismatches == expect[:20]
+        assert all(type(x) is int for m in mismatches for x in m)
+
+    # the table against the oracle at the paper's range
+    @pytest.mark.parametrize("expr,p", CRITERION_7_FORMS)
+    def test_table_sweep_1e6(self, expr, p):
+        X = 10**6
+        table = coefficient_table(expr, p, X)
+        matches, total, mismatches = oracle_check(table, _components(expr, p), X)
+        assert mismatches == []
+        assert matches == total == X - 1 - (X - 1) // p
 
 
 class TestLacunarity:

@@ -169,6 +169,12 @@ class TestEisenstein:
         with pytest.raises(ValueError):
             eisenstein(5, 8, 10)
 
+    # the sieve and the degenerate-constant path alike
+    @pytest.mark.parametrize("p,k,prec", [(7, 4, 0), (3, 4, 0), (5, 6, -1)])
+    def test_rejects_nonpositive_precision(self, p, k, prec):
+        with pytest.raises(ValueError, match="prec must be positive"):
+            eisenstein(p, k, prec)
+
 
 def _random_series(rng, p, prec):
     return QSeries(p, rng.integers(0, p, size=prec))
