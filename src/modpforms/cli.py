@@ -155,16 +155,14 @@ def cmd_hecke(args):
     need = args.prec * args.index
     f = _evaluate_form(args, prec=need)
     spec = hecke.HeckeOpSpec(args.op, args.index)
-    out = hecke.apply_operator(spec, f)
-    series = out.series if hasattr(out, "series") else out
-    weight = out.weight if hasattr(out, "weight") else f.weight
+    series = hecke.apply_operator(spec, f)
     coeffs = [int(c) for c in series.coeffs]
     payload = {
         "p": args.p,
         "form": args.form,
         "op": args.op,
         "index": args.index,
-        "weight": weight,
+        "weight": f.weight,
         "prec": series.prec,
         "coeffs": coeffs,
     }
@@ -186,8 +184,7 @@ def cmd_module(args):
     mod = _build_module(args, f)
     report = module_mod.classify_classes(mod)
     prof = densities.module_profile(mod, seed=args.seed, with_constants=False)
-    gamma = module_mod.gamma_group(mod, report)
-    equi = module_mod.equidistribution_report(mod, report, gamma)
+    equi = module_mod.equidistribution_report(mod)
     classes = []
     for u in mod.classes:
         classes.append(
@@ -195,7 +192,7 @@ def cmd_module(args):
                 "class": u,
                 "status": report.statuses[u],
                 "scalar": mod.scalar_map[u],
-                "matrix": [[int(x) for x in row] for row in mod.class_matrices[u]],
+                "matrix": [[int(x) for x in row] for row in mod.prime_power_matrix(u, 1)],
             }
         )
     _emit_json(
@@ -209,8 +206,8 @@ def cmd_module(args):
             "alpha": prof.alpha,
             "h": prof.h,
             "classes": classes,
-            "gamma_order": gamma.order,
-            "gamma_contains_scalars": gamma.contains_scalars,
+            "gamma_order": equi.gamma_order,
+            "gamma_contains_scalars": equi.gamma_contains_scalars,
             "equidistribution": {
                 "criterion_holds": equi.criterion_holds,
                 "eigenform_converse_applies": equi.eigenform_converse_applies,

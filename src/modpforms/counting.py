@@ -45,12 +45,12 @@ class CountReport:
     ratios: list = None
 
 
-def coefficient_table(expr_text, p, x_max, cap=DEFAULT_XMAX_CAP):
-    """Evaluate a form expression into a dense coefficient table."""
+def coefficient_table(expr_text, p, x_max):
+    """Evaluate a form expression into a dense coefficient table of at most DEFAULT_XMAX_CAP."""
     from .expr import evaluate, parse_form_expression
 
-    if x_max > cap:
-        raise ValueError(f"x_max {x_max} exceeds the configured cap {cap}")
+    if x_max > DEFAULT_XMAX_CAP:
+        raise ValueError(f"x_max {x_max} exceeds the configured cap {DEFAULT_XMAX_CAP}")
     form = evaluate(parse_form_expression(expr_text, p), p, x_max)
     return CoeffTable(p, x_max, form.series.coeffs)
 
@@ -187,8 +187,8 @@ def decomposition_oracle(components, X, p):
 
     This is a sieve, not a per-index loop: each component keeps one
     coordinate row per n, starting at f, and each prime power q^e exactly
-    dividing n multiplies its row by the class matrix of T_{q^e}, in one
-    batched product for all such n.  Square-full parts come first, then
+    dividing n multiplies its row by the module's T_{q^e} for q's class, in
+    one batched product for all such n.  Square-full parts come first, then
     nilpotent, then invertible exponent-one primes, each by increasing q.
     Primes with q^2 < X go one at a time; the one prime with q^2 >= X an
     n may have is its largest and divides it once, so it comes last in
@@ -201,46 +201,46 @@ def decomposition_oracle(components, X, p):
     small = [q for q in primes_upto(math.isqrt(max(X - 1, 0))).tolist() if q != p]
     for comp in components:
         comp.module.require_conductor()
-    caches = [{} for _ in components]
     out = [np.zeros(0, dtype=np.uint8)]
     for lo in range(1, X, ORACLE_BLOCK):
         n = np.arange(lo, min(lo + ORACLE_BLOCK, X), dtype=np.int64)
-        large = _large_prime_part(n, small)
+        coprime = n % p != 0
+        # multiples of p keep their factors p here, but their rows are dropped
+        large = np.where(coprime, _large_prime_part(n, small), 1)
         total = np.zeros(len(n), dtype=np.int64)
-        for comp, cache in zip(components, caches):
-            total += _component_block(comp, lo, len(n), small, large, cache)
-        out.append((total % p)[n % p != 0].astype(np.uint8))
+        for comp in components:
+            total += _component_block(comp, lo, len(n), small, large)
+        out.append((total % p)[coprime].astype(np.uint8))
     return np.concatenate(out)
 
 
-def _component_block(comp, lo, size, small, large, cache):
+def _component_block(comp, lo, size, small, large):
     """a_1 of the predicted operator chain for n = lo .. lo + size - 1 on one component."""
     module = comp.module
-    p, c = module.p, module.conductor
+    p = module.p
     hi = lo + size
     rows = np.tile(module.f_coords.astype(np.int64), (size, 1))
+    small_classes = module.class_of(np.array(small, dtype=np.int64)).tolist()
 
-    def apply(idx, mat):
+    def apply(idx, u, e):
         if len(idx):
-            rows[idx] = linalg.matvec(rows[idx], mat, p)
+            rows[idx] = linalg.matvec(rows[idx], module.prime_power_matrix(u, e), p)
 
     # square-full parts: f'' = T_{m''} f
-    for q in small:
-        u = module.class_of(q)
+    for q, u in zip(small, small_classes):
         qe, e = q * q, 2
         while qe < hi:
-            if (u, e) not in cache:
-                cache[u, e] = module.prime_power_matrix(u, e)
-            apply(_exact_multiples(lo, size, q, qe), cache[u, e])
+            apply(_exact_multiples(lo, size, q, qe), u, e)
             qe, e = qe * q, e + 1
     # exponent-one primes, nilpotent classes (f' = T_{m'} f'') then invertible ones
-    large_class = np.where(large > 1, large % c, -1)
+    has_large = np.flatnonzero(large > 1)
+    large_classes = module.class_of(large[has_large])
     for classes in (comp.nil_classes, comp.inv_classes):
-        for q in small:
-            if q % c in classes:
-                apply(_exact_multiples(lo, size, q, q), module.class_matrices[q % c])
+        for q, u in zip(small, small_classes):
+            if u in classes:
+                apply(_exact_multiples(lo, size, q, q), u, 1)
         for u in sorted(classes):
-            apply(np.flatnonzero(large_class == u), module.class_matrices[u])
+            apply(has_large[large_classes == u], u, 1)
     return rows @ module.vector_series[:, 1].astype(np.int64) % p
 
 

@@ -118,21 +118,21 @@ def multi_frobenian_density(module, source, target, height):
     report = classify_classes(module)
     if not report.pure:
         raise ValueError("density of a non-pure module is undefined")
-    phi = len(module.class_matrices)
+    phi = len(report.statuses)
     source = np.asarray(source, dtype=np.int64) % module.p
     target = np.asarray(target, dtype=np.int64) % module.p
     if height == 0:
         return Fraction(1 if (source == target).all() else 0, 1)
     count = 0
-    for image, dens in _nilpotent_images(module, source, height, report).items():
+    for image, dens in _nilpotent_images(module, source, height).items():
         if image == target.tobytes():
             count += dens
     return count / Fraction(math.factorial(height) * phi**height)
 
 
-def _nilpotent_images(module, source, height, report):
+def _nilpotent_images(module, source, height):
     """Map image-vector bytes -> ordered tuple count, over height-fold nilpotent products."""
-    nil = report.nilpotent_classes
+    nil = classify_classes(module).nilpotent_classes
     if len(nil) ** height > _ENUM_CAP:
         raise ModpFormsError(
             f"{len(nil)}^{height} nilpotent tuples exceed the enumeration cap"
@@ -220,45 +220,38 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
     The square-full s are built prime by prime, as parallel arrays of s,
     image rows T_s(seed) and the weight C(U,s)/C(U).  Each prime
     q <= s_bound^(1/4) extends, for each e >= 2, every row with
-    s <= s_bound // q^e by one batched product with T_{q^e}, the matrix of
-    q's class.  A larger prime occurs at most once in s, with e = 2 or 3,
-    so its terms are taken per (class, e) from the rows the small primes
-    built.  An image that turns zero stays zero and is dropped at once.
-    The terms are then summed per bucket in increasing s, and the buckets
-    kept in order of first appearance.  Primes are taken in increasing
-    order, so each weight is divided by its factors (1 + 1/q) in the same
-    order as a walk over the factors of each s; with the summation order,
-    this makes the sums the floats of that walk, bit for bit.
+    s <= s_bound // q^e by one batched product with T_{q^e}, the module's
+    prime_power_matrix for q's class.  A larger prime occurs at most once
+    in s, with e = 2 or 3, so its terms are taken per (class, e) from the
+    rows the small primes built.  An image that turns zero stays zero and
+    is dropped at once.  The terms are then summed per bucket in
+    increasing s, and the buckets kept in order of first appearance.
+    Primes are taken in increasing order, so each weight is divided by its
+    factors (1 + 1/q) in the same order as a walk over the factors of each
+    s; with the summation order, this makes the sums the floats of that
+    walk, bit for bit.
     """
     _check_sfull_bound(s_bound)
     p = module.p
-    c = module.conductor
     inv_set = set(inv_classes)
-    ppm_cache = {}
-
-    def images(rows, q, e):
-        key = (q % c, e)
-        if key not in ppm_cache:
-            ppm_cache[key] = module.prime_power_matrix(module.class_of(q), e)
-        return linalg.matvec(rows, ppm_cache[key], p)
-
     primes = primes_upto(math.isqrt(s_bound))
     primes = primes[primes != p]
+    classes = module.class_of(primes)
     split = int(np.searchsorted(primes, math.isqrt(math.isqrt(s_bound)), side="right"))
 
     vecs = np.array(seed, dtype=np.int64, ndmin=2)
     vecs = vecs[vecs.any(axis=1)]
     s = np.ones(len(vecs), dtype=np.int64)
     adjust = np.ones(len(vecs))
-    for q in primes[:split].tolist():
+    for q, u in zip(primes[:split].tolist(), classes[:split].tolist()):
         grown = [(s, vecs, adjust)]
         e, qe = 2, q * q
         while qe <= s_bound:
             take = s <= s_bound // qe
-            img = images(vecs[take], q, e)
+            img = linalg.matvec(vecs[take], module.prime_power_matrix(u, e), p)
             live = img.any(axis=1)
             weight = adjust[take][live]
-            if q % c in inv_set:
+            if u in inv_set:
                 weight = weight / (1.0 + 1.0 / q)
             grown.append((s[take][live] * qe, img[live], weight))
             e, qe = e + 1, qe * q
@@ -268,13 +261,13 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
     terms = [(s, adjust, np.arange(len(s)))]
     table = [vecs]
     rows = len(vecs)
-    large = primes[split:]
-    for u in np.unique(large % c).tolist():
-        in_class = large[large % c == u]
+    large, large_classes = primes[split:], classes[split:]
+    for u in np.unique(large_classes).tolist():
+        in_class = large[large_classes == u]
         e = 2
         while int(in_class[0]) ** e <= s_bound:
             in_class = in_class[in_class**e <= s_bound]
-            img = images(vecs, int(in_class[0]), e)
+            img = linalg.matvec(vecs, module.prime_power_matrix(u, e), p)
             # how many primes of the class fit beside each row
             fits = np.searchsorted(in_class**e, s_bound // s, side="right")
             live = np.flatnonzero(img.any(axis=1) & (fits > 0))
@@ -384,7 +377,7 @@ def _pure_profile(
     alpha = class_density(report.nilpotent_classes, report.modulus)
     if not 0 < alpha <= Fraction(3, 4):
         raise ModpFormsError(f"alpha {alpha} out of the admissible range (0, 3/4]")
-    h = strict_nilpotence_order(module, report=report)
+    h = strict_nilpotence_order(module)
     if not with_constants:
         return _PartProfile(alpha, h, 0.0, 0.0, {}, report)
 
@@ -400,52 +393,32 @@ def _pure_profile(
         sums, vecs, sum_tail = squarefull_buckets(
             module, module.f_coords, cu, sfull_bound, report.invertible_classes
         )
-    gamma = gamma_group(module, report)
+    gamma = gamma_group(module)
     rel_err = cu.tail / cu.value
-    phi = len(module.class_matrices)
+    phi = len(report.statuses)
+    # a_1(x g) = x . (g a_1): one column per element g of Gamma
+    a1 = module.vector_series[:, 1].astype(np.int64)
+    orbit_a1 = np.stack([g @ a1 % p for g in gamma.elements], axis=1)
 
-    # orbit_counts[image bytes][a] = #{gamma in Gamma : a_1(gamma * image) = a}
-    orbit_counts = {}
-
-    def value_counts(img_bytes, img):
-        if img_bytes not in orbit_counts:
-            counts = {}
-            for g in gamma.elements:
-                val = module.coefficient(linalg.matvec(img, g, p), 1)
-                counts[val] = counts.get(val, 0) + 1
-            orbit_counts[img_bytes] = counts
-        return orbit_counts[img_bytes]
-
-    # per height: list of (bucket sum, image densities) per reachable target
-    by_height = {}
-
-    def images_at(hh):
-        if hh not in by_height:
-            denom = math.factorial(hh) * phi**hh
-            rows = []
-            for key, csum in sums.items():
-                images = _nilpotent_images(module, vecs[key], hh, report)
-                rows.append((csum, {k: n / denom for k, n in images.items()}))
-            by_height[hh] = rows
-        return by_height[hh]
-
-    per_value = {}
-    for a in range(1, p):
-        entry = None
-        for hh in range(h, -1, -1):
-            total = 0.0
-            found = False
-            for csum, images in images_at(hh):
-                for img_bytes, dens in images.items():
-                    img = np.frombuffer(img_bytes, dtype=np.int64)
-                    cnt = value_counts(img_bytes, img).get(a, 0)
-                    if cnt:
-                        found = True
-                        total += csum * dens * cnt / gamma.order
-            if found:
-                entry = ValueProfile(hh, total, total * rel_err + sum_tail)
-                break
-        per_value[a] = entry
+    # each value takes the highest height that attains it; a lower height
+    # is enumerated only while some value is still unattained
+    per_value = dict.fromkeys(range(1, p))
+    for hh in range(h, -1, -1):
+        if None not in per_value.values():
+            break
+        denom = math.factorial(hh) * phi**hh
+        totals = {}
+        for key, csum in sums.items():
+            for img_bytes, n in _nilpotent_images(module, vecs[key], hh).items():
+                img = np.frombuffer(img_bytes, dtype=np.int64)
+                counts = np.bincount(img @ orbit_a1 % p, minlength=p).tolist()
+                for a in range(1, p):
+                    if counts[a]:
+                        share = csum * (n / denom) * counts[a] / gamma.order
+                        totals[a] = totals.get(a, 0.0) + share
+        for a, total in totals.items():
+            if per_value[a] is None:
+                per_value[a] = ValueProfile(hh, total, total * rel_err + sum_tail)
 
     tops = [v for v in per_value.values() if v is not None]
     if not tops:
@@ -498,17 +471,15 @@ def module_profile(module, *, seed=0, **part_kw):
     return _combine_parts([(1.0, pp) for pp in profiles], module.p)
 
 
-def _lift_weight(series, p, cap, try_first=None):
-    """Smallest even weight whose graded space contains the series.
+def _lift_weight(series, p, weight):
+    """The form's own weight if its graded space contains the series, else the smallest even one.
 
-    Each candidate is tested on a prefix longer than the Sturm bound of
-    every weight up to cap, so a passing prefix fixes the lift; the caller's
-    build_module checks the series at full precision.
+    Candidates run up to p * weight.  Each is tested on a prefix longer than
+    the Sturm bound of every candidate weight, so a passing prefix fixes the
+    lift; the caller's build_module checks the series at full precision.
     """
-    candidates = []
-    if try_first is not None:
-        candidates.append(try_first)
-    candidates.extend(k for k in range(0, cap + 1, 2) if k != try_first)
+    cap = p * weight
+    candidates = [weight] + [k for k in range(0, cap + 1, 2) if k != weight]
     probe_prec = min(series.prec, max(512, cap // 12 + 2))
     for k in candidates:
         if dim_level_one(k) == 0 or series.prec < dim_level_one(k):
@@ -589,8 +560,6 @@ def profile(
                     break
             tower.append(nxt)
             if cycle:
-                while len(layers) < cycle[0] + cycle[1]:
-                    layers.append(apply_W(tower[len(layers)]))
                 break
         weighted = []
         for jj, g_series in enumerate(layers):
@@ -605,7 +574,7 @@ def profile(
         if g_series.is_zero():
             contributions.append((weight, None))
             continue
-        g = _lift_weight(g_series, p, cap=p * f.weight, try_first=f.weight)
+        g = _lift_weight(g_series, p, f.weight)
         module = build_module(g, sample_bound=sample_bound, require_conductor=False)
         contributions.append((weight, module_profile(module, seed=seed, **part_kw)))
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .arith import factorize, is_prime
 from .basis import GradedForm
-from .series import MAX_PREC, QSeries
+from .series import QSeries
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,12 @@ def apply_U_m(f, m):
     return QSeries(f.p, f.coeffs[: m * out_prec : m])
 
 
-def apply_V_m(f, m, max_prec=MAX_PREC):
-    """Index dilation a_n -> coefficient at q^{mn}; precision m*prec, capped."""
+def apply_V_m(f, m):
+    """Index dilation a_n -> coefficient at q^{mn}; precision m*prec, capped at series.MAX_PREC."""
     _check_p_power(m, f.p)
     if m == 1:
         return f
-    out_prec = min(m * f.prec, max_prec)
+    out_prec = min(m * f.prec, series.MAX_PREC)
     out = np.zeros(out_prec, dtype=np.uint8)
     src = f.coeffs[: (out_prec - 1) // m + 1]
     out[: m * len(src) : m] = src
@@ -130,12 +131,11 @@ def apply_W(f):
     return QSeries(f.p, out)
 
 
-def apply_operator(spec, f, weight=None):
-    """Dispatch a HeckeOpSpec; T and S need a weight lift (GradedForm or weight=)."""
+def apply_operator(spec, f):
+    """Dispatch a HeckeOpSpec to a QSeries; T and S need f as a GradedForm (a weight lift)."""
     if spec.kind in ("T", "S"):
-        g = f if isinstance(f, GradedForm) else GradedForm(f, weight)
-        out = apply_T_m(g, spec.index) if spec.kind == "T" else apply_S_m(g, spec.index)
-        return out
+        apply = apply_T_m if spec.kind == "T" else apply_S_m
+        return apply(f, spec.index).series
     s = f.series if isinstance(f, GradedForm) else f
     if spec.kind == "U":
         return apply_U_m(s, spec.index)

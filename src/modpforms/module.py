@@ -76,6 +76,9 @@ class HeckeModule:
     of the basis vectors provide exact coefficient functionals.  The
     conductor and per-class matrices are present only when the sampled
     action is class-determined; the status structure is always present.
+    Other layers do not read the class table: they group primes with
+    class_of and take T_{l^e} from prime_power_matrix, which computes each
+    matrix once, as classify_classes does the class report.
     """
 
     def __init__(
@@ -106,6 +109,8 @@ class HeckeModule:
             {u: ell_s_ell(u, weight, p) for u in class_matrices} if class_matrices else {}
         )
         self.f_coords = f_coords
+        self._report = None  # classify_classes memo
+        self._powers = {}  # (class, e) -> read-only T_{l^e} matrix
 
     @property
     def dim(self):
@@ -124,27 +129,37 @@ class HeckeModule:
         return sorted(self.class_matrices)
 
     def class_of(self, ell):
+        """Class of a prime, or the int64 array of classes of an int64 array of primes."""
         self.require_conductor()
         u = ell % self.conductor
-        if u not in self.class_matrices:
-            raise ConductorNotFoundError(f"{ell} is not a unit class mod {self.conductor}")
+        is_class = np.zeros(self.conductor, dtype=bool)
+        is_class[list(self.class_matrices)] = True
+        bad = np.flatnonzero(~np.atleast_1d(is_class[u]))
+        if len(bad):
+            raise ConductorNotFoundError(
+                f"{np.atleast_1d(ell)[bad[0]]} is not a unit class mod {self.conductor}"
+            )
         return u
 
     def apply_class(self, vec, u):
         return linalg.matvec(vec, self.class_matrices[u], self.p)
 
     def prime_power_matrix(self, u, e):
-        """Action of the index-l^e operator for any prime l in class u."""
+        """Action of the index-l^e operator for any prime l in class u (read-only, memoized)."""
         self.require_conductor()
-        a = self.class_matrices[u]
-        s = ell_s_ell(u, self.weight, self.p)
-        prev = linalg.identity(self.dim, self.p)
-        if e == 0:
-            return prev
-        cur = a
-        for _ in range(e - 1):
-            prev, cur = cur, (cur @ a - s * prev) % self.p
-        return cur
+        if (u, e) not in self._powers:
+            if e == 0:
+                mat = linalg.identity(self.dim, self.p)
+            elif e == 1:
+                mat = self.class_matrices[u].copy()
+            else:
+                s = ell_s_ell(u, self.weight, self.p)
+                a = self.class_matrices[u]
+                prev = self.prime_power_matrix(u, e - 2)
+                mat = (self.prime_power_matrix(u, e - 1) @ a - s * prev) % self.p
+            mat.flags.writeable = False
+            self._powers[u, e] = mat
+        return self._powers[u, e]
 
     def nilpotent_matrices(self):
         """Distinct nilpotent action matrices (class table if known, else sampled)."""
@@ -178,7 +193,6 @@ class ClassReport:
     invertible_classes: tuple
     mixed_classes: tuple
     pure: bool
-    matrices: dict = None  # per-class action, when the full conductor is known
 
 
 @dataclass(frozen=True)
@@ -208,6 +222,7 @@ class EquidistributionReport:
     eigenform_converse_applies: bool
     primitive_root_shortcut: bool
     gamma_order: int
+    gamma_contains_scalars: bool
     scalar_values: tuple
 
 
@@ -225,11 +240,11 @@ def work_precision(weight, sample_bound=DEFAULT_SAMPLE_BOUND):
     return sample_bound * max(dim_level_one(weight) - 1, 1) + 1 + _SLACK
 
 
-def _closure(seed, matrices, p, dim_cap):
+def _closure(seed, matrices, p, max_dim):
     """Rows spanning the closure of seed under the matrices, seed first.
 
     Breadth-first: each new image outside the current span is appended and
-    queued; raises SpanNotClosedError once the span exceeds dim_cap.
+    queued; raises SpanNotClosedError once the span exceeds max_dim.
     """
     rows = [seed % p]
     span_rref = linalg.row_basis(np.stack(rows), p)
@@ -243,8 +258,8 @@ def _closure(seed, matrices, p, dim_cap):
             rows.append(w)
             queue.append(w)
             span_rref = linalg.row_basis(np.stack(rows), p)
-            if len(rows) > dim_cap:
-                raise SpanNotClosedError(f"closure exceeded the dimension cap {dim_cap}")
+            if len(rows) > max_dim:
+                raise SpanNotClosedError(f"closure exceeded the dimension cap {max_dim}")
     return np.stack(rows)
 
 
@@ -253,9 +268,7 @@ def check_sample_bound(sample_bound):
         raise ValueError(f"sample_bound must be at least the generator bound {GENERATOR_BOUND}")
 
 
-def build_module(
-    f, sample_bound=DEFAULT_SAMPLE_BOUND, dim_cap=DIMENSION_CAP, require_conductor=True
-):
+def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND, require_conductor=True):
     """Close the span of f under the prime-index operators and detect conductors.
 
     f must be nonzero and supported on indices coprime to p (apply the W
@@ -287,7 +300,7 @@ def build_module(
     gens = [ell for ell in sampled if ell <= GENERATOR_BOUND]
 
     gen_mats = [_tl_coords(B, ell, ell_s_ell(ell, k, p), dim, p) for ell in gens]
-    V = _closure(f_amb, gen_mats, p, dim_cap)  # r x dim, in ambient coordinates
+    V = _closure(f_amb, gen_mats, p, DIMENSION_CAP)  # r x dim, in ambient coordinates
     r = V.shape[0]
     S = ((V @ B.astype(np.int64)) % p).astype(np.uint8)
 
@@ -408,37 +421,36 @@ def _detect_status(per_prime, p, r):
 
 
 def classify_classes(module):
-    """Per-class statuses and the purity flag.
+    """Per-class statuses and the purity flag, computed once per module.
 
-    Classes refer to the full conductor when it was detected (in which
-    case the per-class matrices are included), and to the status modulus
-    otherwise.
+    Classes refer to the full conductor when it was detected, and to the
+    status modulus otherwise.
     """
+    if module._report is not None:
+        return module._report
     p = module.p
     if module.conductor is not None:
         statuses = {u: _status_of(m, p) for u, m in module.class_matrices.items()}
         modulus = module.conductor
-        matrices = module.class_matrices
     else:
         statuses = dict(module.status_by_class)
         modulus = module.status_modulus
-        matrices = None
     nil = tuple(sorted(u for u, s in statuses.items() if s == NILPOTENT))
     inv = tuple(sorted(u for u, s in statuses.items() if s == INVERTIBLE))
     mixed = tuple(sorted(u for u, s in statuses.items() if s == MIXED))
-    return ClassReport(modulus, statuses, nil, inv, mixed, pure=not mixed, matrices=matrices)
+    module._report = ClassReport(modulus, statuses, nil, inv, mixed, pure=not mixed)
+    return module._report
 
 
-def strict_nilpotence_order(module, vec=None, report=None):
+def strict_nilpotence_order(module):
     """Longest chain of nilpotent-prime actions that keeps the seed nonzero.
 
     Runs a breadth-first search over the distinct nilpotent action
     matrices, so it works whether or not the action is class-determined.
     """
-    report = report or classify_classes(module)
-    if not report.pure:
+    if not classify_classes(module).pure:
         raise ValueError("module is not pure; decompose into pure parts first")
-    vec = module.f_coords if vec is None else vec
+    vec = module.f_coords
     if not vec.any():
         raise ValueError("seed vector is zero")
     mats = module.nilpotent_matrices()
@@ -459,13 +471,12 @@ def strict_nilpotence_order(module, vec=None, report=None):
             raise InternalInvariantError("nilpotence order exceeded the module dimension")
 
 
-def gamma_group(module, report=None):
+def gamma_group(module):
     """Closure of the invertible class matrices under multiplication."""
     module.require_conductor()
-    report = report or classify_classes(module)
     p = module.p
     r = module.dim
-    gens = [module.class_matrices[u] for u in report.invertible_classes]
+    gens = [module.class_matrices[u] for u in classify_classes(module).invertible_classes]
     elements = {linalg.identity(r, p).tobytes(): linalg.identity(r, p)}
     frontier = list(elements.values())
     while frontier:
@@ -679,40 +690,23 @@ def pure_decomposition(f, seed=0, **build_kwargs):
     return out
 
 
-def equidistribution_report(module, report=None, gamma=None):
+def equidistribution_report(module):
     """Sufficient/necessary equidistribution criteria for the values of the module's seed."""
-    report = report or classify_classes(module)
-    gamma = gamma or gamma_group(module, report)
+    gamma = gamma_group(module)
     p = module.p
     shortcut = multiplicative_order(2, p) == p - 1
     converse = False
     scalar_values = ()
     if module.dim == 1:
-        values = sorted(
-            {int(module.class_matrices[u][0, 0]) for u in report.invertible_classes}
-        )
-        scalar_values = tuple(values)
-        generated = _multiplicative_closure(values, p)
-        converse = len(generated) < p - 1
+        invertible = classify_classes(module).invertible_classes
+        scalar_values = tuple(sorted({int(module.class_matrices[u][0, 0]) for u in invertible}))
+        # on a line, Gamma is the group these scalars generate in F_p^x
+        converse = gamma.order < p - 1
     return EquidistributionReport(
         criterion_holds=gamma.contains_scalars or shortcut,
         eigenform_converse_applies=converse,
         primitive_root_shortcut=shortcut,
         gamma_order=gamma.order,
+        gamma_contains_scalars=gamma.contains_scalars,
         scalar_values=scalar_values,
     )
-
-
-def _multiplicative_closure(values, p):
-    out = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v in values:
-                y = x * v % p
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out

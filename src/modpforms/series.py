@@ -22,8 +22,8 @@ import numpy as np
 from . import kernels
 from .arith import is_prime
 
-# Largest precision a single series may occupy (overridable per call where
-# an operation can grow precision, e.g. index dilation).
+# Largest precision a single series may occupy.  Callers look it up at call
+# time (hecke reads series.MAX_PREC), so one assignment moves the cap everywhere.
 MAX_PREC = 10**7
 
 # Operands at least this dense (fraction of nonzero entries) take the dense
@@ -209,20 +209,20 @@ def eta_cubed(p, prec):
     return SparseSeries(p, prec, np.array(exps, dtype=np.int64), np.array(coefs, dtype=np.uint8))
 
 
-def delta_power(p, k, prec, cap=MAX_PREC):
+def delta_power(p, k, prec):
     """k-th power of the weight-12 cusp form mod p, to prec coefficients.
 
     Computed as q^k times power(cube-of-eta series, 8k), so the Frobenius
     digits of 8k set the number of sparse products.  Precision is capped
-    (override cap= for more).
+    at MAX_PREC.
     """
     _check_modulus(p)
     if k < 0:
         raise ValueError("k must be non-negative")
     if prec < 1:
         raise ValueError("prec must be positive")
-    if prec > cap:
-        raise ValueError(f"prec {prec} exceeds the cap {cap}; pass cap= to override")
+    if prec > MAX_PREC:
+        raise ValueError(f"prec {prec} exceeds the cap {MAX_PREC}")
     if k == 0:
         return one(p, prec)
     if prec <= k:

@@ -72,7 +72,7 @@ class TestCoefficientTable:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            coefficient_table("delta", 3, 2 * 10**6, cap=10**6)
+            coefficient_table("delta", 3, 2 * 10**6)
 
 
 class TestCounts:

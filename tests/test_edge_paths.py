@@ -49,6 +49,8 @@ class TestClasslessModule:
         with pytest.raises(ConductorNotFoundError):
             m.class_of(2)
         with pytest.raises(ConductorNotFoundError):
+            m.class_of(np.array([2, 5], dtype=np.int64))
+        with pytest.raises(ConductorNotFoundError):
             m.prime_power_matrix(2, 2)
         with pytest.raises(ConductorNotFoundError):
             multi_frobenian_density(m, m.f_coords, m.f_coords, 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modpforms import series
 from modpforms.basis import GradedForm, dim_level_one, from_coordinates, miller_basis
 from modpforms.hecke import (
     HeckeOpSpec,
@@ -10,6 +11,7 @@ from modpforms.hecke import (
     apply_U_m,
     apply_V_m,
     apply_W,
+    apply_operator,
     ell_s_ell,
 )
 from modpforms.series import QSeries, delta_power, one, zero
@@ -157,9 +159,10 @@ class TestUVW:
         assert list(out.coeffs) == [0, 0, 0, 1, 0, 0]
         assert apply_V_m(q, 1) is q
 
-    def test_v_respects_cap(self):
+    def test_v_respects_cap(self, monkeypatch):
         f = delta_power(3, 1, 100)
-        assert apply_V_m(f, 3, max_prec=120).prec == 120
+        monkeypatch.setattr(series, "MAX_PREC", 120)
+        assert apply_V_m(f, 3).prec == 120
 
     def test_w_definition(self):
         s = QSeries(3, [0, 1, 0, 1, 0, 1])
@@ -197,3 +200,17 @@ class TestSAndSpec:
             HeckeOpSpec("X", 2)
         with pytest.raises(ValueError):
             HeckeOpSpec("T", 0)
+
+    @pytest.mark.parametrize("kind, index", [("T", 2), ("S", 2), ("U", 3), ("V", 3), ("W", 1)])
+    def test_apply_operator_returns_a_series(self, kind, index):
+        f = GradedForm(delta_power(3, 2, 60), 24)
+        out = apply_operator(HeckeOpSpec(kind, index), f)
+        assert isinstance(out, QSeries)
+        direct = {
+            "T": lambda: apply_T_m(f, index).series,
+            "S": lambda: apply_S_m(f, index).series,
+            "U": lambda: apply_U_m(f.series, index),
+            "V": lambda: apply_V_m(f.series, index),
+            "W": lambda: apply_W(f.series),
+        }[kind]()
+        assert out == direct

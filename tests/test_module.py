@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modpforms import linalg
+from modpforms import linalg, module
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, from_coordinates, miller_basis
 from modpforms.errors import ConductorNotFoundError, SpanNotClosedError
@@ -70,10 +70,11 @@ class TestBuildModule:
         with pytest.raises(ValueError, match="W projector"):
             build_module(f)
 
-    def test_span_cap(self):
+    def test_span_cap(self, monkeypatch):
         f = _delta_form(3, 2)
+        monkeypatch.setattr(module, "DIMENSION_CAP", 1)
         with pytest.raises(SpanNotClosedError):
-            build_module(f, dim_cap=1)
+            build_module(f)
 
     def test_conductor_failure_reported(self):
         # the weight-84 module's action is not class-determined
@@ -120,6 +121,39 @@ class TestBuildModule:
             direct = (m.class_matrices[u] @ m.class_matrices[u] - m.scalar_map[u] *
                       linalg.identity(2, 3)) % 3
             assert np.array_equal(sq, direct)
+
+
+class TestHeckeAction:
+    @pytest.mark.parametrize("p, k", [(3, 2), (7, 1)])
+    def test_prime_power_matrices_follow_the_recurrence(self, p, k):
+        m = build_module(_delta_form(p, k))
+        for u in m.classes:
+            a = m.class_matrices[u]
+            prev, cur = np.eye(m.dim, dtype=np.int64), a % p
+            for e in range(7):
+                assert np.array_equal(m.prime_power_matrix(u, e), prev)
+                prev, cur = cur, (cur @ a - m.scalar_map[u] * prev) % p
+        # memoized: the same object on every call
+        assert m.prime_power_matrix(m.classes[0], 6) is m.prime_power_matrix(m.classes[0], 6)
+
+    def test_prime_power_matrices_are_read_only(self, delta2_mod3_module):
+        for e in (0, 1, 2):
+            mat = delta2_mod3_module.prime_power_matrix(1, e)
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1
+
+    def test_class_report_is_memoized(self, delta2_mod3_module):
+        assert classify_classes(delta2_mod3_module) is classify_classes(delta2_mod3_module)
+
+    def test_class_of_array_matches_scalars(self, delta2_mod3_module):
+        m = delta2_mod3_module
+        primes = primes_upto(2000)
+        primes = primes[primes != 3]
+        got = m.class_of(primes)
+        assert got.dtype == np.int64
+        assert got.tolist() == [m.class_of(q) for q in primes.tolist()]
+        with pytest.raises(ConductorNotFoundError):
+            m.class_of(np.array([2, 3], dtype=np.int64))
 
 
 class TestClassify:
@@ -184,7 +218,7 @@ class TestNilpotenceOrder:
         # constructive version: h distinct primes with nonzero product action
         m = build_module(_delta_form(3, k))
         rep = classify_classes(m)
-        h = strict_nilpotence_order(m, report=rep)
+        h = strict_nilpotence_order(m)
         if h == 0:
             return
         from itertools import combinations_with_replacement, product

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modpforms import series
 from modpforms.series import (
     FpElement,
     QSeries,
@@ -212,10 +213,12 @@ class TestRingOps:
         s = linear_combine([(FpElement(7, 5), a)])
         assert s[0] == 2
 
-    def test_delta_power_cap(self):
+    def test_delta_power_cap(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_PREC", 50)
         with pytest.raises(ValueError, match="cap"):
-            delta_power(3, 1, 100, cap=50)
-        assert delta_power(3, 1, 100, cap=100).prec == 100
+            delta_power(3, 1, 100)
+        monkeypatch.setattr(series, "MAX_PREC", 100)
+        assert delta_power(3, 1, 100).prec == 100
 
     def test_mul_rejects_mismatched_moduli(self):
         with pytest.raises(ValueError):
