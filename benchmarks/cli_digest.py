@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Print the exit code and a stdout digest of fixed command lines.
+"""Print the exit code and digests of stdout and stderr for fixed command lines.
 
 Runs every job of the benchmark workloads (``perfbench/jobs.py``
 ``WORKLOADS``, each with ``--seed 1`` appended, as the benchmark appends a
-seed) and a short list covering expand, hecke, alpha-group, compare csv
-and oracle json.  Each command line runs in-process through
-``modpforms.cli.main``; a ``SystemExit`` counts as its exit code.  One line
-per command line: ``exit sha1-of-stdout argv``.  Run it on two trees and
-``diff`` the outputs to check that stdout and exit codes are unchanged:
+seed) and a short list covering every command, among them expand past
+the precision cap, the weight lifts of predict, forms with two pure
+components or no conductor, and the csv and json outputs.  Each command
+line runs in-process through ``modpforms.cli.main``; a ``SystemExit``
+counts as its exit code.  One line per command line:
+``exit sha1-of-stdout sha1-of-stderr argv``.  Run it on two trees and
+``diff`` the outputs to check that the output and exit codes are unchanged:
 
     python benchmarks/cli_digest.py > digest.txt
 """
@@ -37,27 +39,43 @@ EXTRA = [
         "--sample-bound", "600", "--out", "csv",
     ),
     ("oracle", "--p", "3", "--form", "delta", "--xmax", "1000", "--sample-bound", "600", "--out", "json"),
+    ("count", "--p", "7", "--form", "delta", "--xmax", "20000", "--out", "csv"),
+    (
+        "compare", "--p", "3", "--form", "delta", "--xmax", "10000",
+        "--checkpoints", "1000,10000", "--prime-bound", "100000", "--sample-bound", "600",
+    ),
+    # two pure components
+    ("module", "--p", "7", "--form", "delta^2", "--sample-bound", "600"),
+    ("decompose", "--p", "7", "--form", "delta^2", "--sample-bound", "600"),
+    ("constants", "--p", "7", "--form", "delta^2", "--sample-bound", "600", "--prime-bound", "100000"),
+    # no conductor
+    ("decompose", "--p", "3", "--form", "delta^7"),
+    # weight lifts past the form's own weight
+    ("predict", "--p", "11", "--form", "delta"),
+    ("predict", "--p", "5", "--form", "delta^3", "--prime-bound", "100000"),
+    ("hecke", "--p", "5", "--form", "delta", "--op", "S", "--index", "2", "--prec", "20"),
+    # past series.MAX_PREC: exit 2
+    ("expand", "--p", "3", "--form", "delta", "--prec", "10000001"),
 ]
 
 
 def digest(argv):
-    """(exit code, sha1 of stdout) of one in-process run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """(exit code, sha1 of stdout, sha1 of stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # reported, so that a crash shows in the diff
             code = type(exc).__name__
-    return code, hashlib.sha1(out.getvalue().encode()).hexdigest()
+    return code, *(hashlib.sha1(f.getvalue().encode()).hexdigest() for f in (out, err))
 
 
 def main():
     argvs = [job.argv + ("--seed", "1") for name in sorted(WORKLOADS) for job in WORKLOADS[name]]
     for argv in argvs + EXTRA:
-        code, sha = digest(argv)
-        print(code, sha, " ".join(argv), flush=True)
+        print(*digest(argv), " ".join(argv), flush=True)
 
 
 if __name__ == "__main__":

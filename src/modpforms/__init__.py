@@ -61,6 +61,6 @@ from .module import (
     strict_nilpotence_order,
     submodule,
 )
-from .series import FpElement, QSeries, SparseSeries, delta_power, eisenstein, eta_cubed
+from .series import QSeries, delta_power, eisenstein, eta_cubed
 
 __version__ = "0.1.0"

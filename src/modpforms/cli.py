@@ -173,15 +173,9 @@ def cmd_hecke(args):
     return 0
 
 
-def _build_module(args, f, require_conductor=True):
-    return module_mod.build_module(
-        f, sample_bound=args.sample_bound, require_conductor=require_conductor
-    )
-
-
 def cmd_module(args):
     f = _evaluate_form(args)
-    mod = _build_module(args, f)
+    mod = module_mod.build_module(f, sample_bound=args.sample_bound)
     report = module_mod.classify_classes(mod)
     prof = densities.module_profile(mod, seed=args.seed, with_constants=False)
     equi = module_mod.equidistribution_report(mod)
@@ -218,19 +212,12 @@ def cmd_module(args):
     return 0
 
 
-def _pure_parts(args, f, require_conductor):
-    """Each pure part of the module of f, with its class report, alpha and h."""
-    mod = _build_module(args, f, require_conductor)
-    return [
-        (part.module, densities._pure_profile(part.module, with_constants=False))
-        for part in module_mod.decompose(mod, seed=args.seed)
-    ]
-
-
 def cmd_decompose(args):
     f = _evaluate_form(args)
+    mod = module_mod.build_module(f, sample_bound=args.sample_bound, require_conductor=False)
     payload_parts = []
-    for sub, pp in _pure_parts(args, f, require_conductor=False):
+    for pp in densities.component_profiles(mod, seed=args.seed, with_constants=False):
+        sub = pp.module
         payload_parts.append(
             {
                 "dim": sub.dim,
@@ -374,18 +361,13 @@ def cmd_alpha_group(args):
 
 def cmd_constants(args):
     f = _evaluate_form(args)
+    mod = module_mod.build_module(f, sample_bound=args.sample_bound)
     payload_parts = []
-    for sub, pp in _pure_parts(args, f, require_conductor=True):
-        sub.require_conductor()  # C(U) is a product over the component's conductor classes
-        cu = densities.euler_constant_C(
-            pp.report.invertible_classes,
-            pp.report.modulus,
-            1 - pp.alpha,
-            prime_bound=args.prime_bound,
-        )
+    for pp in densities.component_profiles(mod, seed=args.seed, with_constants=False):
+        cu = pp.euler_constant(args.prime_bound)
         payload_parts.append(
             {
-                "conductor": sub.conductor,
+                "conductor": pp.module.conductor,
                 "invertible_classes": sorted(pp.report.invertible_classes),
                 "beta": 1 - pp.alpha,
                 "value": cu.value,
@@ -413,7 +395,7 @@ _FLAGS = {
     "--threads": dict(type=int, default=1),
     "--op": dict(choices=("T", "U", "V", "W", "S"), required=True),
     "--index": dict(type=_positive_int, default=1),
-    "--case": dict(required=True, choices=GroupDescriptor._KINDS),
+    "--case": dict(required=True, choices=GroupDescriptor.KINDS),
     "--param": dict(type=int, default=0),
 }
 _FORM = ("--p", "--form")

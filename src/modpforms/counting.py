@@ -61,19 +61,14 @@ def table_of_series(qs, x_max=None):
 
 
 def _segment_counts(coeffs, mask, bounds, p, threads):
-    """Count through kernels.count_segments(_masked), optionally in blocks across threads.
+    """Count through kernels.count_segments(_masked), in one block per thread.
 
-    The thread count is clamped to the CPU count and the table length.
-    Per-block tallies are integers merged by summation, so the result is
-    independent of the thread count.
+    The thread count is clamped to the CPU count and the table length; one
+    thread counts the whole table as its single block.  Per-block tallies
+    are integers merged by summation, so the result is independent of the
+    thread count.
     """
-    threads = min(threads, os.cpu_count() or 1, len(coeffs))
-    if threads <= 1:
-        if mask is None:
-            return kernels.count_segments(coeffs, bounds, p)
-        return kernels.count_segments_masked(coeffs, mask, bounds, p)
-    from concurrent.futures import ThreadPoolExecutor
-
+    threads = max(1, min(threads, os.cpu_count() or 1, len(coeffs)))
     edges = np.linspace(0, len(coeffs), threads + 1, dtype=np.int64)
 
     def block(i):
@@ -82,6 +77,10 @@ def _segment_counts(coeffs, mask, bounds, p, threads):
         if mask is None:
             return kernels.count_segments(coeffs[lo:hi], local, p)
         return kernels.count_segments_masked(coeffs[lo:hi], mask[lo:hi], local, p)
+
+    if threads == 1:
+        return block(0)
+    from concurrent.futures import ThreadPoolExecutor
 
     totals = np.zeros(len(bounds), dtype=np.int64)
     by_value = np.zeros((len(bounds), p), dtype=np.int64)
@@ -92,29 +91,25 @@ def _segment_counts(coeffs, mask, bounds, p, threads):
     return totals, by_value
 
 
+def _counts(table, checkpoints, by_value, threads, squarefree):
+    """(checkpoints, nonzero counts, per-value counts or None), over square-free indices if asked."""
+    bounds = _checked_bounds(checkpoints, table.x_max)
+    mask = squarefree_mask(table.x_max) if squarefree else None
+    totals, vals = _segment_counts(table.coeffs, mask, bounds, table.p, threads)
+    per_value = {a: vals[:, a].tolist() for a in range(1, table.p)} if by_value else None
+    return bounds.tolist(), totals.tolist(), per_value
+
+
 def count_pi(table, checkpoints, by_value=False, threads=1):
     """Nonzero-coefficient counts at each checkpoint, optionally per value."""
-    bounds = _checked_bounds(checkpoints, table.x_max)
-    totals, vals = _segment_counts(table.coeffs, None, bounds, table.p, threads)
-    report = CountReport(list(map(int, bounds)), [int(t) for t in totals])
-    if by_value:
-        report.per_value = {
-            a: [int(vals[i][a]) for i in range(len(bounds))] for a in range(1, table.p)
-        }
-    return report
+    bounds, totals, per_value = _counts(table, checkpoints, by_value, threads, False)
+    return CountReport(bounds, totals, per_value=per_value)
 
 
 def count_pi_sf(table, checkpoints, by_value=False, threads=1):
     """Counts restricted to square-free indices."""
-    bounds = _checked_bounds(checkpoints, table.x_max)
-    mask = squarefree_mask(table.x_max)
-    totals, vals = _segment_counts(table.coeffs, mask, bounds, table.p, threads)
-    report = CountReport(list(map(int, bounds)), pi=None, pi_sf=[int(t) for t in totals])
-    if by_value:
-        report.per_value = {
-            a: [int(vals[i][a]) for i in range(len(bounds))] for a in range(1, table.p)
-        }
-    return report
+    bounds, totals, per_value = _counts(table, checkpoints, by_value, threads, True)
+    return CountReport(bounds, pi=None, pi_sf=totals, per_value=per_value)
 
 
 def _checked_bounds(checkpoints, x_max):

@@ -9,7 +9,7 @@ component's class densities, Euler products and square-full sums.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -23,6 +23,7 @@ from .hecke import apply_U_m, apply_W
 from .module import (
     DEFAULT_SAMPLE_BOUND,
     ClassReport,
+    HeckeModule,
     build_module,
     check_sample_bound,
     classify_classes,
@@ -61,10 +62,10 @@ class GroupDescriptor:
     kind: str  # reducible | dihedral | A4 | S4 | A5 | PGL2 | PSL2
     parameter: int = 0
 
-    _KINDS = ("reducible", "dihedral", "A4", "S4", "A5", "PGL2", "PSL2")
+    KINDS = ("reducible", "dihedral", "A4", "S4", "A5", "PGL2", "PSL2")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind in ("reducible", "dihedral") and self.parameter < 1:
             raise ValueError(f"{self.kind} needs a positive order parameter")
@@ -347,13 +348,26 @@ _DEGENERATE = AsymptoticProfile(
 
 
 @dataclass(frozen=True)
-class _PartProfile:
+class ComponentProfile:
+    """Alpha, h and (when computed) the leading constants of one pure component."""
+
     alpha: Fraction
     h: int
     c: float
     c_err: float
     per_value: dict
     report: ClassReport
+    module: HeckeModule
+
+    def euler_constant(self, prime_bound=DEFAULT_PRIME_BOUND):
+        """C(U): the Euler product over the invertible classes at beta = 1 - alpha."""
+        self.module.require_conductor()  # C(U) is a product over the conductor classes
+        return euler_constant_C(
+            self.report.invertible_classes,
+            self.report.modulus,
+            1 - self.alpha,
+            prime_bound=prime_bound,
+        )
 
 
 def _pure_profile(
@@ -378,13 +392,11 @@ def _pure_profile(
     if not 0 < alpha <= Fraction(3, 4):
         raise ModpFormsError(f"alpha {alpha} out of the admissible range (0, 3/4]")
     h = strict_nilpotence_order(module)
+    part = ComponentProfile(alpha, h, 0.0, 0.0, {}, report, module)
     if not with_constants:
-        return _PartProfile(alpha, h, 0.0, 0.0, {}, report)
+        return part
 
-    module.require_conductor()
-    cu = euler_constant_C(
-        report.invertible_classes, report.modulus, 1 - alpha, prime_bound=prime_bound
-    )
+    cu = part.euler_constant(prime_bound)
     if squarefree:
         sums = {module.f_coords.tobytes(): cu.value}
         vecs = {module.f_coords.tobytes(): module.f_coords}
@@ -430,7 +442,7 @@ def _pure_profile(
         )
     c_total = sum(v.c for v in tops if v.h == h)
     c_err = sum(v.err for v in tops if v.h == h)
-    return _PartProfile(alpha, h, c_total, c_err, per_value, report)
+    return replace(part, c=c_total, c_err=c_err, per_value=per_value)
 
 
 def _combine_parts(parts_with_weights, p):
@@ -458,28 +470,38 @@ def _combine_parts(parts_with_weights, p):
     return AsymptoticProfile(alpha, h, c, c_err, per_value)
 
 
+def component_profiles(module, *, seed=0, **part_kw):
+    """The ComponentProfile of each pure component of a built module, in decomposition order.
+
+    The module need not have a class-determined action; only the constant
+    evaluation of an individual component insists on it.  part_kw are the
+    keywords of _pure_profile.
+    """
+    return [_pure_profile(part.module, **part_kw) for part in decompose(module, seed=seed)]
+
+
 def module_profile(module, *, seed=0, **part_kw):
-    """Profile of the seed of a built module: its pure components, combined.
+    """Profile of the seed of a built module: its component profiles, combined.
 
     For a coprime-support form f this is profile(f), whose U_p tower is
-    just [f, 0].  The module need not have a class-determined action;
-    only the constant evaluation of an individual component insists on it.
-    part_kw are the keywords of _pure_profile.
+    just [f, 0].
     """
-    parts = decompose(module, seed=seed)
-    profiles = [_pure_profile(part.module, **part_kw) for part in parts]
+    profiles = component_profiles(module, seed=seed, **part_kw)
     return _combine_parts([(1.0, pp) for pp in profiles], module.p)
 
 
 def _lift_weight(series, p, weight):
-    """The form's own weight if its graded space contains the series, else the smallest even one.
+    """The form's own weight if its graded space contains the series, else the smallest other one.
 
-    Candidates run up to p * weight.  Each is tested on a prefix longer than
-    the Sturm bound of every candidate weight, so a passing prefix fixes the
-    lift; the caller's build_module checks the series at full precision.
+    Candidates run up to p * weight, and only weights k' = weight mod p - 1
+    are tried: nonzero mod-p forms whose weights differ mod p - 1 are
+    linearly independent (Serre; Swinnerton-Dyer), so no other weight can
+    contain the series.  Each is tested on a prefix longer than the Sturm
+    bound of every candidate weight, so a passing prefix fixes the lift;
+    the caller's build_module checks the series at full precision.
     """
     cap = p * weight
-    candidates = [weight] + [k for k in range(0, cap + 1, 2) if k != weight]
+    candidates = [weight] + [k for k in range(weight % (p - 1), cap + 1, p - 1) if k != weight]
     probe_prec = min(series.prec, max(512, cap // 12 + 2))
     for k in candidates:
         if dim_level_one(k) == 0 or series.prec < dim_level_one(k):

@@ -15,12 +15,11 @@ digit expansion of 8k takes about its base-p digit sum of sparse products
 instead of 8k - 1.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .arith import is_prime
+from .errors import BudgetExceededError
 
 # Largest precision a single series may occupy.  Callers look it up at call
 # time (hecke reads series.MAX_PREC), so one assignment moves the cap everywhere.
@@ -36,52 +35,12 @@ def _check_modulus(p):
         raise ValueError(f"modulus must be an odd prime < 256, got {p!r}")
 
 
-@dataclass(frozen=True)
-class FpElement:
-    """A residue in [0, p) for an odd prime p."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        _check_modulus(self.p)
-        object.__setattr__(self, "value", int(self.value) % self.p)
-
-    def __add__(self, other):
-        return FpElement(self.value + self._coerce(other), self.p)
-
-    def __sub__(self, other):
-        return FpElement(self.value - self._coerce(other), self.p)
-
-    def __mul__(self, other):
-        return FpElement(self.value * self._coerce(other), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return FpElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mismatched moduli")
-            return other.value
-        return int(other)
-
-    def __int__(self):
-        return self.value
-
-
-def _as_residue(x, p):
-    """Accept FpElement or plain int scalars."""
-    if isinstance(x, FpElement):
-        if x.p != p:
-            raise ValueError("mismatched moduli")
-        return x.value
-    return int(x) % p
+def _check_prec(prec):
+    """A series length must be positive and at most MAX_PREC; checked before any allocation."""
+    if prec < 1:
+        raise ValueError("prec must be positive")
+    if prec > MAX_PREC:
+        raise BudgetExceededError(f"prec {prec} exceeds the cap {MAX_PREC}")
 
 
 class QSeries:
@@ -136,7 +95,7 @@ class QSeries:
         return linear_combine([(1, self), (self.p - 1, other)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer, FpElement)):
+        if isinstance(other, (int, np.integer)):
             return linear_combine([(other, self)])
         return mul(self, other)
 
@@ -151,38 +110,6 @@ class QSeries:
         return f"QSeries(p={self.p}, prec={self.prec}, [{head}{tail}])"
 
 
-@dataclass(frozen=True)
-class SparseSeries:
-    """Sparse truncated series: strictly increasing exponents, nonzero coefficients."""
-
-    p: int
-    prec: int
-    exponents: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        _check_modulus(self.p)
-        exps = np.asarray(self.exponents, dtype=np.int64)
-        coefs = np.asarray(self.coefficients, dtype=np.uint8)
-        if len(exps) != len(coefs):
-            raise ValueError("exponent/coefficient length mismatch")
-        if len(exps) and (np.any(np.diff(exps) <= 0) or exps[0] < 0):
-            raise ValueError("exponents must be strictly increasing and non-negative")
-        if len(exps) and exps[-1] >= self.prec:
-            raise ValueError("exponent beyond declared precision")
-        if np.any(coefs == 0) or np.any(coefs >= self.p):
-            raise ValueError("coefficients must be nonzero residues")
-        exps.flags.writeable = False
-        coefs.flags.writeable = False
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "coefficients", coefs)
-
-    def dense(self):
-        out = np.zeros(self.prec, dtype=np.uint8)
-        out[self.exponents] = self.coefficients
-        return QSeries(self.p, out)
-
-
 def zero(p, prec):
     return QSeries(p, np.zeros(prec, dtype=np.uint8))
 
@@ -194,35 +121,28 @@ def one(p, prec):
 
 
 def eta_cubed(p, prec):
-    """The sparse series sum_{m(m+1)/2 < prec} (-1)^m (2m+1) q^{m(m+1)/2} mod p."""
+    """The series sum_{m(m+1)/2 < prec} (-1)^m (2m+1) q^{m(m+1)/2} mod p: about sqrt(2 prec) terms."""
     _check_modulus(p)
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    exps, coefs = [], []
+    _check_prec(prec)
+    out = np.zeros(prec, dtype=np.uint8)
     m = 0
     while m * (m + 1) // 2 < prec:
-        c = (-1) ** m * (2 * m + 1) % p
-        if c:
-            exps.append(m * (m + 1) // 2)
-            coefs.append(c)
+        out[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1) % p
         m += 1
-    return SparseSeries(p, prec, np.array(exps, dtype=np.int64), np.array(coefs, dtype=np.uint8))
+    return QSeries(p, out)
 
 
 def delta_power(p, k, prec):
     """k-th power of the weight-12 cusp form mod p, to prec coefficients.
 
     Computed as q^k times power(cube-of-eta series, 8k), so the Frobenius
-    digits of 8k set the number of sparse products.  Precision is capped
-    at MAX_PREC.
+    digits of 8k set the number of sparse products.  A precision above
+    MAX_PREC raises BudgetExceededError.
     """
     _check_modulus(p)
     if k < 0:
         raise ValueError("k must be non-negative")
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    if prec > MAX_PREC:
-        raise ValueError(f"prec {prec} exceeds the cap {MAX_PREC}")
+    _check_prec(prec)
     if k == 0:
         return one(p, prec)
     if prec <= k:
@@ -238,10 +158,7 @@ _EISENSTEIN = {4: (240, 3), 6: (-504, 5)}
 def eisenstein(p, k, prec):
     """Level-one Eisenstein series of weight 4 or 6, reduced mod p."""
     _check_modulus(p)
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    if prec > MAX_PREC:  # before the divisor sieve allocates its table
-        raise ValueError(f"prec {prec} exceeds the cap {MAX_PREC}")
+    _check_prec(prec)
     if k not in _EISENSTEIN:
         raise ValueError(f"unsupported weight {k}; only 4 and 6 are provided")
     const, e = _EISENSTEIN[k]
@@ -254,13 +171,6 @@ def eisenstein(p, k, prec):
     return QSeries(p, out)
 
 
-def _sparsify(f, max_terms):
-    idx = np.flatnonzero(f.coeffs)
-    if len(idx) > max_terms:
-        return None
-    return SparseSeries(f.p, f.prec, idx.astype(np.int64), f.coeffs[idx])
-
-
 def mul(a, b):
     """Truncated product at the smaller precision.
 
@@ -268,20 +178,15 @@ def mul(a, b):
     entries goes to kernels.mul_sparse; otherwise the product is the FFT
     kernels.mul_dense.
     """
-    if isinstance(a, SparseSeries):
-        a = a.dense()
-    if isinstance(b, SparseSeries):
-        b = b.dense()
     if a.p != b.p:
         raise ValueError("mismatched moduli")
     out_len = min(a.prec, b.prec)
     budget = max(8, int(_SPARSE_FRACTION * out_len))
     for dense, other in ((a, b), (b, a)):
-        sp = _sparsify(other, budget)
-        if sp is not None:
+        idx = np.flatnonzero(other.coeffs)
+        if len(idx) <= budget:
             return QSeries(
-                a.p,
-                kernels.mul_sparse(dense.coeffs, sp.exponents, sp.coefficients, a.p, out_len),
+                a.p, kernels.mul_sparse(dense.coeffs, idx, other.coeffs[idx], a.p, out_len)
             )
     return QSeries(a.p, kernels.mul_dense(a.coeffs, b.coeffs, a.p, out_len))
 
@@ -297,8 +202,6 @@ def power(a, e):
     """
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    if isinstance(a, SparseSeries):
-        a = a.dense()
     result = None
     step = 1
     while e:
@@ -332,7 +235,7 @@ def linear_combine(pairs):
     for scalar, s in pairs:
         if s.p != p:
             raise ValueError("mismatched moduli")
-        c = _as_residue(scalar, p)
+        c = int(scalar) % p
         if c:
             acc += c * s.coeffs[:prec].astype(np.int64)
     return QSeries(p, acc % p)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from modpforms import kernels, linalg
-from modpforms.series import QSeries, eta_cubed, one, zero
+from modpforms.series import QSeries, one, zero
 
 
 @lru_cache(maxsize=None)
@@ -115,10 +115,20 @@ def delta_power_by_eta_products(p, k, prec):
     if prec <= k:
         return zero(p, prec)
     body = prec - k
-    eta3 = eta_cubed(p, body)
-    acc = eta3.dense().coeffs
+    # the nonzero cube-of-eta terms (-1)^m (2m+1) q^{m(m+1)/2}, one m at a time
+    exps, coefs = [], []
+    m = 0
+    while m * (m + 1) // 2 < body:
+        c = (-1) ** m * (2 * m + 1) % p
+        if c:
+            exps.append(m * (m + 1) // 2)
+            coefs.append(c)
+        m += 1
+    exps, coefs = np.array(exps, dtype=np.int64), np.array(coefs, dtype=np.uint8)
+    acc = np.zeros(body, dtype=np.uint8)
+    acc[exps] = coefs
     for _ in range(8 * k - 1):
-        acc = kernels.mul_sparse(acc, eta3.exponents, eta3.coefficients, p, body)
+        acc = kernels.mul_sparse(acc, exps, coefs, p, body)
     out = np.zeros(prec, dtype=np.uint8)
     out[k:] = acc
     return QSeries(p, out)

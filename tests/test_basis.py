@@ -9,7 +9,7 @@ from modpforms.basis import (
     to_coordinates,
 )
 from modpforms.errors import NotInSpanError
-from modpforms.series import QSeries, delta_power, eisenstein, linear_combine, mul, one, power
+from modpforms.series import QSeries, delta_power, eisenstein, mul, one
 
 from oracles import (
     fraction_echelon,

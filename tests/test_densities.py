@@ -14,12 +14,10 @@ from modpforms.densities import (
     PRIME_BOUND_CAP,
     AsymptoticProfile,
     GroupDescriptor,
-    ValueProfile,
     alpha_of_form,
     alpha_of_group,
     class_density,
     euler_constant_C,
-    h_of_form,
     leading_constants,
     leading_constants_sf,
     multi_frobenian_class_density,
@@ -29,7 +27,7 @@ from modpforms.densities import (
     squarefull_sum,
 )
 from modpforms.errors import BudgetExceededError, ModpFormsError
-from modpforms.module import build_module, classify_classes, decompose
+from modpforms.module import build_module, classify_classes
 from modpforms.series import delta_power
 
 
@@ -414,3 +412,34 @@ class TestProfileValidation:
                 prime_bound=10**4,
                 sfull_bound=10**4,
             )
+
+
+class TestLiftWeight:
+    def test_tries_only_weights_congruent_mod_p_minus_1(self, monkeypatch):
+        # W(Delta^3) mod 5 is not in weight 36; the search lifts it to weight 60
+        from modpforms.hecke import apply_W
+
+        tried = []
+        basis_of = densities.miller_basis
+        monkeypatch.setattr(
+            densities, "miller_basis", lambda p, k, prec: tried.append(k) or basis_of(p, k, prec)
+        )
+        g = densities._lift_weight(apply_W(delta_power(5, 3, 600)), 5, 36)
+        assert g.weight == 60
+        assert tried[0] == 36 and len(tried) > 1
+        assert all((k - 36) % 4 == 0 for k in tried)
+
+
+class TestComponentProfiles:
+    def test_components_combine_to_the_module_profile(self):
+        m = build_module(_delta_form(7, 2))
+        parts = densities.component_profiles(m, with_constants=False)
+        assert len(parts) == 2
+        prof = densities.module_profile(m, with_constants=False)
+        assert prof.alpha == min(pp.alpha for pp in parts)
+        for pp in parts:
+            cu = pp.euler_constant(10**4)
+            expect = euler_constant_C(
+                pp.report.invertible_classes, pp.report.modulus, 1 - pp.alpha, prime_bound=10**4
+            )
+            assert cu == expect

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modpforms import linalg
 from modpforms.basis import GradedForm, dim_level_one
 from modpforms.densities import (
     leading_constants,

@@ -7,7 +7,6 @@ from modpforms.errors import FormSyntaxError
 from modpforms.expr import (
     Atom,
     BinOp,
-    IntLit,
     Pow,
     evaluate,
     parse_form_expression,

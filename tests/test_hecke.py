@@ -14,7 +14,7 @@ from modpforms.hecke import (
     apply_operator,
     ell_s_ell,
 )
-from modpforms.series import QSeries, delta_power, one, zero
+from modpforms.series import QSeries, delta_power, one
 
 
 def _random_form(rng, p, k, prec):

@@ -5,7 +5,7 @@ import pytest
 
 from modpforms import linalg, module
 from modpforms.arith import primes_upto
-from modpforms.basis import GradedForm, dim_level_one, from_coordinates, miller_basis
+from modpforms.basis import GradedForm, dim_level_one, miller_basis
 from modpforms.errors import ConductorNotFoundError, SpanNotClosedError
 from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell
 from modpforms.module import (
@@ -221,7 +221,7 @@ class TestNilpotenceOrder:
         h = strict_nilpotence_order(m)
         if h == 0:
             return
-        from itertools import combinations_with_replacement, product
+        from itertools import combinations_with_replacement
 
         found = None
         for classes in combinations_with_replacement(rep.nilpotent_classes, h):

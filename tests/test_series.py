@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpforms import series
+from modpforms import kernels, series
+from modpforms.errors import BudgetExceededError
 from modpforms.series import (
-    FpElement,
     QSeries,
-    SparseSeries,
     delta_power,
     eisenstein,
     eta_cubed,
@@ -21,7 +20,6 @@ from modpforms.series import (
 from oracles import (
     delta_power_by_eta_products,
     dense_euler_product_modp,
-    integer_delta,
     integer_delta_power,
     integer_eisenstein,
     poly_mul_modp,
@@ -31,31 +29,16 @@ from oracles import (
 )
 
 
-class TestFpElement:
-    def test_reduction_and_arithmetic(self):
-        a = FpElement(10, 7)
-        assert a.value == 3
-        assert (a + 5).value == 1
-        assert (a * a).value == 2
-        assert (-a).value == 4
-        assert (a.inverse() * a).value == 1
-
-    def test_rejects_bad_modulus(self):
-        for p in (2, 4, 9, 1, 256, 257):
-            with pytest.raises(ValueError):
-                FpElement(1, p)
-
-
 class TestEtaCubed:
     def test_small_p3(self):
         s = eta_cubed(3, 7)
-        assert list(s.exponents) == [0, 3, 6]
-        assert list(s.coefficients) == [1, 2, 2]
+        assert list(np.flatnonzero(s.coeffs)) == [0, 3, 6]
+        assert list(s.coeffs[np.flatnonzero(s.coeffs)]) == [1, 2, 2]
 
     def test_small_p7(self):
         s = eta_cubed(7, 2)
-        assert list(s.exponents) == [0, 1]
-        assert list(s.coefficients) == [1, 4]
+        assert list(np.flatnonzero(s.coeffs)) == [0, 1]
+        assert list(s.coeffs[np.flatnonzero(s.coeffs)]) == [1, 4]
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_cube_of_euler_product(self, p):
@@ -63,8 +46,7 @@ class TestEtaCubed:
         prec = 10**4
         euler = dense_euler_product_modp(p, prec)
         cubed = poly_mul_modp(poly_mul_modp(euler, euler, p, prec), euler, p, prec)
-        dense = eta_cubed(p, prec).dense()
-        assert np.array_equal(dense.coeffs.astype(np.int64), cubed)
+        assert np.array_equal(eta_cubed(p, prec).coeffs.astype(np.int64), cubed)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_eighth_power_is_24fold_product(self, p):
@@ -74,7 +56,7 @@ class TestEtaCubed:
         prod24[0] = 1
         for _ in range(24):
             prod24 = poly_mul_modp(prod24, euler, p, prec)
-        eta8 = power(eta_cubed(p, prec).dense(), 8)
+        eta8 = power(eta_cubed(p, prec), 8)
         assert np.array_equal(eta8.coeffs.astype(np.int64), prod24)
 
     def test_rejects_bad_args(self):
@@ -145,8 +127,9 @@ class TestFrobeniusPowersAgainstOldRoutes:
             assert power(a, e) == power_by_squaring(a, e), e
 
     def test_sparse_input(self):
-        eta3 = eta_cubed(5, 400)
-        assert power(eta3, 16) == power_by_squaring(eta3.dense(), 16)
+        rng = np.random.default_rng(6)
+        sparse = _sparse_series(rng, 5, 400, 6)
+        assert power(sparse, 16) == power_by_squaring(sparse, 16)
 
 
 class TestEisenstein:
@@ -181,6 +164,13 @@ def _random_series(rng, p, prec):
     return QSeries(p, rng.integers(0, p, size=prec))
 
 
+def _sparse_series(rng, p, prec, terms):
+    """A series with exactly `terms` nonzero coefficients at random positions."""
+    coeffs = np.zeros(prec, dtype=np.uint8)
+    coeffs[rng.choice(prec, size=terms, replace=False)] = rng.integers(1, p, size=terms)
+    return QSeries(p, coeffs)
+
+
 class TestRingOps:
     def test_mul_identity(self):
         rng = np.random.default_rng(1)
@@ -210,15 +200,23 @@ class TestRingOps:
 
     def test_linear_combine_accepts_field_elements(self):
         a = one(5, 4)
-        s = linear_combine([(FpElement(7, 5), a)])
+        s = linear_combine([(7, a)])
         assert s[0] == 2
+        assert (7 * a)[0] == 2
 
     def test_delta_power_cap(self, monkeypatch):
         monkeypatch.setattr(series, "MAX_PREC", 50)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(BudgetExceededError, match="cap"):
             delta_power(3, 1, 100)
         monkeypatch.setattr(series, "MAX_PREC", 100)
         assert delta_power(3, 1, 100).prec == 100
+
+    def test_eisenstein_cap(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_PREC", 50)
+        with pytest.raises(BudgetExceededError, match="cap"):
+            eisenstein(7, 4, 100)
+        monkeypatch.setattr(series, "MAX_PREC", 100)
+        assert eisenstein(7, 4, 100).prec == 100
 
     def test_mul_rejects_mismatched_moduli(self):
         with pytest.raises(ValueError):
@@ -234,14 +232,29 @@ class TestRingOps:
         rng = np.random.default_rng(5)
         p, prec = 7, 300
         dense = _random_series(rng, p, prec)
-        exps = np.sort(rng.choice(prec, size=6, replace=False)).astype(np.int64)
-        coefs = rng.integers(1, p, size=6).astype(np.uint8)
-        sparse = SparseSeries(p, prec, exps, coefs)
+        sparse = _sparse_series(rng, p, prec, 6)
         via_auto = mul(dense, sparse)
-        via_dense = QSeries(
-            p, poly_mul_modp(dense.coeffs, sparse.dense().coeffs, p, prec)
-        )
+        via_dense = QSeries(p, poly_mul_modp(dense.coeffs, sparse.coeffs, p, prec))
         assert via_auto == via_dense
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_sparse_budget_boundary(self, n, monkeypatch):
+        # at the budget the sparse kernel runs, one term past it the FFT does
+        calls = []
+        sparse_kernel = kernels.mul_sparse
+        monkeypatch.setattr(
+            kernels, "mul_sparse", lambda *args: calls.append(len(args[1])) or sparse_kernel(*args)
+        )
+        rng = np.random.default_rng(n)
+        p = 7
+        budget = max(8, int(0.05 * n))
+        dense = _random_series(rng, p, n)
+        for terms in (budget, budget + 1):
+            sparse = _sparse_series(rng, p, n, terms)
+            expect = QSeries(p, poly_mul_modp(dense.coeffs, sparse.coeffs, p, n))
+            assert mul(dense, sparse) == expect
+            assert mul(sparse, dense) == expect
+        assert calls == [budget, budget]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -259,13 +272,10 @@ class TestRingOps:
 
 
 class TestValidation:
-    def test_sparse_series_invariants(self):
-        with pytest.raises(ValueError):
-            SparseSeries(3, 10, np.array([3, 1]), np.array([1, 1], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            SparseSeries(3, 10, np.array([1]), np.array([0], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            SparseSeries(3, 10, np.array([11]), np.array([1], dtype=np.uint8))
+    def test_rejects_bad_modulus(self):
+        for p in (2, 4, 9, 1, 256, 257):
+            with pytest.raises(ValueError):
+                QSeries(p, [1])
 
     def test_qseries_reduces_input(self):
         s = QSeries(5, [7, -1, 12])
