@@ -2,7 +2,9 @@
 """Benchmark the q-series kernels and the series builders on top of them.
 
 Covers the hot loops: sparse series multiplication (cusp-form
-generation), table counting with per-value tallies, the divisor-sum
+generation) on both of its routes, pair sums for a sparse dense operand
+and shifted adds otherwise, at p = 3 and at p = 251 (250 distinct
+coefficients), table counting with per-value tallies, the divisor-sum
 sieve (Eisenstein series) and truncated dense multiplication (basis
 expansion); then the cusp form itself, built by Frobenius digits, the
 square-full sum of the leading constant of Delta mod 7 and the
@@ -22,7 +24,7 @@ from modpforms.basis import GradedForm
 from modpforms.counting import decomposition_oracle, oracle_components
 from modpforms.densities import class_density, euler_constant_C, squarefull_buckets
 from modpforms.module import build_module, classify_classes
-from modpforms.series import delta_power, eta_cubed
+from modpforms.series import delta_power, eta_cubed, mul
 
 
 def _time(fn, repeat):
@@ -34,10 +36,16 @@ def _time(fn, repeat):
     return best
 
 
+def _sparse_case(p, prec):
+    """eta^6 and the nonzero terms of eta^3 mod p: the second product of Delta."""
+    eta3 = eta_cubed(p, prec)
+    exps = np.flatnonzero(eta3.coeffs)
+    return eta3.coeffs, mul(eta3, eta3).coeffs, exps, eta3.coeffs[exps]
+
+
 def bench(prec, repeat):
-    dense = eta_cubed(3, prec).coeffs
-    exps = np.flatnonzero(dense)
-    coefs = dense[exps]
+    eta3, eta6, exps, coefs = _sparse_case(3, prec)
+    eta3_251, eta6_251, exps_251, coefs_251 = _sparse_case(251, prec)
     dense_small_a = np.random.default_rng(0).integers(0, 7, size=20000, dtype=np.uint8)
     dense_small_b = np.random.default_rng(1).integers(0, 7, size=20000, dtype=np.uint8)
     table = delta_power(3, 1, prec).coeffs
@@ -45,8 +53,20 @@ def bench(prec, repeat):
 
     cases = [
         (
-            f"mul_sparse ({prec} coeffs)",
-            lambda: kernels.mul_sparse(dense, exps, coefs, 3, prec),
+            f"mul_sparse eta^3 * eta^3 mod 3, pair sums ({prec} coeffs)",
+            lambda: kernels.mul_sparse(eta3, exps, coefs, 3, prec),
+        ),
+        (
+            f"mul_sparse eta^6 * eta^3 mod 3, shifted adds ({prec} coeffs)",
+            lambda: kernels.mul_sparse(eta6, exps, coefs, 3, prec),
+        ),
+        (
+            f"mul_sparse eta^3 * eta^3 mod 251, pair sums ({prec} coeffs)",
+            lambda: kernels.mul_sparse(eta3_251, exps_251, coefs_251, 251, prec),
+        ),
+        (
+            f"mul_sparse eta^6 * eta^3 mod 251, shifted adds ({prec} coeffs)",
+            lambda: kernels.mul_sparse(eta6_251, exps_251, coefs_251, 251, prec),
         ),
         (f"count_segments ({prec})", lambda: kernels.count_segments(table, bounds, 3)),
         (f"sigma_sieve ({prec // 10})", lambda: kernels.sigma_sieve(prec // 10, 3, 7)),

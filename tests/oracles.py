@@ -4,8 +4,8 @@ Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, powers, cusp-form powers, square-full
-sums and the decomposition oracle are kept here as differential
-references for the fast paths that replaced them.
+sums, sparse products and the decomposition oracle are kept here as
+differential references for the fast paths that replaced them.
 """
 
 import math
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from modpforms import kernels, linalg
+from modpforms import linalg
 from modpforms.series import QSeries, one, zero
 
 
@@ -108,8 +108,32 @@ def power_by_squaring(a, e):
     return QSeries(a.p, result)
 
 
+def mul_sparse_shifted_adds(dense, exps, coefs, p, out_len):
+    """Truncated sparse product mod p: one shifted add of c * dense per term, in uint32.
+
+    Exponents must ascend.  Caches c * dense for every distinct c and
+    reduces every 2^32 / ((p-1)^2 + 1) terms.
+    """
+    acc = np.zeros(out_len, dtype=np.uint32)
+    d32 = dense[:out_len].astype(np.uint32)
+    chunk = max(1, (2**32 - 1) // ((p - 1) * (p - 1) + 1) - 1)
+    scaled = {}
+    for start in range(0, len(exps), chunk):
+        for e, c in zip(exps[start : start + chunk], coefs[start : start + chunk]):
+            e = int(e)
+            if e >= out_len:
+                break
+            c = int(c)
+            if c not in scaled:
+                scaled[c] = d32 * np.uint32(c)
+            acc[e:] += scaled[c][: out_len - e]
+        if start + chunk < len(exps):
+            acc %= p
+    return (acc % p).astype(np.uint8)
+
+
 def delta_power_by_eta_products(p, k, prec):
-    """q^k times the cube-of-eta series multiplied by itself 8k - 1 times."""
+    """q^k times the cube-of-eta series multiplied by itself 8k - 1 times, by shifted adds."""
     if k == 0:
         return one(p, prec)
     if prec <= k:
@@ -128,7 +152,7 @@ def delta_power_by_eta_products(p, k, prec):
     acc = np.zeros(body, dtype=np.uint8)
     acc[exps] = coefs
     for _ in range(8 * k - 1):
-        acc = kernels.mul_sparse(acc, exps, coefs, p, body)
+        acc = mul_sparse_shifted_adds(acc, exps, coefs, p, body)
     out = np.zeros(prec, dtype=np.uint8)
     out[k:] = acc
     return QSeries(p, out)

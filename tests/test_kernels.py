@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,33 @@ from oracles import mul_dense_convolve, sigma_sieve_walk
 
 def _random_case(rng, p, n):
     return rng.integers(0, p, size=n, dtype=np.uint8)
+
+
+def _sparse_reference(dense, exps, coefs, p, out_len):
+    """The truncated sparse product by np.convolve-then-mod in int64."""
+    keep = exps < out_len
+    sparse = np.zeros(out_len, dtype=np.int64)
+    np.add.at(sparse, exps[keep], coefs[keep].astype(np.int64))
+    return mul_dense_convolve(dense, sparse, p, out_len)
+
+
+def _with_nonzeros(rng, p, out_len, count):
+    """A uint8 array of out_len entries with exactly count nonzero residues."""
+    dense = np.zeros(out_len, dtype=np.uint8)
+    dense[rng.choice(out_len, size=count, replace=False)] = rng.integers(1, p, size=count)
+    return dense
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the sparse-product routes taken, in call order."""
+    taken = []
+    for name in ("_pair_sums", "_shifted_adds"):
+        route = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *args, name=name, route=route: taken.append(name) or route(*args)
+        )
+    return taken
 
 
 class TestKernelContracts:
@@ -47,7 +75,7 @@ class TestKernelContracts:
             assert np.array_equal(got[0], expect[:, 1:].sum(axis=1))
 
     def test_chunked_reduction_exactness(self):
-        # at p = 251 the uint32 accumulator is reduced mid-loop every 68,717
+        # at p = 251 the uint32 accumulator is reduced mid-loop every 68,719
         # terms; 140,000 terms of (p-1)^2 at exponent 0 cross that twice and
         # wrap without it.  Random products for p in {3, 5, 251} ride along.
         # Each case is checked against np.convolve-then-mod in int64.
@@ -69,9 +97,103 @@ class TestKernelContracts:
             cases.append((p, dense, exps, coefs, 2000))
         for p, dense, exps, coefs, out_len in cases:
             got = kernels.mul_sparse(dense, exps, coefs, p, out_len)
-            sparse_dense = np.zeros(out_len, dtype=np.int64)
-            np.add.at(sparse_dense, exps, coefs.astype(np.int64))
-            assert np.array_equal(got, mul_dense_convolve(dense, sparse_dense, p, out_len))
+            assert np.array_equal(got, _sparse_reference(dense, exps, coefs, p, out_len))
+
+
+PRIMES = [3, 5, 7, 11, 13, 17, 19, 251]
+
+
+class TestMulSparseAgainstConvolution:
+    """Both sparse-product routes against np.convolve-then-mod, bit for bit."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_either_side_of_the_crossover(self, p, routes):
+        # the dense operand is at the pair-sum limit, then one nonzero past it
+        rng = np.random.default_rng(p)
+        out_len = 40 * kernels._PAIR_RATIO
+        exps = np.sort(rng.choice(out_len, size=60, replace=False)).astype(np.int64)
+        coefs = rng.integers(1, p, size=60, dtype=np.uint8)
+        for count, route in ((40, "_pair_sums"), (41, "_shifted_adds")):
+            dense = _with_nonzeros(rng, p, out_len, count)
+            got = kernels.mul_sparse(dense, exps, coefs, p, out_len)
+            assert got.dtype == np.uint8 and len(got) == out_len
+            assert np.array_equal(got, _sparse_reference(dense, exps, coefs, p, out_len))
+            assert routes.pop() == route
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_edge_operands(self, p, routes):
+        rng = np.random.default_rng(100 + p)
+        none = np.zeros(0, dtype=np.int64)
+        for out_len, dense in (
+            (500, _with_nonzeros(rng, p, 500, 3)),
+            (500, _random_case(rng, p, 500)),
+            (1, np.array([0], dtype=np.uint8)),
+            (1, np.array([p - 1], dtype=np.uint8)),
+            # a dense operand shorter than the product
+            (500, _random_case(rng, p, 120)),
+        ):
+            # shuffled exponents, two thirds of them at or beyond out_len
+            exps = rng.permutation(np.arange(0, 3 * out_len, max(1, out_len // 20)))
+            coefs = rng.integers(1, p, size=len(exps), dtype=np.uint8)
+            for e, c in ((exps, coefs), (none, none.astype(np.uint8)), (exps[:1], coefs[:1])):
+                got = kernels.mul_sparse(dense, e, c, p, out_len)
+                assert len(got) == out_len
+                assert np.array_equal(got, _sparse_reference(dense, e, c, p, out_len))
+        assert set(routes) == {"_pair_sums", "_shifted_adds"}
+
+    def test_repeated_exponents_on_the_pair_route(self, routes):
+        # three terms of (p-1)^2 land on index 0: 187,500 does not fit uint16
+        p = 251
+        dense = np.zeros(100, dtype=np.uint8)
+        dense[0] = p - 1
+        exps = np.zeros(3, dtype=np.int64)
+        coefs = np.full(3, p - 1, dtype=np.uint8)
+        got = kernels.mul_sparse(dense, exps, coefs, p, 100)
+        assert got[0] == 3 * (p - 1) ** 2 % p and not got[1:].any()
+        assert routes == ["_pair_sums"]
+
+    def test_uint16_reduce_cadence_at_17(self, routes):
+        # at p = 17 a uint16 entry is reduced every 255 terms of 16 * 16; 600
+        # such terms at exponent 0 cross that twice and wrap without it
+        p, out_len, nterms = 17, 50, 600
+        dense = np.full(out_len, 16, dtype=np.uint8)
+        exps = np.zeros(nterms, dtype=np.int64)
+        coefs = np.full(nterms, 16, dtype=np.uint8)
+        got = kernels.mul_sparse(dense, exps, coefs, p, out_len)
+        assert np.all(got == nterms * 256 % p)
+        assert np.array_equal(got, _sparse_reference(dense, exps, coefs, p, out_len))
+        assert routes == ["_shifted_adds"]
+
+    @pytest.mark.parametrize("nonzeros", [None, 3000])
+    def test_memory_is_bounded_by_out_len(self, nonzeros, routes):
+        # 250 distinct coefficients mod 251; a kernel that keeps one scaled
+        # copy of the dense operand per coefficient peaks at 250 arrays
+        p, out_len = 251, 200_000
+        rng = np.random.default_rng(251)
+        if nonzeros is None:
+            dense = _random_case(rng, p, out_len)
+            exps = np.sort(rng.choice(out_len, size=250, replace=False)).astype(np.int64)
+            coefs = np.arange(1, p, dtype=np.uint8)
+            limit = 4 * out_len * 4
+        else:
+            # 2000 terms by 3000 nonzeros: pairs in blocks, never all at once
+            dense = _with_nonzeros(rng, p, out_len, nonzeros)
+            exps = np.sort(rng.choice(out_len, size=2000, replace=False)).astype(np.int64)
+            coefs = (np.arange(2000) % (p - 1) + 1).astype(np.uint8)
+            limit = 4 * out_len * 8 + 16 * kernels._PAIR_BLOCK
+        tracemalloc.start()
+        try:
+            got = kernels.mul_sparse(dense, exps, coefs, p, out_len)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+        assert routes == ["_shifted_adds" if nonzeros is None else "_pair_sums"]
+        # np.convolve would take minutes here; the FFT product is checked
+        # against it above
+        sparse = np.zeros(out_len, dtype=np.uint8)
+        sparse[exps] = coefs
+        assert np.array_equal(got, kernels.mul_dense(dense, sparse, p, out_len))
 
 
 class TestMulDenseAgainstConvolution:
