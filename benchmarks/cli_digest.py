@@ -50,6 +50,8 @@ EXTRA = [
     ("constants", "--p", "7", "--form", "delta^2", "--sample-bound", "600", "--prime-bound", "100000"),
     # no conductor
     ("decompose", "--p", "3", "--form", "delta^7"),
+    # W(Delta^3) mod 7: two submodules of a module with no conductor, then exit 3
+    ("predict", "--p", "7", "--form", "delta^3"),
     # weight lifts past the form's own weight
     ("predict", "--p", "11", "--form", "delta"),
     ("predict", "--p", "5", "--form", "delta^3", "--prime-bound", "100000"),

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels, linalg
 from .arith import primes_upto, squarefree_mask
 from .errors import InternalInvariantError
-from .module import classify_classes, decompose
+from .module import build_module, classify_classes, decompose
 
 DEFAULT_XMAX_CAP = 10**6
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
@@ -123,34 +123,12 @@ def _checked_bounds(checkpoints, x_max):
     return bounds
 
 
-@dataclass(frozen=True)
-class OracleComponent:
-    """Class data of one pure component, ready for the oracle sieve."""
-
-    module: object
-    nil_classes: frozenset
-    inv_classes: frozenset
-
-
 def oracle_components(f, seed=0, **build_kwargs):
-    """Pure components of a form with their class partitions, for the oracle."""
-    from .module import build_module
-
-    module = build_module(f, **build_kwargs)
-    parts = decompose(module, seed=seed)
-    out = []
-    for part in parts:
-        report = classify_classes(part.module)
-        if not report.pure:
-            raise InternalInvariantError("decomposition produced a non-pure part")
-        out.append(
-            OracleComponent(
-                part.module,
-                frozenset(report.nilpotent_classes),
-                frozenset(report.invertible_classes),
-            )
-        )
-    return out
+    """The pure component modules of a form, for the oracle."""
+    parts = decompose(build_module(f, **build_kwargs), seed=seed)
+    if not all(classify_classes(part.module).pure for part in parts):
+        raise InternalInvariantError("decomposition produced a non-pure part")
+    return [part.module for part in parts]
 
 
 def _exact_multiples(lo, size, q, qe):
@@ -194,8 +172,8 @@ def decomposition_oracle(components, X, p):
     divisible by p, in increasing order.
     """
     small = [q for q in primes_upto(math.isqrt(max(X - 1, 0))).tolist() if q != p]
-    for comp in components:
-        comp.module.require_conductor()
+    for module in components:
+        module.require_conductor()
     out = [np.zeros(0, dtype=np.uint8)]
     for lo in range(1, X, ORACLE_BLOCK):
         n = np.arange(lo, min(lo + ORACLE_BLOCK, X), dtype=np.int64)
@@ -203,15 +181,15 @@ def decomposition_oracle(components, X, p):
         # multiples of p keep their factors p here, but their rows are dropped
         large = np.where(coprime, _large_prime_part(n, small), 1)
         total = np.zeros(len(n), dtype=np.int64)
-        for comp in components:
-            total += _component_block(comp, lo, len(n), small, large)
+        for module in components:
+            total += _component_block(module, lo, len(n), small, large)
         out.append((total % p)[coprime].astype(np.uint8))
     return np.concatenate(out)
 
 
-def _component_block(comp, lo, size, small, large):
+def _component_block(module, lo, size, small, large):
     """a_1 of the predicted operator chain for n = lo .. lo + size - 1 on one component."""
-    module = comp.module
+    report = classify_classes(module)
     p = module.p
     hi = lo + size
     rows = np.tile(module.f_coords.astype(np.int64), (size, 1))
@@ -230,7 +208,7 @@ def _component_block(comp, lo, size, small, large):
     # exponent-one primes, nilpotent classes (f' = T_{m'} f'') then invertible ones
     has_large = np.flatnonzero(large > 1)
     large_classes = module.class_of(large[has_large])
-    for classes in (comp.nil_classes, comp.inv_classes):
+    for classes in (report.nilpotent_classes, report.invertible_classes):
         for q, u in zip(small, small_classes):
             if u in classes:
                 apply(_exact_multiples(lo, size, q, q), u, 1)

@@ -120,6 +120,22 @@ def solve_in_rowspan(rows, vec, p):
     return x
 
 
+def solve_rows(rows, images, p):
+    """Coefficients x with x @ rows == images, or None if an image is outside the span.
+
+    rows must be independent, so each solution is unique: one rref of rows
+    gives its pivot columns, and the inverse of the pivot block solves the
+    whole stack of images (one per row) in one product.
+    """
+    _, pivots = rref(rows, p)
+    if len(pivots) != rows.shape[0]:
+        raise InternalInvariantError("rows are not independent")
+    x = (images[:, pivots] @ inverse(rows[:, pivots], p)) % p
+    if ((x @ rows) % p != images).any():
+        return None
+    return x
+
+
 def row_basis(mat, p):
     """Independent rows spanning the row space (rref rows, zero rows dropped)."""
     m, pivots = rref(mat, p)

@@ -23,6 +23,12 @@ Classification, purity, the strict order of nilpotence (a breadth-first
 search over the distinct nilpotent action matrices, so it does not need
 the full conductor), the canonical pure decomposition and the group of
 invertible actions sit on top.
+
+One function, _assemble, turns basis rows and per-prime matrices into a
+module, for build_module and submodule alike; both put images into module
+coordinates through one batched solve, linalg.solve_rows.  Only the
+classes and prime_power_matrix members read the class table; everything
+else takes T_l for a class u as prime_power_matrix(u, 1).
 """
 
 from dataclasses import dataclass
@@ -76,9 +82,11 @@ class HeckeModule:
     of the basis vectors provide exact coefficient functionals.  The
     conductor and per-class matrices are present only when the sampled
     action is class-determined; the status structure is always present.
-    Other layers do not read the class table: they group primes with
-    class_of and take T_{l^e} from prime_power_matrix, which computes each
-    matrix once, as classify_classes does the class report.
+    Modules are built by build_module and submodule, which both end in
+    _assemble.  Only classes and prime_power_matrix read the class table:
+    callers group primes with class_of and take T_{l^e} from
+    prime_power_matrix, which computes each matrix once, as
+    classify_classes does the class report.
     """
 
     def __init__(
@@ -105,9 +113,6 @@ class HeckeModule:
         self.class_matrices = class_matrices
         self.status_modulus = status_modulus
         self.status_by_class = status_by_class
-        self.scalar_map = (
-            {u: ell_s_ell(u, weight, p) for u in class_matrices} if class_matrices else {}
-        )
         self.f_coords = f_coords
         self._report = None  # classify_classes memo
         self._powers = {}  # (class, e) -> read-only T_{l^e} matrix
@@ -128,12 +133,19 @@ class HeckeModule:
         self.require_conductor()
         return sorted(self.class_matrices)
 
+    @property
+    def scalar_map(self):
+        """Class u -> the scalar l*S_l = u^(k-1) mod p; empty without a conductor."""
+        if self.conductor is None:
+            return {}
+        return {u: ell_s_ell(u, self.weight, self.p) for u in self.classes}
+
     def class_of(self, ell):
         """Class of a prime, or the int64 array of classes of an int64 array of primes."""
-        self.require_conductor()
+        classes = self.classes
         u = ell % self.conductor
         is_class = np.zeros(self.conductor, dtype=bool)
-        is_class[list(self.class_matrices)] = True
+        is_class[classes] = True
         bad = np.flatnonzero(~np.atleast_1d(is_class[u]))
         if len(bad):
             raise ConductorNotFoundError(
@@ -142,7 +154,7 @@ class HeckeModule:
         return u
 
     def apply_class(self, vec, u):
-        return linalg.matvec(vec, self.class_matrices[u], self.p)
+        return linalg.matvec(vec, self.prime_power_matrix(u, 1), self.p)
 
     def prime_power_matrix(self, u, e):
         """Action of the index-l^e operator for any prime l in class u (read-only, memoized)."""
@@ -163,7 +175,10 @@ class HeckeModule:
 
     def nilpotent_matrices(self):
         """Distinct nilpotent action matrices (class table if known, else sampled)."""
-        source = self.class_matrices.values() if self.conductor else self.per_prime.values()
+        if self.conductor:
+            source = [self.prime_power_matrix(u, 1) for u in self.classes]
+        else:
+            source = self.per_prime.values()
         out = {}
         for mat in source:
             if linalg.is_nilpotent(mat, self.p):
@@ -301,36 +316,35 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND, require_conductor=True):
 
     gen_mats = [_tl_coords(B, ell, ell_s_ell(ell, k, p), dim, p) for ell in gens]
     V = _closure(f_amb, gen_mats, p, DIMENSION_CAP)  # r x dim, in ambient coordinates
-    r = V.shape[0]
     S = ((V @ B.astype(np.int64)) % p).astype(np.uint8)
 
-    # pseudo-inverse data for ambient -> module coordinates
-    _, pivots = linalg.rref(V, p)
-    J = np.array(pivots, dtype=np.int64)
-    Minv = linalg.inverse(V[:, J], p)
+    images = np.concatenate([_tl_coords(S, ell, ell_s_ell(ell, k, p), dim, p) for ell in sampled])
+    x = linalg.solve_rows(V, images, p)
+    if x is None:
+        raise InternalInvariantError("a sampled image left the module span")
+    per_prime = dict(zip(sampled, np.split(x, len(sampled))))
+    return _assemble(p, k, ambient, V, S, per_prime, require_conductor)
 
-    per_prime = {}
-    for ell in sampled:
-        amb_img = _tl_coords(S, ell, ell_s_ell(ell, k, p), dim, p)
-        x = (amb_img[:, J] @ Minv) % p
-        if ((x @ V) % p != amb_img).any():
-            raise InternalInvariantError("a sampled image left the module span")
-        per_prime[ell] = x
 
-    conductor, class_matrices, failure = _detect_conductor(per_prime, p, k, r)
+def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime, require_conductor):
+    """The module on the given basis rows, with the first row as its seed.
+
+    Detects the conductor (raising ConductorNotFoundError when it is
+    missing and required) and then the status modulus.
+    """
+    r = ambient_coords.shape[0]
+    conductor, class_matrices, failure = _detect_conductor(per_prime, p, weight, r)
     if conductor is None and require_conductor:
         raise ConductorNotFoundError(failure)
-
     status_modulus, status_by_class = _detect_status(per_prime, p, r)
-
     f_coords = np.zeros(r, dtype=np.int64)
     f_coords[0] = 1
     return HeckeModule(
         p,
-        k,
+        weight,
         ambient,
-        V,
-        S,
+        ambient_coords,
+        vector_series,
         per_prime,
         conductor,
         class_matrices,
@@ -430,7 +444,7 @@ def classify_classes(module):
         return module._report
     p = module.p
     if module.conductor is not None:
-        statuses = {u: _status_of(m, p) for u, m in module.class_matrices.items()}
+        statuses = {u: _status_of(module.prime_power_matrix(u, 1), p) for u in module.classes}
         modulus = module.conductor
     else:
         statuses = dict(module.status_by_class)
@@ -476,7 +490,7 @@ def gamma_group(module):
     module.require_conductor()
     p = module.p
     r = module.dim
-    gens = [module.class_matrices[u] for u in classify_classes(module).invertible_classes]
+    gens = [module.prime_power_matrix(u, 1) for u in classify_classes(module).invertible_classes]
     elements = {linalg.identity(r, p).tobytes(): linalg.identity(r, p)}
     frontier = list(elements.values())
     while frontier:
@@ -499,16 +513,12 @@ def gamma_group(module):
     return GammaGroup(tuple(elements.values()), contains)
 
 
-def _restrict(rows, mat, p):
-    """Action of mat on the row space spanned by rows, in the rows basis."""
-    img = (rows @ mat) % p
-    out = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.int64)
-    for i in range(rows.shape[0]):
-        x = linalg.solve_in_rowspan(rows, img[i], p)
-        if x is None:
-            raise InternalInvariantError("subspace not stable under the sampled action")
-        out[i] = x
-    return out
+def _restrict(rows, mats, p):
+    """Actions of the matrices on the row space spanned by rows, in the rows basis."""
+    x = linalg.solve_rows(rows, np.concatenate([(rows @ mat) % p for mat in mats]), p)
+    if x is None:
+        raise InternalInvariantError("subspace not stable under the sampled action")
+    return np.split(x, len(mats))
 
 
 def submodule(parent, vec):
@@ -520,32 +530,15 @@ def submodule(parent, vec):
     module).
     """
     p = parent.p
-    source = (
-        [parent.class_matrices[u] for u in parent.classes]
-        if parent.conductor
-        else list(_distinct(parent.per_prime.values()))
-    )
+    if parent.conductor:
+        source = [parent.prime_power_matrix(u, 1) for u in parent.classes]
+    else:
+        source = _distinct(parent.per_prime.values())
     W = _closure(vec, source, p, parent.dim)  # a subspace: the cap never binds
-    restricted = {ell: _restrict(W, mat, p) for ell, mat in parent.per_prime.items()}
-    conductor, class_matrices, _ = _detect_conductor(restricted, p, parent.weight, W.shape[0])
-    status_modulus, status_by_class = _detect_status(restricted, p, W.shape[0])
-    series = (W @ parent.vector_series.astype(np.int64)) % p
+    restricted = dict(zip(parent.per_prime, _restrict(W, parent.per_prime.values(), p)))
+    series = ((W @ parent.vector_series.astype(np.int64)) % p).astype(np.uint8)
     amb = (W @ parent.ambient_coords) % p
-    f_coords = np.zeros(W.shape[0], dtype=np.int64)
-    f_coords[0] = 1
-    return HeckeModule(
-        p,
-        parent.weight,
-        parent.ambient,
-        amb,
-        series.astype(np.uint8),
-        restricted,
-        conductor,
-        class_matrices,
-        status_modulus,
-        status_by_class,
-        f_coords,
-    )
+    return _assemble(p, parent.weight, parent.ambient, amb, series, restricted, False)
 
 
 def _distinct(mats):
@@ -619,8 +612,7 @@ def _split_blocks(module, X, gens):
     out = []
     for rows in blocks:
         nilpotent_on_block = {}
-        for mat in gens:
-            restr = _restrict(rows, mat, p)
+        for mat, restr in zip(gens, _restrict(rows, gens, p)):
             mp_m = linalg.min_poly(restr, p)
             roots_m, left_m = linalg.strip_linear_factors(mp_m, p)
             if len(left_m) > 1:
@@ -699,7 +691,9 @@ def equidistribution_report(module):
     scalar_values = ()
     if module.dim == 1:
         invertible = classify_classes(module).invertible_classes
-        scalar_values = tuple(sorted({int(module.class_matrices[u][0, 0]) for u in invertible}))
+        scalar_values = tuple(
+            sorted({int(module.prime_power_matrix(u, 1)[0, 0]) for u in invertible})
+        )
         # on a line, Gamma is the group these scalars generate in F_p^x
         converse = gamma.order < p - 1
     return EquidistributionReport(

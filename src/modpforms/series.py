@@ -183,7 +183,7 @@ def mul(a, b):
     out_len = min(a.prec, b.prec)
     budget = max(8, int(_SPARSE_FRACTION * out_len))
     for dense, other in ((a, b), (b, a)):
-        idx = np.flatnonzero(other.coeffs)
+        idx = np.flatnonzero(other.coeffs != 0)
         if len(idx) <= budget:
             return QSeries(
                 a.p, kernels.mul_sparse(dense.coeffs, idx, other.coeffs[idx], a.p, out_len)

@@ -4,8 +4,9 @@ Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, powers, cusp-form powers, square-full
-sums, sparse products and the decomposition oracle are kept here as
-differential references for the fast paths that replaced them.
+sums, sparse products, restriction to a submodule and the decomposition
+oracle are kept here as differential references for the fast paths that
+replaced them.
 """
 
 import math
@@ -16,6 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from modpforms import linalg
+from modpforms.errors import InternalInvariantError
+from modpforms.module import classify_classes
 from modpforms.series import QSeries, one, zero
 
 
@@ -274,6 +277,18 @@ def squarefull_buckets_walk(module, seed, cu, s_bound, inv_classes):
     return sums, vecs, tail
 
 
+def restrict_per_row(rows, mat, p):
+    """module._restrict for one matrix, one solve_in_rowspan per image row."""
+    img = (rows @ mat) % p
+    out = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.int64)
+    for i in range(rows.shape[0]):
+        x = linalg.solve_in_rowspan(rows, img[i], p)
+        if x is None:
+            raise InternalInvariantError("subspace not stable under the sampled action")
+        out[i] = x
+    return out
+
+
 @dataclass(frozen=True)
 class OracleRecord:
     n: int
@@ -299,16 +314,16 @@ def decomposition_oracle_per_index(components, X, p):
         fac = factor_with_spf(n, spf)
         total = 0
         parts = []
-        for comp, cache in zip(components, caches):
-            value, split = _component_prediction(comp, fac, cache)
+        for module, cache in zip(components, caches):
+            value, split = _component_prediction(module, fac, cache)
             total = (total + value) % p
             parts.append(split)
         records.append(OracleRecord(n, total, tuple(parts)))
     return records
 
 
-def _component_prediction(comp, fac, cache):
-    module = comp.module
+def _component_prediction(module, fac, cache):
+    report = classify_classes(module)
     p = module.p
     v = module.f_coords
     m = m_prime = m_dfull = 1
@@ -323,7 +338,7 @@ def _component_prediction(comp, fac, cache):
     if v.any():
         # nilpotent exponent-one primes: f' = T_{m'} f''
         for q, e in fac.items():
-            if e == 1 and q % module.conductor in comp.nil_classes:
+            if e == 1 and q % module.conductor in report.nilpotent_classes:
                 m_prime *= q
                 v = module.apply_class(v, q % module.conductor)
                 if not v.any():
@@ -331,7 +346,7 @@ def _component_prediction(comp, fac, cache):
     if v.any():
         # invertible exponent-one primes, then the a_1 functional
         for q, e in fac.items():
-            if e == 1 and q % module.conductor in comp.inv_classes:
+            if e == 1 and q % module.conductor in report.invertible_classes:
                 m *= q
                 v = module.apply_class(v, q % module.conductor)
     value = module.coefficient(v, 1) if v.any() else 0

@@ -6,7 +6,9 @@ import pytest
 from modpforms import linalg, module
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, miller_basis
+from modpforms.densities import _lift_weight
 from modpforms.errors import ConductorNotFoundError, SpanNotClosedError
+from modpforms.expr import evaluate, parse_form_expression
 from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell
 from modpforms.module import (
     HeckeModule,
@@ -19,10 +21,11 @@ from modpforms.module import (
     pure_decomposition,
     strict_nilpotence_order,
     submodule,
+    work_precision,
 )
 from modpforms.series import delta_power, linear_combine
 
-from oracles import tau
+from oracles import restrict_per_row, tau
 
 
 def _delta_form(p, k, sample_bound=2000):
@@ -337,6 +340,50 @@ class TestSubmodule:
         assert sub.conductor == 3
         rep = classify_classes(sub)
         assert rep.nilpotent_classes == (2,)
+
+
+class TestRestrictAgainstPerRow:
+    """Every matrix decompose restricts equals the per-row solve of the reference."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        batched = module._restrict
+
+        def spy(rows, mats, p):
+            mats = list(mats)
+            out = batched(rows, mats, p)
+            calls.append((rows, mats, p, out))
+            return out
+
+        monkeypatch.setattr(module, "_restrict", spy)
+        return calls
+
+    @staticmethod
+    def _check(calls):
+        assert calls
+        for rows, mats, p, out in calls:
+            assert len(out) == len(mats)
+            for mat, restricted in zip(mats, out):
+                assert np.array_equal(restricted, restrict_per_row(rows, mat, p))
+
+    def test_delta_square_minus_delta_mod7(self, calls):
+        f = evaluate(parse_form_expression("delta^2-delta"), 7, work_precision(24, 600))
+        parent = build_module(f, sample_bound=600)
+        assert parent.conductor == 7
+        assert len(decompose(parent)) == 2
+        self._check(calls)
+
+    def test_w_delta_cubed_mod7_has_no_conductor(self, calls):
+        # lifted as densities.profile lifts it; submodule closes under per_prime
+        series = apply_W(delta_power(7, 3, work_precision(36, 600)))
+        lifted = _lift_weight(series, 7, 36)
+        parent = build_module(lifted, sample_bound=600, require_conductor=False)
+        assert parent.conductor is None
+        parts = decompose(parent)
+        assert sorted(part.module.dim for part in parts) == [1, 2]
+        assert [part.module.conductor for part in parts if part.module.dim == 2] == [None]
+        self._check(calls)
 
 
 class TestEquidistribution:
