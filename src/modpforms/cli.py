@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Deterministic output: fixed key order, floats at 12 significant digits,
-seeded randomness.  Exit codes: 0 success, 2 input error, 3 mathematical
-failure (conductor not found, splitting field needed), 4 internal
-invariant failure.
+no randomness (--seed is accepted and ignored).  Exit codes: 0 success,
+2 input error, 3 mathematical failure (conductor not found, splitting
+field needed), 4 internal invariant failure.
 
 Each command parses and evaluates its form once, builds at most one Hecke
 module, and formats what the library's report builders return.
@@ -127,7 +127,6 @@ def _leading_constants(args, f):
         prime_bound=args.prime_bound,
         sfull_bound=args.sfull_bound,
         sample_bound=args.sample_bound,
-        seed=args.seed,
     )
 
 
@@ -177,7 +176,7 @@ def cmd_module(args):
     f = _evaluate_form(args)
     mod = module_mod.build_module(f, sample_bound=args.sample_bound)
     report = module_mod.classify_classes(mod)
-    prof = densities.module_profile(mod, seed=args.seed, with_constants=False)
+    prof = densities.module_profile(mod, with_constants=False)
     equi = module_mod.equidistribution_report(mod)
     classes = []
     for u in mod.classes:
@@ -216,7 +215,7 @@ def cmd_decompose(args):
     f = _evaluate_form(args)
     mod = module_mod.build_module(f, sample_bound=args.sample_bound, require_conductor=False)
     payload_parts = []
-    for pp in densities.component_profiles(mod, seed=args.seed, with_constants=False):
+    for pp in densities.component_profiles(mod, with_constants=False):
         sub = pp.module
         payload_parts.append(
             {
@@ -329,7 +328,7 @@ def cmd_compare(args):
 
 def cmd_oracle(args):
     f, table = _evaluate_with_table(args, args.xmax)
-    comps = counting.oracle_components(f, seed=args.seed, sample_bound=args.sample_bound)
+    comps = counting.oracle_components(f, sample_bound=args.sample_bound)
     matches, total, mismatches = counting.oracle_check(table, comps, args.xmax)
     if args.out == "json":
         _emit_json(
@@ -363,7 +362,7 @@ def cmd_constants(args):
     f = _evaluate_form(args)
     mod = module_mod.build_module(f, sample_bound=args.sample_bound)
     payload_parts = []
-    for pp in densities.component_profiles(mod, seed=args.seed, with_constants=False):
+    for pp in densities.component_profiles(mod, with_constants=False):
         cu = pp.euler_constant(args.prime_bound)
         payload_parts.append(
             {
@@ -399,10 +398,10 @@ _FLAGS = {
     "--param": dict(type=int, default=0),
 }
 _FORM = ("--p", "--form")
+# no command reads --seed: the seven commands that take it accept it only
+# because the benchmark runner (perfbench/run.py) appends one to every job
 _MODULE = _FORM + ("--prec", "--sample-bound", "--seed")
 _PREDICT = _MODULE + ("--squarefree", "--prime-bound", "--sfull-bound", "--xmax", "--checkpoints")
-# count draws nothing at random; it takes --seed because the benchmark
-# runner (perfbench/run.py) appends one to every job
 _COUNT = _FORM + ("--xmax", "--checkpoints", "--threads", "--out", "--seed")
 # oracle prints the bare match line unless asked for --out json
 _ORACLE = _FORM + ("--xmax", "--prec", "--sample-bound", "--seed")

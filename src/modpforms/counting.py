@@ -123,9 +123,9 @@ def _checked_bounds(checkpoints, x_max):
     return bounds
 
 
-def oracle_components(f, seed=0, **build_kwargs):
+def oracle_components(f, **build_kwargs):
     """The pure component modules of a form, for the oracle."""
-    parts = decompose(build_module(f, **build_kwargs), seed=seed)
+    parts = decompose(build_module(f, **build_kwargs))
     if not all(classify_classes(part.module).pure for part in parts):
         raise InternalInvariantError("decomposition produced a non-pure part")
     return [part.module for part in parts]

@@ -470,23 +470,23 @@ def _combine_parts(parts_with_weights, p):
     return AsymptoticProfile(alpha, h, c, c_err, per_value)
 
 
-def component_profiles(module, *, seed=0, **part_kw):
+def component_profiles(module, **part_kw):
     """The ComponentProfile of each pure component of a built module, in decomposition order.
 
     The module need not have a class-determined action; only the constant
     evaluation of an individual component insists on it.  part_kw are the
     keywords of _pure_profile.
     """
-    return [_pure_profile(part.module, **part_kw) for part in decompose(module, seed=seed)]
+    return [_pure_profile(part.module, **part_kw) for part in decompose(module)]
 
 
-def module_profile(module, *, seed=0, **part_kw):
+def module_profile(module, **part_kw):
     """Profile of the seed of a built module: its component profiles, combined.
 
     For a coprime-support form f this is profile(f), whose U_p tower is
     just [f, 0].
     """
-    profiles = component_profiles(module, seed=seed, **part_kw)
+    profiles = component_profiles(module, **part_kw)
     return _combine_parts([(1.0, pp) for pp in profiles], module.p)
 
 
@@ -522,7 +522,6 @@ def profile(
     prime_bound=DEFAULT_PRIME_BOUND,
     sfull_bound=DEFAULT_SFULL_BOUND,
     sample_bound=DEFAULT_SAMPLE_BOUND,
-    seed=0,
 ):
     """Full asymptotic profile of a (not necessarily coprime-support) form.
 
@@ -598,7 +597,7 @@ def profile(
             continue
         g = _lift_weight(g_series, p, f.weight)
         module = build_module(g, sample_bound=sample_bound, require_conductor=False)
-        contributions.append((weight, module_profile(module, seed=seed, **part_kw)))
+        contributions.append((weight, module_profile(module, **part_kw)))
 
     live = [(w, pr) for w, pr in contributions if pr is not None]
     if not live:

@@ -59,7 +59,6 @@ DEFAULT_SAMPLE_BOUND = 2000
 DIMENSION_CAP = 64
 GAMMA_ORDER_CAP = 100000
 MAX_CONDUCTOR_EXPONENT = 4
-DECOMPOSE_ATTEMPTS = 8  # random algebra elements tried before giving up
 _SLACK = 8
 
 NILPOTENT = "nilpotent"
@@ -179,11 +178,7 @@ class HeckeModule:
             source = [self.prime_power_matrix(u, 1) for u in self.classes]
         else:
             source = self.per_prime.values()
-        out = {}
-        for mat in source:
-            if linalg.is_nilpotent(mat, self.p):
-                out[mat.tobytes()] = mat
-        return [out[k] for k in sorted(out)]
+        return [mat for mat in _distinct(source) if linalg.is_nilpotent(mat, self.p)]
 
     def coefficient(self, vec, n):
         """a_n of the form with the given module coordinates."""
@@ -548,81 +543,43 @@ def _distinct(mats):
     return [seen[k] for k in sorted(seen)]
 
 
-def decompose(module, seed=0):
+def decompose(module):
     """Canonical decomposition of the module seed into pure components.
 
-    Splits the module into joint generalized eigenspaces of the commuting
-    sampled matrices via a random algebra element, drops components where
-    the seed projects to zero, and groups the rest by their sets of
+    Refines the whole module, one distinct sampled matrix at a time, into
+    the generalized eigenspaces of each matrix on each block, recording on
+    every block which matrices act with eigenvalue 0.  The final blocks are
+    the joint generalized eigenspaces; blocks where the seed projects to
+    zero are dropped and the rest grouped by their sets of
     nilpotently-acting status classes.  Raises SplittingFieldNeededError
-    when the eigen-system is not rational over F_p.
+    when an eigen-system is not rational over F_p.
     """
-    p = module.p
-    r = module.dim
-    report = classify_classes(module)
-    if report.pure:
+    if classify_classes(module).pure:
         nil_status = frozenset(
             u for u, st in module.status_by_class.items() if st == NILPOTENT
         )
         return [PureComponent(module, nil_status, module.f_coords.copy())]
-
-    gens = _distinct(module.per_prime.values())
-    rng = np.random.default_rng(seed)
-    last_error = None
-    for _ in range(DECOMPOSE_ATTEMPTS):
-        coeffs = rng.integers(0, p, size=len(gens))
-        X = np.zeros((r, r), dtype=np.int64)
-        for c, mat in zip(coeffs, gens):
-            X = (X + int(c) * mat) % p
-        try:
-            blocks = _split_blocks(module, X, gens)
-        except _NotSeparated as exc:
-            last_error = exc
-            continue
-        return _group_blocks(module, blocks)
-    raise SplittingFieldNeededError(
-        f"failed to separate joint eigenspaces after {DECOMPOSE_ATTEMPTS} attempts ({last_error})"
-    )
+    blocks = [(linalg.identity(module.dim, module.p), {})]
+    for mat in _distinct(module.per_prime.values()):
+        blocks = [sub for rows, nil in blocks for sub in _eigenspaces(rows, nil, mat, module.p)]
+    return _group_blocks(module, blocks)
 
 
-class _NotSeparated(Exception):
-    pass
-
-
-def _split_blocks(module, X, gens):
-    p = module.p
-    r = module.dim
-    mp = linalg.min_poly(X, p)
-    roots, leftover = linalg.strip_linear_factors(mp, p)
+def _eigenspaces(rows, nil_by_mat, mat, p):
+    """The generalized eigenspaces of mat on the block spanned by rows, as blocks."""
+    (restr,) = _restrict(rows, [mat], p)
+    roots, leftover = linalg.strip_linear_factors(linalg.min_poly(restr, p), p)
     if len(leftover) > 1:
         raise SplittingFieldNeededError(
-            "an algebra element has an irreducible factor of degree "
+            "a sampled action has an irreducible factor of degree "
             f"{len(leftover) - 1} in its minimal polynomial over F_{p}"
         )
-    blocks = []
-    for lam in sorted(set(roots)):
-        mult = roots.count(lam)
-        ker = linalg.nullspace(
-            linalg.matpow((X - lam * linalg.identity(r, p)) % p, mult, p), p
-        )
-        blocks.append(ker)
-    if sum(b.shape[0] for b in blocks) != r:
-        raise InternalInvariantError("generalized eigenspaces do not fill the module")
-    # every sampled matrix must act with a single eigenvalue on every block
+    ident = linalg.identity(rows.shape[0], p)
     out = []
-    for rows in blocks:
-        nilpotent_on_block = {}
-        for mat, restr in zip(gens, _restrict(rows, gens, p)):
-            mp_m = linalg.min_poly(restr, p)
-            roots_m, left_m = linalg.strip_linear_factors(mp_m, p)
-            if len(left_m) > 1:
-                raise SplittingFieldNeededError(
-                    "a sampled action has a non-rational eigen-system on a component"
-                )
-            if len(set(roots_m)) != 1:
-                raise _NotSeparated("a sampled action has several eigenvalues on one block")
-            nilpotent_on_block[mat.tobytes()] = roots_m[0] == 0
-        out.append((rows, nilpotent_on_block))
+    for lam in sorted(set(roots)):
+        power = linalg.matpow((restr - lam * ident) % p, roots.count(lam), p)
+        sub = (linalg.nullspace(power, p) @ rows) % p
+        out.append((sub, {**nil_by_mat, mat.tobytes(): lam == 0}))
     return out
 
 
@@ -665,7 +622,7 @@ def _group_blocks(module, blocks):
     return out
 
 
-def pure_decomposition(f, seed=0, **build_kwargs):
+def pure_decomposition(f, **build_kwargs):
     """Split a form into its canonical pure summands, as graded forms.
 
     Purity only needs the action matrices, so the class-determined
@@ -673,13 +630,10 @@ def pure_decomposition(f, seed=0, **build_kwargs):
     """
     build_kwargs.setdefault("require_conductor", False)
     module = build_module(f, **build_kwargs)
-    parts = decompose(module, seed=seed)
-    out = []
-    for part in parts:
-        amb = linalg.matvec(part.coords_in_parent, module.ambient_coords, module.p)
-        series = from_coordinates(amb, module.ambient, f.prec)
-        out.append(GradedForm(series, f.weight))
-    return out
+    return [
+        GradedForm(module.vector_to_series(part.coords_in_parent, f.prec), f.weight)
+        for part in decompose(module)
+    ]
 
 
 def equidistribution_report(module):

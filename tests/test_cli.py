@@ -77,6 +77,20 @@ class TestModuleCommand:
         assert first == second
 
 
+class TestSeedIsIgnored:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "--p", "7", "--form", "delta^2-delta"),
+            ("predict", "--p", "7", "--form", "delta^2", "--squarefree"),
+        ],
+    )
+    def test_same_output_for_every_seed(self, capsys, argv):
+        runs = [run_cli(capsys, *argv, "--seed", seed) for seed in ("0", "1", "2")]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 class TestPredictCommand:
     def test_mod7_squarefree(self, capsys):
         code, out, _ = run_cli(

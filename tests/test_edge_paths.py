@@ -65,13 +65,15 @@ class TestClasslessModule:
         assert parts[0].series == f.series
 
 
-def _synthetic_module(per_prime_mat, p, dim):
-    # enough structure for decompose/classify on handcrafted matrices
+def _synthetic_module(action, p, dim, f_coords=None):
+    # enough structure for decompose/classify on handcrafted matrices;
+    # action maps a prime's class mod p to its matrix
     primes = [2, 5, 7, 11, 13, 17, 19, 23]
-    per_prime = {ell: per_prime_mat % p for ell in primes}
-    f_coords = np.zeros(dim, dtype=np.int64)
-    f_coords[0] = 1
-    f_coords[-1] = 1
+    per_prime = {ell: action(ell % p) % p for ell in primes}
+    if f_coords is None:
+        f_coords = np.zeros(dim, dtype=np.int64)
+        f_coords[0] = 1
+        f_coords[-1] = 1
     return HeckeModule(
         p=p,
         weight=12,
@@ -97,9 +99,26 @@ class TestSplittingField:
         mat[0, 1] = 1
         mat[1, 0] = -1 % p
         mat[1, 1] = -1 % p
-        module = _synthetic_module(mat, p, 3)
+        module = _synthetic_module(lambda u: mat, p, 3)
         with pytest.raises(SplittingFieldNeededError, match="irreducible"):
-            decompose(module, seed=0)
+            decompose(module)
+
+
+class TestDeterministicDecompose:
+    def test_more_eigen_systems_than_field_elements(self):
+        # four rational joint eigen-systems mod 3: any one algebra element
+        # has at most three eigenvalues, so only a matrix-by-matrix
+        # refinement separates them
+        p = 3
+        by_class = {
+            1: np.diag([0, 0, 1, 1]),
+            2: np.diag([0, 1, 0, 1]),
+        }
+        module = _synthetic_module(by_class.get, p, 4, np.ones(4, dtype=np.int64))
+        parts = decompose(module)
+        assert [sorted(part.nil_classes) for part in parts] == [[], [1], [1, 2], [2]]
+        assert all(part.module.dim == 1 for part in parts)
+        assert np.array_equal(sum(part.coords_in_parent for part in parts) % p, np.ones(4))
 
 
 class TestNonEquidistributedConstants:

@@ -294,7 +294,7 @@ class TestDecompose:
         assert parts[0].nil_classes == frozenset({2})  # status classes mod 3
 
     def test_delta_square_mod7_components(self, delta2_mod7_module):
-        parts = decompose(delta2_mod7_module, seed=0)
+        parts = decompose(delta2_mod7_module)
         assert len(parts) == 2
         by_nil = {part.nil_classes: part for part in parts}
         assert set(by_nil) == {frozenset({6}), frozenset({3, 5, 6})}
