@@ -49,9 +49,9 @@ def rref(mat, p):
         i = r + nz[0]
         m[[r, i]] = m[[i, r]]
         m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        for j in range(rows):
-            if j != r and m[j, c]:
-                m[j] = (m[j] - m[j, c] * m[r]) % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -85,10 +85,6 @@ def inverse(mat, p):
     if pivots != list(range(n)):
         raise InternalInvariantError("matrix not invertible")
     return red[:, n:]
-
-
-def is_nilpotent(mat, p):
-    return not matpow(mat, mat.shape[0], p).any()
 
 
 def nullspace(mat, p):

@@ -19,10 +19,15 @@ matrix.  Two layers of congruence structure are then detected:
   congruence datum for the reducible representations in scope, and it is
   what the density exponent needs.
 
-Classification, purity, the strict order of nilpotence (a breadth-first
-search over the distinct nilpotent action matrices, so it does not need
-the full conductor), the canonical pure decomposition and the group of
-invertible actions sit on top.
+Classification, purity, the strict order of nilpotence, the canonical
+pure decomposition and the group of invertible actions sit on top.  The
+status of each distinct matrix is found once, with one batched
+nilpotency test by repeated squaring and a determinant only for the
+rest.  The order of nilpotence h is the last j at which the subspace
+chain W_0 = <f>, W_{j+1} = sum of W_j M over the distinct nilpotent
+action matrices M is nonzero: at most dim row reductions, and no need
+for the full conductor.  The closure behind every module basis keeps one reduced
+echelon form and reduces each new image against it.
 
 One function, _assemble, turns basis rows and per-prime matrices into a
 module, for build_module and submodule alike; both put images into module
@@ -66,12 +71,32 @@ INVERTIBLE = "invertible"
 MIXED = "mixed"
 
 
-def _status_of(mat, p):
-    if linalg.is_nilpotent(mat, p):
-        return NILPOTENT
-    if linalg.det(mat, p) != 0:
-        return INVERTIBLE
-    return MIXED
+def _nilpotent(mats, p):
+    """Boolean mask of the nilpotent matrices in a list of r x r matrices.
+
+    Squares the whole stack mod p until the exponent reaches r: M^(2^j)
+    with 2^j >= r vanishes exactly when M is nilpotent.
+    """
+    power = np.stack(mats) % p
+    exponent = 1
+    while exponent < power.shape[1]:
+        power = np.matmul(power, power) % p
+        exponent *= 2
+    return ~power.any(axis=(1, 2))
+
+
+def _statuses(mats, p):
+    """NILPOTENT, INVERTIBLE or MIXED for each matrix of a list.
+
+    Each distinct matrix is classified once: nilpotency for all of them in
+    one batch, a determinant only for those that are not nilpotent.
+    """
+    distinct = _distinct(mats)
+    status = {
+        mat.tobytes(): NILPOTENT if nil else INVERTIBLE if linalg.det(mat, p) else MIXED
+        for mat, nil in zip(distinct, _nilpotent(distinct, p))
+    }
+    return [status[mat.tobytes()] for mat in mats]
 
 
 class HeckeModule:
@@ -178,7 +203,8 @@ class HeckeModule:
             source = [self.prime_power_matrix(u, 1) for u in self.classes]
         else:
             source = self.per_prime.values()
-        return [mat for mat in _distinct(source) if linalg.is_nilpotent(mat, self.p)]
+        mats = _distinct(source)
+        return [mat for mat, nil in zip(mats, _nilpotent(mats, self.p)) if nil]
 
     def coefficient(self, vec, n):
         """a_n of the form with the given module coordinates."""
@@ -253,24 +279,34 @@ def work_precision(weight, sample_bound=DEFAULT_SAMPLE_BOUND):
 def _closure(seed, matrices, p, max_dim):
     """Rows spanning the closure of seed under the matrices, seed first.
 
-    Breadth-first: each new image outside the current span is appended and
-    queued; raises SpanNotClosedError once the span exceeds max_dim.
+    The last row queued is taken first, and its image under each matrix in
+    turn is appended and queued when it lies outside the current span;
+    raises SpanNotClosedError once the span exceeds max_dim.  The span is
+    kept as one reduced echelon form (echelon[:, pivots] is the identity),
+    so w reduces to w - w[pivots] @ echelon, which is zero exactly on the
+    span, and each appended row adds one reduced row.
     """
-    rows = [seed % p]
-    span_rref = linalg.row_basis(np.stack(rows), p)
-    queue = [rows[0]]
-    while queue:
-        v = queue.pop()
-        for mat in matrices:
-            w = linalg.matvec(v, mat, p)
-            if not w.any() or linalg.solve_in_rowspan(span_rref, w, p) is not None:
+    stack = np.stack(matrices)
+    rows, queue = [], []
+    echelon = np.zeros((0, len(seed)), dtype=np.int64)
+    pivots = []
+    images = [seed % p]
+    while True:
+        for w in images:
+            red = (w - w[pivots] @ echelon) % p
+            if not red.any():
                 continue
             rows.append(w)
             queue.append(w)
-            span_rref = linalg.row_basis(np.stack(rows), p)
             if len(rows) > max_dim:
                 raise SpanNotClosedError(f"closure exceeded the dimension cap {max_dim}")
-    return np.stack(rows)
+            c = int(np.flatnonzero(red)[0])
+            red = (red * pow(int(red[c]), p - 2, p)) % p
+            echelon = np.vstack([(echelon - np.outer(echelon[:, c], red)) % p, red])
+            pivots.append(c)
+        if not queue:
+            return np.stack(rows)
+        images = (queue.pop() @ stack) % p
 
 
 def check_sample_bound(sample_bound):
@@ -404,7 +440,7 @@ def _detect_status(per_prime, p, r):
     layer of the action, so it exists (with a small modulus) whenever the
     underlying representations are reducible with p-power conductors.
     """
-    statuses = {ell: _status_of(mat, p) for ell, mat in per_prime.items()}
+    statuses = dict(zip(per_prime, _statuses(list(per_prime.values()), p)))
     failure = None
     for exponent in range(1, MAX_CONDUCTOR_EXPONENT + 1):
         cand = p**exponent
@@ -439,7 +475,9 @@ def classify_classes(module):
         return module._report
     p = module.p
     if module.conductor is not None:
-        statuses = {u: _status_of(module.prime_power_matrix(u, 1), p) for u in module.classes}
+        classes = module.classes
+        mats = [module.prime_power_matrix(u, 1) for u in classes]
+        statuses = dict(zip(classes, _statuses(mats, p)))
         modulus = module.conductor
     else:
         statuses = dict(module.status_by_class)
@@ -454,30 +492,28 @@ def classify_classes(module):
 def strict_nilpotence_order(module):
     """Longest chain of nilpotent-prime actions that keeps the seed nonzero.
 
-    Runs a breadth-first search over the distinct nilpotent action
-    matrices, so it works whether or not the action is class-determined.
+    Follows the subspace chain W_0 = <f>, W_{j+1} = sum over the distinct
+    nilpotent action matrices M of W_j M, and returns the last j with W_j
+    nonzero: the span of the vectors reached by j actions is W_j.  It uses
+    only the sampled matrices, so it works whether or not the action is
+    class-determined.  The matrices commute, so W_j lies in f I^j for the
+    nilpotent algebra I they generate, and f I^j loses a dimension at each
+    step until it is zero: h < dim, and a chain still nonzero after dim
+    steps is an invariant failure.  The work is at most dim row reductions.
     """
     if not classify_classes(module).pure:
         raise ValueError("module is not pure; decompose into pure parts first")
+    p, r = module.p, module.dim
     vec = module.f_coords
     if not vec.any():
         raise ValueError("seed vector is zero")
-    mats = module.nilpotent_matrices()
-    level = {vec.tobytes(): vec}
-    h = 0
-    while True:
-        nxt = {}
-        for v in level.values():
-            for m in mats:
-                w = linalg.matvec(v, m, module.p)
-                if w.any():
-                    nxt[w.tobytes()] = w
-        if not nxt:
+    stack = np.array(module.nilpotent_matrices(), dtype=np.int64).reshape(-1, r, r)
+    span = vec.reshape(1, r)
+    for h in range(r):
+        span = linalg.row_basis((span @ stack).reshape(-1, r), p)
+        if not len(span):
             return h
-        level = nxt
-        h += 1
-        if h > module.dim:
-            raise InternalInvariantError("nilpotence order exceeded the module dimension")
+    raise InternalInvariantError("nilpotence chain still nonzero after dim(module) steps")
 
 
 def gamma_group(module):

@@ -4,8 +4,9 @@ Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, powers, cusp-form powers, square-full
-sums, sparse products, restriction to a submodule and the decomposition
-oracle are kept here as differential references for the fast paths that
+sums, sparse products, restriction to a submodule, the decomposition
+oracle, row reduction one row at a time, the module closure, the
+per-matrix status and the nilpotence-order search are kept here as differential references for the fast paths that
 replaced them.
 """
 
@@ -17,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from modpforms import linalg
-from modpforms.errors import InternalInvariantError
-from modpforms.module import classify_classes
+from modpforms.errors import InternalInvariantError, SpanNotClosedError
+from modpforms.module import INVERTIBLE, MIXED, NILPOTENT, classify_classes
 from modpforms.series import QSeries, one, zero
 
 
@@ -351,3 +352,90 @@ def _component_prediction(module, fac, cache):
                 v = module.apply_class(v, q % module.conductor)
     value = module.coefficient(v, 1) if v.any() else 0
     return value, (m, m_prime, m_dfull)
+
+
+def rref_row_by_row(mat, p):
+    """linalg.rref clearing each pivot column one row at a time."""
+    m = mat.astype(np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if len(nz) == 0:
+            continue
+        i = r + nz[0]
+        m[[r, i]] = m[[i, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        for j in range(rows):
+            if j != r and m[j, c]:
+                m[j] = (m[j] - m[j, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def closure_row_basis(seed, matrices, p, max_dim):
+    """module._closure with one solve_in_rowspan per image and row_basis per new row."""
+    rows = [seed % p]
+    span_rref = linalg.row_basis(np.stack(rows), p)
+    queue = [rows[0]]
+    while queue:
+        v = queue.pop()
+        for mat in matrices:
+            w = linalg.matvec(v, mat, p)
+            if not w.any() or linalg.solve_in_rowspan(span_rref, w, p) is not None:
+                continue
+            rows.append(w)
+            queue.append(w)
+            span_rref = linalg.row_basis(np.stack(rows), p)
+            if len(rows) > max_dim:
+                raise SpanNotClosedError(f"closure exceeded the dimension cap {max_dim}")
+    return np.stack(rows)
+
+
+def status_of(mat, p):
+    """Status of one matrix: M^r == 0 by matpow, then its determinant."""
+    if not linalg.matpow(mat, mat.shape[0], p).any():
+        return NILPOTENT
+    if linalg.det(mat, p) != 0:
+        return INVERTIBLE
+    return MIXED
+
+
+def nilpotent_matrices_per_matrix(module):
+    """module.nilpotent_matrices, each candidate tested by status_of."""
+    if module.conductor:
+        source = [module.prime_power_matrix(u, 1) for u in module.classes]
+    else:
+        source = module.per_prime.values()
+    distinct = {mat.tobytes(): mat for mat in source}
+    keys = [key for key in sorted(distinct) if status_of(distinct[key], module.p) == NILPOTENT]
+    return [distinct[key] for key in keys]
+
+
+def nilpotence_order_bfs(module):
+    """module.strict_nilpotence_order as a breadth-first search over distinct vectors.
+
+    Level j holds every distinct nonzero vector reached from the seed by j
+    nilpotent actions; h is the last nonempty level.
+    """
+    mats = nilpotent_matrices_per_matrix(module)
+    vec = module.f_coords
+    level = {vec.tobytes(): vec}
+    h = 0
+    while True:
+        nxt = {}
+        for v in level.values():
+            for m in mats:
+                w = linalg.matvec(v, m, module.p)
+                if w.any():
+                    nxt[w.tobytes()] = w
+        if not nxt:
+            return h
+        level = nxt
+        h += 1
+        if h > module.dim:
+            raise InternalInvariantError("nilpotence order exceeded the module dimension")

@@ -1,10 +1,11 @@
-"""The batched coordinate solve against the per-row solve it replaced."""
+"""Row reduction and the batched coordinate solve against the routes they replaced."""
 
 import numpy as np
 import pytest
 
 from modpforms import linalg
 from modpforms.errors import InternalInvariantError
+from oracles import rref_row_by_row
 
 
 def _independent_rows(rng, k, n, p):
@@ -45,3 +46,18 @@ class TestSolveRows:
         rows = np.array([[1, 2, 0], [2, 4, 0]])
         with pytest.raises(InternalInvariantError):
             linalg.solve_rows(rows, rows, 5)
+
+
+class TestRref:
+    @pytest.mark.parametrize("p", [3, 7, 251])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 12), (40, 6), (600, 12)])
+    def test_matches_row_by_row(self, p, shape):
+        rng = np.random.default_rng(p + shape[0])
+        for rank in {1, min(shape) // 2 + 1, min(shape)}:
+            left = rng.integers(0, p, size=(shape[0], rank))
+            mat = left @ rng.integers(0, p, size=(rank, shape[1]))
+            got, pivots = linalg.rref(mat, p)
+            want, want_pivots = rref_row_by_row(mat, p)
+            assert pivots == want_pivots
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

@@ -1,0 +1,166 @@
+"""The module's subspace chain, batched statuses and incremental closure
+against their former routes in tests/oracles.py.
+
+Cases: the 13 forms of the paper's h-table (Delta^7 mod 3 among them, the
+module without a conductor), Delta^2 - Delta mod 7 (two pure components)
+and a synthetic mod-3 module with four joint eigen-systems.  Every call
+to module._closure made while building a case, by build_module or by
+submodule inside decompose, is recorded and replayed through the oracle.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from modpforms import linalg
+from modpforms import module as module_mod
+from modpforms.errors import InternalInvariantError, SpanNotClosedError
+from modpforms.expr import evaluate, parse_form_expression
+from modpforms.module import (
+    HeckeModule,
+    _statuses,
+    build_module,
+    classify_classes,
+    decompose,
+    strict_nilpotence_order,
+    work_precision,
+)
+from oracles import (
+    closure_row_basis,
+    nilpotence_order_bfs,
+    nilpotent_matrices_per_matrix,
+    status_of,
+)
+from test_acceptance import H_TABLE
+from test_edge_paths import _delta_form, _synthetic_module
+
+
+def _delta_module(k):
+    return build_module(_delta_form(3, k), require_conductor=False)
+
+
+def _two_component_module():
+    f = evaluate(parse_form_expression("delta^2-delta"), 7, work_precision(24))
+    return build_module(f, require_conductor=False)
+
+
+def _four_eigen_systems_module():
+    by_class = {1: np.diag([0, 0, 1, 1]), 2: np.diag([0, 1, 0, 1])}
+    return _synthetic_module(by_class.get, 3, 4, np.ones(4, dtype=np.int64))
+
+
+BUILDERS = {f"delta^{k} mod 3": lambda k=k: _delta_module(k) for k in H_TABLE}
+BUILDERS["delta^2-delta mod 7"] = _two_component_module
+BUILDERS["four eigen-systems mod 3"] = _four_eigen_systems_module
+CASES = list(BUILDERS)
+
+
+@lru_cache(maxsize=None)
+def _case(name):
+    """(the module, its pure parts, every (arguments, result) of _closure)."""
+    calls = []
+    closure = module_mod._closure
+
+    def recording(seed, matrices, p, max_dim):
+        rows = closure(seed, matrices, p, max_dim)
+        calls.append(((seed.copy(), [m.copy() for m in matrices], p, max_dim), rows))
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module_mod, "_closure", recording)
+        module = BUILDERS[name]()
+        parts = [part.module for part in decompose(module)]
+    return module, parts, calls
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_nilpotence_order_matches_search(name):
+    _, parts, _ = _case(name)
+    for part in parts:
+        assert strict_nilpotence_order(part) == nilpotence_order_bfs(part)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_statuses_match_per_matrix(name):
+    module, parts, _ = _case(name)
+    for m in [module] + parts:
+        mats = list(m.per_prime.values())
+        assert _statuses(mats, m.p) == [status_of(mat, m.p) for mat in mats]
+        assert [mat.tobytes() for mat in m.nilpotent_matrices()] == [
+            mat.tobytes() for mat in nilpotent_matrices_per_matrix(m)
+        ]
+        if m.conductor is not None:
+            statuses = classify_classes(m).statuses
+            assert statuses == {u: status_of(m.prime_power_matrix(u, 1), m.p) for u in m.classes}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_closure_matches_row_basis_route(name):
+    _, _, calls = _case(name)
+    assert calls
+    for args, rows in calls:
+        expected = closure_row_basis(*args)
+        assert rows.dtype == expected.dtype
+        assert np.array_equal(rows, expected)
+
+
+def test_cases_cover_every_path():
+    # a module without a conductor, splits into several parts, all statuses
+    assert _case("delta^7 mod 3")[0].conductor is None
+    assert len(_case("delta^2-delta mod 7")[1]) == 2
+    assert len(_case("four eigen-systems mod 3")[1]) == 4
+    seen = set()
+    for name in CASES:
+        module, parts, _ = _case(name)
+        for m in [module] + parts:
+            seen.update(_statuses(list(m.per_prime.values()), m.p))
+    assert seen == {"nilpotent", "invertible", "mixed"}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closure_of_sparse_matrices_matches_row_basis_route(seed):
+    # sparse matrices reach the span in several rounds, so the order in
+    # which queued rows are expanded shows in the returned basis
+    p, r = 5, 7
+    rng = np.random.default_rng(seed)
+    mats = [rng.integers(0, p, (r, r)) * (rng.random((r, r)) < 0.2) for _ in range(3)]
+    vec = np.eye(r, dtype=np.int64)[seed % r]
+    rows = module_mod._closure(vec, mats, p, r)
+    assert np.array_equal(rows, closure_row_basis(vec, mats, p, r))
+    cap = len(rows) - 1
+    with pytest.raises(SpanNotClosedError):
+        module_mod._closure(vec, mats, p, cap)
+    with pytest.raises(SpanNotClosedError):
+        closure_row_basis(vec, mats, p, cap)
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_single_jordan_block_statuses(r):
+    # the shift matrix has nilpotence index exactly r, so squaring must
+    # reach an exponent of at least r; adding the identity makes it
+    # invertible, and adding diag(0, 1, ..., 1) makes it mixed for r > 1
+    p = 5
+    shift = np.eye(r, k=1, dtype=np.int64)
+    mixed = shift + np.diag([0] + [1] * (r - 1))
+    mats = [shift, (shift + np.eye(r, dtype=np.int64)) % p, mixed % p]
+    assert _statuses(mats, p) == [status_of(mat, p) for mat in mats]
+    assert _statuses(mats, p)[0] == "nilpotent"
+
+
+class TestBoundedNilpotenceOrder:
+    @pytest.mark.parametrize("which", ["identity", "sampled invertible"])
+    def test_non_nilpotent_input_raises_within_dim_steps(self, monkeypatch, which):
+        module = _case("delta^17 mod 3")[0]
+        r, p = module.dim, module.p
+        if which == "identity":
+            mat = linalg.identity(r, p)
+        else:
+            mat = next(m for m in module.per_prime.values() if status_of(m, p) == "invertible")
+        monkeypatch.setattr(HeckeModule, "nilpotent_matrices", lambda self: [mat])
+        steps = []
+        row_basis = linalg.row_basis
+        monkeypatch.setattr(linalg, "row_basis", lambda *a: steps.append(1) or row_basis(*a))
+        with pytest.raises(InternalInvariantError, match="nilpotence chain"):
+            strict_nilpotence_order(module)
+        assert len(steps) <= r
