@@ -7,9 +7,9 @@ and shifted adds otherwise, at p = 3 and at p = 251 (250 distinct
 coefficients), table counting with per-value tallies, the divisor-sum
 sieve (Eisenstein series) and truncated dense multiplication (basis
 expansion); then the cusp form itself, built by Frobenius digits, the
-square-full sum of the leading constant of Delta mod 7 and the
-decomposition oracle of Delta^2 mod 3.  Times are the best of --repeat
-runs.
+square-full sums of the leading constants of Delta mod 7 and Delta^5
+mod 3 and the decomposition oracle of Delta^2 mod 3.  Times are the
+best of --repeat runs.
 
     python benchmarks/bench_kernels.py [--prec 1000000] [--repeat 3]
 """
@@ -87,18 +87,21 @@ def bench(prec, repeat):
         t = _time(lambda: delta_power(p, 1, prec), repeat)
         print(f"delta_power p={p}: {t * 1000:.1f}ms ({prec} coeffs)")
 
-    module = build_module(GradedForm(delta_power(7, 1, 4009), 12))
-    report = classify_classes(module)
-    beta = 1 - class_density(report.nilpotent_classes, report.modulus)
-    cu = euler_constant_C(report.invertible_classes, report.modulus, beta)
-    for s_bound in (10**8, 10**10):
-        t = _time(
-            lambda: squarefull_buckets(
-                module, module.f_coords, cu, s_bound, report.invertible_classes
-            ),
-            repeat,
-        )
-        print(f"squarefull_buckets delta mod 7 (S = {s_bound:.0e}): {t * 1000:.1f}ms")
+    # Delta^5 mod 3: conductor 27, dim 4, 16 buckets
+    for p, k, s_bounds in ((7, 1, (10**8, 10**10)), (3, 5, (10**10,))):
+        module = build_module(GradedForm(delta_power(p, k, 10009), 12 * k))
+        report = classify_classes(module)
+        beta = 1 - class_density(report.nilpotent_classes, report.modulus)
+        cu = euler_constant_C(report.invertible_classes, report.modulus, beta)
+        name = "delta" if k == 1 else f"delta^{k}"
+        for s_bound in s_bounds:
+            t = _time(
+                lambda: squarefull_buckets(
+                    module, module.f_coords, cu, s_bound, report.invertible_classes
+                ),
+                repeat,
+            )
+            print(f"squarefull_buckets {name} mod {p} (S = {s_bound:.0e}): {t * 1000:.1f}ms")
 
     components = oracle_components(GradedForm(delta_power(3, 2, 4009), 24))
     for x in (10**5, 10**6):

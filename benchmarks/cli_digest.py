@@ -56,6 +56,9 @@ EXTRA = [
     ("predict", "--p", "11", "--form", "delta"),
     ("predict", "--p", "5", "--form", "delta^3", "--prime-bound", "100000"),
     ("hecke", "--p", "5", "--form", "delta", "--op", "S", "--index", "2", "--prec", "20"),
+    # square-full sums with 10 and 16 buckets, h = 2 and 3
+    ("predict", "--p", "3", "--form", "delta^4"),
+    ("predict", "--p", "3", "--form", "delta^5"),
     # past series.MAX_PREC: exit 2
     ("expand", "--p", "3", "--form", "delta", "--prec", "10000001"),
 ]

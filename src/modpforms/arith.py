@@ -40,12 +40,13 @@ def primes_upto(n):
         if best is not None:
             arr = _prime_cache[best]
             return arr[: np.searchsorted(arr, n, side="right")]
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    arr = np.flatnonzero(sieve).astype(np.int64)
+    # odd numbers only: entry i stands for 2i + 1
+    sieve = np.ones((n + 1) // 2, dtype=bool)
+    sieve[0] = False
+    for q in range(3, math.isqrt(n) + 1, 2):
+        if sieve[q // 2]:
+            sieve[q * q // 2 :: q] = False
+    arr = np.concatenate(([2], 2 * np.flatnonzero(sieve) + 1)).astype(np.int64)
     arr.flags.writeable = False
     with _prime_lock:
         _prime_cache.clear()

@@ -182,6 +182,16 @@ def _check_sfull_bound(s_bound):
         )
 
 
+def _in_classes(pr, u_classes, modulus, r):
+    """Mask of the sorted primes pr that lie in the given classes and do not divide r."""
+    is_class = np.zeros(modulus, dtype=bool)
+    is_class[[int(u) % modulus for u in u_classes]] = True
+    in_u = is_class[pr % modulus]
+    r_primes = [q for q in factorize(r) if q <= pr[-1]]
+    in_u[np.searchsorted(pr, r_primes)] = False
+    return in_u
+
+
 def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BOUND):
     """Truncated Euler product (1/Gamma(beta)) prod w_l with its tail estimate.
 
@@ -196,12 +206,7 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
         raise ValueError("beta must lie strictly between 0 and 1")
     _check_prime_bound(prime_bound)
     pr = primes_upto(prime_bound)
-    u_arr = np.array(sorted({int(u) % modulus for u in u_classes}), dtype=np.int64)
-    in_u = np.isin(pr % modulus, u_arr)
-    if r != 1:
-        r_primes = np.array([q for q in factorize(r) if q <= prime_bound])
-        if len(r_primes):
-            in_u &= ~np.isin(pr, r_primes)
+    in_u = _in_classes(pr, u_classes, modulus, r)
     x = 1.0 / pr
     b = float(beta)
     logw = b * np.log1p(-x)
@@ -218,19 +223,25 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
     Skips s divisible by p.  Returns (dict image-bytes -> partial sum,
     dict image-bytes -> vector, tail bound 2.2 * max C(U,s) / sqrt(s_bound)).
 
-    The square-full s are built prime by prime, as parallel arrays of s,
-    image rows T_s(seed) and the weight C(U,s)/C(U).  Each prime
-    q <= s_bound^(1/4) extends, for each e >= 2, every row with
-    s <= s_bound // q^e by one batched product with T_{q^e}, the module's
-    prime_power_matrix for q's class.  A larger prime occurs at most once
-    in s, with e = 2 or 3, so its terms are taken per (class, e) from the
-    rows the small primes built.  An image that turns zero stays zero and
-    is dropped at once.  The terms are then summed per bucket in
-    increasing s, and the buckets kept in order of first appearance.
-    Primes are taken in increasing order, so each weight is divided by its
-    factors (1 + 1/q) in the same order as a walk over the factors of each
-    s; with the summation order, this makes the sums the floats of that
-    walk, bit for bit.
+    Each term carries s, its weight C(U,s)/C(U) and the id of its image
+    T_s(seed): ids number the distinct nonzero images in the order they
+    are found, and the zero image is -1.  Each (class u, e) applies the
+    module's prime_power_matrix(u, e) once to the table of distinct
+    images (and again to images found later), which gives a lookup
+    id -> id; the terms then move by integer gathers, and a term whose
+    image turns zero is dropped at once.  Each prime q <= s_bound^(1/4)
+    extends, for each e >= 2, every term with s <= s_bound // q^e; a term
+    past s_bound // q'^2 for the next prime q' is set aside, since no
+    later prime extends it.  A larger prime occurs at most once in s, with
+    e = 2 or 3, so its terms are taken per (class, e) from the terms the
+    small primes left open.  Every s occurs once (a repeat raises
+    InternalInvariantError), so the sort by s need not be stable; the
+    terms are summed per bucket in increasing s, and the buckets kept in
+    order of first appearance.  Primes are taken in increasing order, so
+    each weight is divided by its factors (1 + 1/q) in the same order as a
+    walk over the factors of each s; with the summation order, this makes
+    the sums the floats of that walk, bit for bit.  The returned vectors
+    are copies, one array each.
     """
     _check_sfull_bound(s_bound)
     p = module.p
@@ -240,67 +251,87 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
     classes = module.class_of(primes)
     split = int(np.searchsorted(primes, math.isqrt(math.isqrt(s_bound)), side="right"))
 
-    vecs = np.array(seed, dtype=np.int64, ndmin=2)
-    vecs = vecs[vecs.any(axis=1)]
-    s = np.ones(len(vecs), dtype=np.int64)
-    adjust = np.ones(len(vecs))
-    for q, u in zip(primes[:split].tolist(), classes[:split].tolist()):
-        grown = [(s, vecs, adjust)]
+    seed = np.array(seed, dtype=np.int64)
+    images = [seed] if seed.any() else []
+    id_of = {row.tobytes(): i for i, row in enumerate(images)}
+    steps = {}
+
+    def step(u, e):
+        """id -> id of the image under T_{l^e}, l in class u, for every image found so far."""
+        known = steps.get((u, e), np.zeros(0, dtype=np.int64))
+        if len(known) < len(images):
+            new = linalg.matvec(np.stack(images[len(known):]), module.prime_power_matrix(u, e), p)
+            more = []
+            for row in new:
+                key = row.tobytes()
+                if key not in id_of and row.any():
+                    id_of[key] = len(images)
+                    images.append(row)
+                more.append(id_of.get(key, -1))
+            known = steps[u, e] = np.concatenate([known, more]).astype(np.int64)
+        return known
+
+    ids = np.zeros(len(images), dtype=np.int64)
+    s = np.ones(len(images), dtype=np.int64)
+    adjust = np.ones(len(images))
+    # terms that no later prime can extend, set aside as each prime is done
+    terms = []
+    # the prime after each small prime; after the last one, s_bound, whose square exceeds every s
+    later = primes[1:].tolist() + [s_bound]
+    for q, u, nxt in zip(primes[:split].tolist(), classes[:split].tolist(), later):
+        grown = [(s, ids, adjust)]
         e, qe = 2, q * q
         while qe <= s_bound:
             take = s <= s_bound // qe
-            img = linalg.matvec(vecs[take], module.prime_power_matrix(u, e), p)
-            live = img.any(axis=1)
+            img = step(u, e)[ids[take]]
+            live = img >= 0
             weight = adjust[take][live]
             if u in inv_set:
                 weight = weight / (1.0 + 1.0 / q)
             grown.append((s[take][live] * qe, img[live], weight))
             e, qe = e + 1, qe * q
-        s, vecs, adjust = (np.concatenate(parts) for parts in zip(*grown))
+        s, ids, adjust = (np.concatenate(parts) for parts in zip(*grown))
+        keep = s <= s_bound // (nxt * nxt)
+        terms.append((s[~keep], ids[~keep], adjust[~keep]))
+        s, ids, adjust = s[keep], ids[keep], adjust[keep]
 
-    # each term: s, weight, and the index of its image row in `table`
-    terms = [(s, adjust, np.arange(len(s)))]
-    table = [vecs]
-    rows = len(vecs)
+    terms.append((s, ids, adjust))
     large, large_classes = primes[split:], classes[split:]
-    for u in np.unique(large_classes).tolist():
+    for u in np.flatnonzero(np.bincount(large_classes)).tolist():
         in_class = large[large_classes == u]
         e = 2
         while int(in_class[0]) ** e <= s_bound:
             in_class = in_class[in_class**e <= s_bound]
-            img = linalg.matvec(vecs, module.prime_power_matrix(u, e), p)
-            # how many primes of the class fit beside each row
+            img = step(u, e)[ids]
+            # how many primes of the class fit beside each term
             fits = np.searchsorted(in_class**e, s_bound // s, side="right")
-            live = np.flatnonzero(img.any(axis=1) & (fits > 0))
+            live = np.flatnonzero((img >= 0) & (fits > 0))
             fits = fits[live]
-            pos = np.repeat(np.arange(len(live)), fits)
-            row = live[pos]
-            qs = in_class[np.arange(len(pos)) - np.repeat(np.cumsum(fits) - fits, fits)]
+            row = np.repeat(live, fits)
+            qs = in_class[np.arange(len(row)) - np.repeat(np.cumsum(fits) - fits, fits)]
             weight = adjust[row]
             if u in inv_set:
                 weight = weight / (1.0 + 1.0 / qs)
-            terms.append((s[row] * qs**e, weight, rows + pos))
-            table.append(img[live])
-            rows += len(live)
+            terms.append((s[row] * qs**e, img[row], weight))
             e += 1
-    s, adjust, image = (np.concatenate(parts) for parts in zip(*terms))
-    order = np.argsort(s, kind="stable")
-    values = cu.value * adjust[order] / s[order]
-    distinct, bucket_of_row = np.unique(np.concatenate(table), axis=0, return_inverse=True)
-    # NumPy 2.0.0 returns this inverse as a column
-    bucket = bucket_of_row.reshape(-1)[image[order]]
+    s, ids, adjust = (np.concatenate(parts) for parts in zip(*terms))
+    order = np.argsort(s)
+    s = s[order]
+    if (s[1:] == s[:-1]).any():
+        raise InternalInvariantError("a square-full s occurs twice in the bucket sum")
+    values = cu.value * adjust[order] / s
+    ids = ids[order]
     # number the buckets by first appearance, so dict order and sums follow s
-    _, first = np.unique(bucket, return_index=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(by_first), dtype=np.int64)
-    rank[by_first] = np.arange(len(by_first))
-    totals = np.bincount(rank[bucket], weights=values, minlength=len(by_first))
+    first = np.full(len(images), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    by_first = np.argsort(first)[: int(np.count_nonzero(first < len(ids)))]
+    totals = np.bincount(ids, weights=values, minlength=len(images))
     sums = {}
     vecs = {}
-    for i, b in enumerate(by_first.tolist()):
-        key = distinct[b].tobytes()
-        sums[key] = float(totals[i])
-        vecs[key] = distinct[b]
+    for b in by_first.tolist():
+        key = images[b].tobytes()
+        sums[key] = float(totals[b])
+        vecs[key] = images[b].copy()
     return sums, vecs, 2.2 * cu.value / math.sqrt(s_bound)
 
 

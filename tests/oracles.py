@@ -4,9 +4,10 @@ Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, powers, cusp-form powers, square-full
-sums, sparse products, restriction to a submodule, the decomposition
-oracle, row reduction one row at a time, the module closure, the
-per-matrix status and the nilpotence-order search are kept here as differential references for the fast paths that
+sums, the prime sieve over all integers, sparse products, restriction to
+a submodule, the decomposition oracle, row reduction one row at a time,
+the module closure, the per-matrix status and the nilpotence-order
+search are kept here as differential references for the fast paths that
 replaced them.
 """
 
@@ -192,6 +193,16 @@ def fraction_echelon(rows):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return rows
+
+
+def primes_full_sieve(n):
+    """arith.primes_upto by a sieve over every integer <= n, odd or even."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return np.flatnonzero(sieve).astype(np.int64)
 
 
 def spf_sieve(n):

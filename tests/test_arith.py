@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from modpforms import arith
 from modpforms.arith import (
     factorize,
     is_odd_prime_power,
@@ -18,7 +19,7 @@ from modpforms.arith import (
     squarefree_mask,
 )
 
-from oracles import factor_with_spf, spf_sieve
+from oracles import factor_with_spf, primes_full_sieve, spf_sieve
 
 N = 2000
 
@@ -55,6 +56,24 @@ def test_primes_upto_from_a_fresh_sieve_and_from_the_cache():
         got = primes_upto(n)
         assert got.dtype == np.int64
         assert got.tolist() == [q for q in PRIMES if q <= n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 25, 26, 10**4])
+def test_odd_only_sieve_matches_is_prime(monkeypatch, n):
+    monkeypatch.setattr(arith, "_prime_cache", {})
+    got = primes_upto(n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [q for q in range(n + 1) if is_prime(q)]
+
+
+def test_odd_only_sieve_matches_full_sieve(monkeypatch):
+    monkeypatch.setattr(arith, "_prime_cache", {})
+    got = primes_upto(10**6)
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert np.array_equal(got, primes_full_sieve(10**6))
+    # a smaller bound is cut from the cached sieve
+    assert np.array_equal(primes_upto(10**5), got[got <= 10**5])
+    assert arith._prime_cache.keys() == {10**6}
 
 
 def test_factorize():

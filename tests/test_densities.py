@@ -26,7 +26,7 @@ from modpforms.densities import (
     squarefull_buckets,
     squarefull_sum,
 )
-from modpforms.errors import BudgetExceededError, ModpFormsError
+from modpforms.errors import BudgetExceededError, InternalInvariantError, ModpFormsError
 from modpforms.module import build_module, classify_classes
 from modpforms.series import delta_power
 
@@ -177,6 +177,19 @@ class TestEulerConstant:
         b = euler_constant_C({1}, 3, Fraction(1, 2), r=7, prime_bound=10**5)
         assert abs(b.value - a.value / (1 + 1 / 7)) < 1e-12
 
+    @pytest.mark.parametrize("modulus", [3, 7, 9, 27])
+    def test_class_mask_matches_isin(self, modulus):
+        pr = primes_upto(10**5)
+        units = [u for u in range(1, modulus) if math.gcd(u, modulus) == 1]
+        class_sets = [units[:n] for n in range(len(units) + 1)]
+        class_sets += [units[::2], units[1::2], [u + modulus for u in units[::3]]]
+        for classes in class_sets:
+            for r in (1, 2, 7, 2 * 7 * 13, 3**4 * 99991, 100003):
+                r_primes = [q for q in arith.factorize(r) if q <= pr[-1]]
+                expect = np.isin(pr % modulus, [u % modulus for u in classes])
+                expect &= ~np.isin(pr, r_primes)
+                assert np.array_equal(densities._in_classes(pr, classes, modulus, r), expect)
+
     def test_closed_form_cross_check(self):
         # (3^{1/4} / (pi sqrt 2)) * prod_{l = 1 mod 3} (1 - l^-2)^{1/2}
         cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**6)
@@ -211,12 +224,19 @@ class TestEulerConstant:
             euler_constant_C({1}, 3, Fraction(0, 1))
 
 
+_SFULL_CASES = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 4), (3, 5)]
+
+
 @pytest.fixture(scope="module")
 def sfull_walk_inputs():
-    """(module, C(U), invertible classes) for conductors 3, 5, 7 and 9."""
+    """(module, C(U), invertible classes) for conductors 3, 5, 7, 9 and 27.
+
+    Delta^4 and Delta^5 mod 3 (dims 3 and 4) have 10 and 16 buckets, so
+    the table of images grows while the walk runs.
+    """
     out = {}
-    for p, k in [(3, 1), (5, 1), (7, 1), (3, 2)]:
-        m = build_module(GradedForm(delta_power(p, k, 4009), 12 * k), require_conductor=True)
+    for p, k in _SFULL_CASES:
+        m = build_module(_delta_form(p, k), require_conductor=True)
         report = classify_classes(m)
         alpha = class_density(report.nilpotent_classes, report.modulus)
         cu = euler_constant_C(
@@ -247,7 +267,7 @@ _SPLIT_BOUNDS += [143**2, 143**2 - 1]
 
 
 class TestSquarefullWalk:
-    @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+    @pytest.mark.parametrize("p,k", _SFULL_CASES)
     @pytest.mark.parametrize(
         "s_bound", [1, 2, 4, 8, 9, 10**4, 10**6, 10**8] + _SPLIT_BOUNDS
     )
@@ -256,6 +276,26 @@ class TestSquarefullWalk:
 
     def test_matches_enumeration_at_default_bound(self, sfull_walk_inputs):
         _assert_same_buckets(3, 2, sfull_walk_inputs, 10**10)
+
+    @pytest.mark.parametrize("p,k", _SFULL_CASES)
+    def test_vectors_are_writable_and_own_their_data(self, sfull_walk_inputs, p, k):
+        m, cu, inv = sfull_walk_inputs[p, k]
+        _, vecs, _ = squarefull_buckets(m, m.f_coords, cu, 10**6, inv)
+        vs = list(vecs.values())
+        assert vs
+        for i, v in enumerate(vs):
+            assert v.dtype == np.int64 and v.flags.writeable and v.flags.owndata
+            assert not np.shares_memory(v, m.f_coords)
+            assert not any(np.shares_memory(v, w) for w in vs[i + 1 :])
+
+    def test_repeated_s_raises(self, sfull_walk_inputs, monkeypatch):
+        # a prime listed twice makes every s it divides occur twice
+        m, cu, inv = sfull_walk_inputs[3, 2]
+        monkeypatch.setattr(
+            densities, "primes_upto", lambda n: np.insert(primes_upto(n), 3, 7)
+        )
+        with pytest.raises(InternalInvariantError, match="occurs twice"):
+            squarefull_buckets(m, m.f_coords, cu, 10**6, inv)
 
     def test_zero_seed_has_no_buckets(self, sfull_walk_inputs):
         m, cu, inv = sfull_walk_inputs[3, 2]
