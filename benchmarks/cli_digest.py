@@ -40,9 +40,18 @@ EXTRA = [
     ),
     ("oracle", "--p", "3", "--form", "delta", "--xmax", "1000", "--sample-bound", "600", "--out", "json"),
     ("count", "--p", "7", "--form", "delta", "--xmax", "20000", "--out", "csv"),
+    # repeated and zero checkpoints, per-value columns for p = 7
+    (
+        "count", "--p", "7", "--form", "delta^2-delta", "--xmax", "100000",
+        "--checkpoints", "0,10,10,100000", "--out", "csv",
+    ),
     (
         "compare", "--p", "3", "--form", "delta", "--xmax", "10000",
         "--checkpoints", "1000,10000", "--prime-bound", "100000", "--sample-bound", "600",
+    ),
+    (
+        "compare", "--p", "3", "--form", "delta", "--xmax", "10000", "--squarefree",
+        "--checkpoints", "3,10000", "--prime-bound", "100000", "--sample-bound", "600",
     ),
     # two pure components
     ("module", "--p", "7", "--form", "delta^2", "--sample-bound", "600"),

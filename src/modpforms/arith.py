@@ -12,6 +12,8 @@ import numpy as np
 
 _prime_cache = {}
 _prime_lock = threading.Lock()
+_NO_PRIMES = np.zeros(0, dtype=np.int64)
+_NO_PRIMES.flags.writeable = False
 
 
 def is_prime(n):
@@ -34,7 +36,7 @@ def primes_upto(n):
     before ``pow(., ., m)``, dict keys or JSON.
     """
     if n < 2:
-        return np.zeros(0, dtype=np.int64)
+        return _NO_PRIMES
     with _prime_lock:
         best = max((b for b in _prime_cache if b >= n), default=None)
         if best is not None:

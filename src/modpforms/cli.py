@@ -281,8 +281,8 @@ def _checkpoints(args, xmax):
 
 def _count_report(args, table):
     checkpoints = _checkpoints(args, table.x_max)
-    report = counting.count_pi(table, checkpoints, by_value=True, threads=args.threads)
-    report.pi_sf = counting.count_pi_sf(table, checkpoints, threads=args.threads).pi_sf
+    report = counting.count_pi(table, checkpoints)
+    report.pi_sf = counting.count_pi_sf(table, checkpoints).pi_sf
     return report
 
 
@@ -391,7 +391,6 @@ _FLAGS = {
     "--squarefree": dict(action="store_true"),
     "--out": dict(choices=("json", "csv"), default="json"),
     "--seed": dict(type=int, default=0),
-    "--threads": dict(type=int, default=1),
     "--op": dict(choices=("T", "U", "V", "W", "S"), required=True),
     "--index": dict(type=_positive_int, default=1),
     "--case": dict(required=True, choices=GroupDescriptor.KINDS),
@@ -402,7 +401,7 @@ _FORM = ("--p", "--form")
 # because the benchmark runner (perfbench/run.py) appends one to every job
 _MODULE = _FORM + ("--prec", "--sample-bound", "--seed")
 _PREDICT = _MODULE + ("--squarefree", "--prime-bound", "--sfull-bound", "--xmax", "--checkpoints")
-_COUNT = _FORM + ("--xmax", "--checkpoints", "--threads", "--out", "--seed")
+_COUNT = _FORM + ("--xmax", "--checkpoints", "--out", "--seed")
 # oracle prints the bare match line unless asked for --out json
 _ORACLE = _FORM + ("--xmax", "--prec", "--sample-bound", "--seed")
 _ORACLE += (("--out", dict(choices=("text", "json"), default="text")),)
@@ -416,7 +415,7 @@ _COMMANDS = {
     "decompose": (cmd_decompose, _MODULE, {}),
     "predict": (cmd_predict, _PREDICT, {}),
     "count": (cmd_count, _COUNT, dict(xmax=10**6)),
-    "compare": (cmd_compare, _PREDICT + ("--threads", "--out"), dict(xmax=10**6)),
+    "compare": (cmd_compare, _PREDICT + ("--out",), dict(xmax=10**6)),
     "oracle": (cmd_oracle, _ORACLE, dict(xmax=10**4)),
     "alpha-group": (cmd_alpha_group, ("--case", "--param"), {}),
     "constants": (cmd_constants, _MODULE + ("--prime-bound",), {}),
@@ -441,9 +440,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ConductorNotFoundError, SplittingFieldNeededError) as exc:

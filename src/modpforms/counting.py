@@ -12,7 +12,6 @@ square root of the range, instead of a factorization per index.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,58 +56,32 @@ def coefficient_table(expr_text, p, x_max):
 
 def table_of_series(qs, x_max=None):
     x_max = x_max or qs.prec
+    if x_max > qs.prec:
+        raise ValueError(f"x_max {x_max} beyond the series precision {qs.prec}")
     return CoeffTable(qs.p, x_max, qs.coeffs[:x_max])
 
 
-def _segment_counts(coeffs, mask, bounds, p, threads):
-    """Count through kernels.count_segments(_masked), in one block per thread.
-
-    The thread count is clamped to the CPU count and the table length; one
-    thread counts the whole table as its single block.  Per-block tallies
-    are integers merged by summation, so the result is independent of the
-    thread count.
-    """
-    threads = max(1, min(threads, os.cpu_count() or 1, len(coeffs)))
-    edges = np.linspace(0, len(coeffs), threads + 1, dtype=np.int64)
-
-    def block(i):
-        lo, hi = int(edges[i]), int(edges[i + 1])
-        local = np.clip(bounds, lo, hi) - lo
-        if mask is None:
-            return kernels.count_segments(coeffs[lo:hi], local, p)
-        return kernels.count_segments_masked(coeffs[lo:hi], mask[lo:hi], local, p)
-
-    if threads == 1:
-        return block(0)
-    from concurrent.futures import ThreadPoolExecutor
-
-    totals = np.zeros(len(bounds), dtype=np.int64)
-    by_value = np.zeros((len(bounds), p), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for t, v in pool.map(block, range(threads)):
-            totals += t
-            by_value += v
-    return totals, by_value
-
-
-def _counts(table, checkpoints, by_value, threads, squarefree):
-    """(checkpoints, nonzero counts, per-value counts or None), over square-free indices if asked."""
+def _counts(table, checkpoints, squarefree):
+    """(checkpoints, nonzero counts, per-value counts), over square-free indices if asked."""
     bounds = _checked_bounds(checkpoints, table.x_max)
-    mask = squarefree_mask(table.x_max) if squarefree else None
-    totals, vals = _segment_counts(table.coeffs, mask, bounds, table.p, threads)
-    per_value = {a: vals[:, a].tolist() for a in range(1, table.p)} if by_value else None
+    if squarefree:
+        mask = squarefree_mask(table.x_max)
+        totals, vals = kernels.count_segments_masked(table.coeffs, mask, bounds, table.p)
+    else:
+        totals, vals = kernels.count_segments(table.coeffs, bounds, table.p)
+    per_value = {a: vals[:, a].tolist() for a in range(1, table.p)}
     return bounds.tolist(), totals.tolist(), per_value
 
 
-def count_pi(table, checkpoints, by_value=False, threads=1):
-    """Nonzero-coefficient counts at each checkpoint, optionally per value."""
-    bounds, totals, per_value = _counts(table, checkpoints, by_value, threads, False)
+def count_pi(table, checkpoints):
+    """Nonzero-coefficient counts at each checkpoint, in total and per value."""
+    bounds, totals, per_value = _counts(table, checkpoints, False)
     return CountReport(bounds, totals, per_value=per_value)
 
 
-def count_pi_sf(table, checkpoints, by_value=False, threads=1):
+def count_pi_sf(table, checkpoints):
     """Counts restricted to square-free indices."""
-    bounds, totals, per_value = _counts(table, checkpoints, by_value, threads, True)
+    bounds, totals, per_value = _counts(table, checkpoints, True)
     return CountReport(bounds, pi=None, pi_sf=totals, per_value=per_value)
 
 
@@ -238,8 +211,10 @@ def compare_report(empirical, profile, squarefree=False):
     """Attach predictions and empirical/predicted ratios to a count report."""
     from .densities import predict
 
+    if squarefree and empirical.pi_sf is None:
+        raise ValueError("a square-free comparison needs square-free counts")
     points = predict(profile, empirical.checkpoints)
-    counts = empirical.pi_sf if squarefree and empirical.pi_sf else empirical.pi
+    counts = empirical.pi_sf if squarefree else empirical.pi
     empirical.predicted = [pt.value for pt in points]
     empirical.ratios = [
         (c / pt.value if pt.value else float("nan")) for c, pt in zip(counts, points)

@@ -235,16 +235,9 @@ def count_segments(table, bounds, p):
 
 
 def count_segments_masked(table, mask, bounds, p):
-    """Same as count_segments but restricted to indices where mask is nonzero."""
-    k = len(bounds)
-    totals = np.zeros(k, dtype=np.int64)
-    by_value = np.zeros((k, p), dtype=np.int64)
-    cum = np.zeros(p, dtype=np.int64)
-    prev = 0
-    for i, b in enumerate(bounds):
-        seg = table[prev:b][mask[prev:b] != 0]
-        cum += np.bincount(seg, minlength=p)[:p]
-        by_value[i] = cum
-        totals[i] = cum[1:].sum()
-        prev = b
-    return totals, by_value
+    """Same as count_segments but restricted to indices where mask is nonzero.
+
+    ``mask`` has the length of ``table``.
+    """
+    kept = np.array([np.count_nonzero(mask[:b]) for b in bounds], dtype=np.int64)
+    return count_segments(table[mask != 0], kept, p)

@@ -328,7 +328,7 @@ def test_criterion_10_equidistribution(delta7_table_1e6):
     rep5 = equidistribution_report(build_module(_delta_form(5, 1)))
     ok = ok and rep5.primitive_root_shortcut and rep5.criterion_holds
 
-    counts = count_pi(delta7_table_1e6, [10**6], by_value=True)
+    counts = count_pi(delta7_table_1e6, [10**6])
     heavy = sum(counts.per_value[a][0] for a in (1, 2, 4))
     light = sum(counts.per_value[a][0] for a in (3, 5, 6))
     ok = ok and heavy > light
@@ -345,7 +345,7 @@ def test_criterion_11_asymptotic_sanity(delta3_table_1e6):
     cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**6)
     sf = count_pi_sf(delta3_table_1e6, [x])
     ratio = sf.pi_sf[0] * math.sqrt(math.log(x)) / x / cu.value
-    per = count_pi(delta3_table_1e6, [x], by_value=True)
+    per = count_pi(delta3_table_1e6, [x])
     split = per.per_value[1][0] / per.per_value[2][0]
     ok = 0.5 <= ratio <= 2.0 and 0.8 <= split <= 1.25
     _line(

@@ -62,7 +62,7 @@ def test_primes_upto_from_a_fresh_sieve_and_from_the_cache():
 def test_odd_only_sieve_matches_is_prime(monkeypatch, n):
     monkeypatch.setattr(arith, "_prime_cache", {})
     got = primes_upto(n)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int64 and not got.flags.writeable
     assert got.tolist() == [q for q in range(n + 1) if is_prime(q)]
 
 

@@ -375,10 +375,6 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
 
-    def test_bad_threads(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--p", "3", "--form", "delta", "--threads", "0")
-        assert code == 2
-
 
 # the flags each command reads, and a valid value of each flag that every
 # command once took, so that an argv differs from a valid one by one flag
@@ -390,9 +386,9 @@ READS = {
     "constants": "--p --form --prec --sample-bound --seed --prime-bound",
     "predict": "--p --form --prec --sample-bound --seed --squarefree --prime-bound "
     "--sfull-bound --xmax --checkpoints",
-    "count": "--p --form --xmax --checkpoints --threads --out --seed",
+    "count": "--p --form --xmax --checkpoints --out --seed",
     "compare": "--p --form --prec --sample-bound --seed --squarefree --prime-bound "
-    "--sfull-bound --xmax --checkpoints --threads --out",
+    "--sfull-bound --xmax --checkpoints --out",
     "oracle": "--p --form --xmax --prec --sample-bound --seed --out",
     "alpha-group": "--case --param",
 }

@@ -95,7 +95,7 @@ class TestCounts:
 
     def test_by_value_sums_to_total(self):
         t = coefficient_table("delta", 3, 10**4)
-        rep = count_pi(t, [10**3, 10**4], by_value=True)
+        rep = count_pi(t, [10**3, 10**4])
         for i in range(2):
             assert sum(rep.per_value[a][i] for a in (1, 2)) == rep.pi[i]
 
@@ -120,53 +120,16 @@ class TestCounts:
         rep = count_pi(t, [10, 100, 1000, 10**4])
         assert rep.pi == sorted(rep.pi)
 
-    def test_threads_agree(self):
-        t = coefficient_table("delta^2-delta", 7, 10**5)
-        a = count_pi(t, [10**4, 10**5], by_value=True)
-        b = count_pi(t, [10**4, 10**5], by_value=True, threads=4)
-        assert a.pi == b.pi and a.per_value == b.per_value
-        sa = count_pi_sf(t, [10**5])
-        sb = count_pi_sf(t, [10**5], threads=3)
-        assert sa.pi_sf == sb.pi_sf
-
-    def test_thread_count_is_clamped(self, monkeypatch):
-        # record the requested pool size and run the blocks inline: no thread starts
-        import concurrent.futures
-        import os
-
-        requested = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        t = coefficient_table("delta", 7, 10**4)
-        serial = count_pi(t, [10**3, 10**4], by_value=True)
-        wide = count_pi(t, [10**3, 10**4], by_value=True, threads=100000)
-        assert requested == [4]
-        assert wide.pi == serial.pi and wide.per_value == serial.per_value
-        short = table_of_series(delta_power(7, 1, 3))
-        count_pi_sf(short, [3], threads=100000)
-        assert requested == [4, 3]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert count_pi(t, [10**4], threads=100000).pi == serial.pi[-1:]
-        assert requested == [4, 3]
-
     def test_checkpoint_beyond_table(self):
         t = coefficient_table("delta", 3, 100)
         with pytest.raises(ValueError):
             count_pi(t, [1000])
+
+    def test_table_beyond_series_rejected(self):
+        # 10 coefficients cannot stand for a table to 20
+        with pytest.raises(ValueError, match="precision"):
+            table_of_series(delta_power(3, 1, 10), 20)
+        assert table_of_series(delta_power(3, 1, 10), 5).coeffs.tolist() == [0, 1, 0, 0, 1]
 
 
 class TestSquarefreeMask:
@@ -277,3 +240,10 @@ class TestCompare:
         assert len(merged.predicted) == 2
         for ratio in merged.ratios:
             assert 0.3 < ratio < 3.0
+
+    def test_squarefree_needs_squarefree_counts(self):
+        t = coefficient_table("delta", 3, 10**4)
+        rep = count_pi(t, [10**3, 10**4])
+        prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
+        with pytest.raises(ValueError, match="square-free"):
+            compare_report(rep, prof, squarefree=True)

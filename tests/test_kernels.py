@@ -64,15 +64,21 @@ class TestKernelContracts:
         p = 7
         rng = np.random.default_rng(2)
         table = _random_case(rng, p, 5000)
-        mask = rng.integers(0, 2, size=5000).astype(np.uint8)
-        bounds = np.array([1, 100, 2500, 5000], dtype=np.int64)
-        for got, keep in (
-            (kernels.count_segments(table, bounds, p), np.ones(5000, dtype=bool)),
-            (kernels.count_segments_masked(table, mask, bounds, p), mask != 0),
-        ):
-            expect = np.array([np.bincount(table[:b][keep[:b]], minlength=p) for b in bounds])
-            assert np.array_equal(got[1], expect)
-            assert np.array_equal(got[0], expect[:, 1:].sum(axis=1))
+        masks = [
+            rng.integers(0, 2, size=5000).astype(np.uint8),
+            np.zeros(5000, dtype=np.uint8),
+            np.ones(5000, dtype=np.uint8),
+        ]
+        for bounds in ([1, 100, 2500, 5000], [0, 0, 1, 4999]):
+            bounds = np.array(bounds, dtype=np.int64)
+            cases = [(kernels.count_segments(table, bounds, p), np.ones(5000, dtype=bool))]
+            cases += [(kernels.count_segments_masked(table, m, bounds, p), m != 0) for m in masks]
+            for got, keep in cases:
+                expect = np.array(
+                    [np.bincount(table[:b][keep[:b]], minlength=p) for b in bounds]
+                )
+                assert np.array_equal(got[1], expect)
+                assert np.array_equal(got[0], expect[:, 1:].sum(axis=1))
 
     def test_chunked_reduction_exactness(self):
         # at p = 251 the uint32 accumulator is reduced mid-loop every 68,719
