@@ -29,6 +29,9 @@ from jobs import WORKLOADS  # noqa: E402
 EXTRA = [
     ("expand", "--p", "3", "--form", "delta", "--prec", "14"),
     ("expand", "--p", "3", "--form", "delta", "--prec", "5", "--out", "csv"),
+    # products on the lattice 3Z, series lengths 0, 1 and 2 mod 3
+    ("expand", "--p", "3", "--form", "delta^2", "--prec", "100001", "--out", "csv"),
+    ("count", "--p", "3", "--form", "delta^3-delta", "--xmax", "100002"),
     ("hecke", "--p", "3", "--form", "delta^2", "--op", "T", "--index", "2", "--prec", "40"),
     ("hecke", "--p", "3", "--form", "delta", "--op", "W", "--prec", "12"),
     ("alpha-group", "--case", "dihedral", "--param", "2"),

@@ -12,8 +12,13 @@ cusp form and its powers come from the sparse cube-of-eta identity
 
 whose 8k-th power (shifted by q^k) is the k-th power of the cusp form; a
 digit expansion of 8k takes about its base-p digit sum of sparse products
-instead of 8k - 1.
+instead of 8k - 1.  Mod 3 the cube of eta vanishes off the multiples of 3
+(3 divides 2m + 1 whenever 3 does not divide m(m+1)/2), and so does every
+factor and partial product of that power: mul multiplies such operands
+on the lattice 3Z, at a third of the length.
 """
+
+import math
 
 import numpy as np
 
@@ -165,8 +170,9 @@ def eisenstein(p, k, prec):
     c = const % p
     if c == 0:
         return one(p, prec)
-    out = kernels.sigma_sieve(prec, e, p).astype(np.int64)
-    out = (out * c) % p
+    # c * r mod p for every residue r, indexed by the sieve's residues
+    scaled = (np.arange(p) * c % p).astype(np.uint8)
+    out = scaled[kernels.sigma_sieve(prec, e, p)]
     out[0] = 1
     return QSeries(p, out)
 
@@ -176,19 +182,68 @@ def mul(a, b):
 
     An operand with at most max(8, _SPARSE_FRACTION * out_len) nonzero
     entries goes to kernels.mul_sparse; otherwise the product is the FFT
-    kernels.mul_dense.
+    kernels.mul_dense.  When both operands vanish off the multiples of some
+    s > 1 (_support_step), so does the product, and its entries at the
+    multiples of s are the product of a[::s] and b[::s] at length
+    ceil(out_len / s), by the kernel the full length would take.  Mod 3
+    every product behind Delta^k runs there at s = 3 (see the module
+    docstring).
     """
     if a.p != b.p:
         raise ValueError("mismatched moduli")
     out_len = min(a.prec, b.prec)
+    x, y = a.coeffs[:out_len], b.coeffs[:out_len]
     budget = max(8, int(_SPARSE_FRACTION * out_len))
-    for dense, other in ((a, b), (b, a)):
-        idx = np.flatnonzero(other.coeffs != 0)
+    s = _support_step(x, y)
+    if s == 1:
+        return QSeries(a.p, _mul_coeffs(x, y, a.p, out_len, budget))
+    out = np.zeros(out_len, dtype=np.uint8)
+    out[::s] = _mul_coeffs(x[::s], y[::s], a.p, -(-out_len // s), budget)
+    return QSeries(a.p, out)
+
+
+def _mul_coeffs(x, y, p, out_len, budget):
+    """The truncated product of two coefficient arrays, by the sparse or the FFT kernel."""
+    for dense, other in ((x, y), (y, x)):
+        idx = np.flatnonzero(other != 0)
         if len(idx) <= budget:
-            return QSeries(
-                a.p, kernels.mul_sparse(dense.coeffs, idx, other.coeffs[idx], a.p, out_len)
-            )
-    return QSeries(a.p, kernels.mul_dense(a.coeffs, b.coeffs, a.p, out_len))
+            return kernels.mul_sparse(dense, idx, other[idx], p, out_len)
+    return kernels.mul_dense(x, y, p, out_len)
+
+
+def _support_step(x, y):
+    """A step s such that x and y both vanish off the multiples of s; 1 if none is found.
+
+    The candidate is the gcd of the first three positive exponents with a
+    nonzero coefficient in each operand.  It is used only if taking every
+    s-th entry keeps every nonzero entry of both, so a missed lattice costs
+    speed and a wrong one is never used.
+    """
+    counts = [np.count_nonzero(c) for c in (x, y)]
+    s = 0
+    for c, count in zip((x, y), counts):
+        s = _exponent_gcd(c, s, min(3, count - (c[0] != 0)))
+    # s = 0: both operands are constants, and every step works
+    s = s or len(x)
+    if s > 1 and all(count == np.count_nonzero(c[::s]) for c, count in zip((x, y), counts)):
+        return s
+    return 1
+
+
+def _exponent_gcd(c, g, terms):
+    """gcd of g and the first `terms` positive exponents of c with a nonzero coefficient.
+
+    c must have that many.  Scans prefixes of growing width and stops once
+    the gcd is 1, so a dense c costs a few dozen entries.
+    """
+    start, width = 1, 64
+    while terms and g != 1:
+        for e in np.flatnonzero(c[start : start + width] != 0)[:terms]:
+            g = math.gcd(g, start + int(e))
+            terms -= 1
+        start += width
+        width *= 8
+    return g
 
 
 def power(a, e):

@@ -4,7 +4,8 @@ Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, powers, cusp-form powers, square-full
-sums, the prime sieve over all integers, sparse products, restriction to
+sums, the prime sieve over all integers, sparse products, products at
+full length without the support-lattice step, restriction to
 a submodule, the decomposition oracle, row reduction one row at a time,
 the module closure, the per-matrix status and the nilpotence-order
 search are kept here as differential references for the fast paths that
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from modpforms import linalg
+from modpforms import kernels, linalg
 from modpforms.errors import InternalInvariantError, SpanNotClosedError
 from modpforms.module import INVERTIBLE, MIXED, NILPOTENT, classify_classes
 from modpforms.series import QSeries, one, zero
@@ -90,6 +91,24 @@ def mul_dense_convolve(a, b, p, out_len):
     k = min(out_len, len(full))
     out[:k] = (full[:k] % p).astype(np.uint8)
     return out
+
+
+def mul_full_length(a, b):
+    """Truncated product of two QSeries by series.mul's kernel choice at full length.
+
+    The route before the support-lattice step: the sparse kernel when an
+    operand has at most max(8, 5% of out_len) nonzero entries, the FFT
+    otherwise.
+    """
+    out_len = min(a.prec, b.prec)
+    budget = max(8, int(0.05 * out_len))
+    for dense, other in ((a, b), (b, a)):
+        idx = np.flatnonzero(other.coeffs != 0)
+        if len(idx) <= budget:
+            return QSeries(
+                a.p, kernels.mul_sparse(dense.coeffs, idx, other.coeffs[idx], a.p, out_len)
+            )
+    return QSeries(a.p, kernels.mul_dense(a.coeffs, b.coeffs, a.p, out_len))
 
 
 def sigma_sieve_walk(prec, e, p):

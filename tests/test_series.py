@@ -22,6 +22,7 @@ from oracles import (
     dense_euler_product_modp,
     integer_delta_power,
     integer_eisenstein,
+    mul_full_length,
     poly_mul_modp,
     power_by_squaring,
     sigma,
@@ -113,6 +114,12 @@ class TestFrobeniusPowersAgainstOldRoutes:
             for prec in sorted({1, max(1, k), k + 1, k + 2, 8 * k + 1, 240}):
                 assert delta_power(p, k, prec) == delta_power_by_eta_products(p, k, prec), (k, prec)
 
+    @pytest.mark.parametrize("prec", [10**5, 10**5 + 1, 10**5 + 2])
+    def test_delta_power_mod3_long(self, prec):
+        # mod 3 the products run on 3Z; these bodies have every length mod 3
+        for k in range(1, 5):
+            assert delta_power(3, k, prec) == delta_power_by_eta_products(3, k, prec), k
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 251])
     def test_power_of_dense_series(self, p):
         rng = np.random.default_rng(p)
@@ -142,7 +149,7 @@ class TestEisenstein:
         assert list(e.coeffs) == [1, 2, 4]
         assert 240 * sigma(2, 3) % 7 == 4
 
-    @pytest.mark.parametrize("p,k", [(5, 4), (7, 4), (11, 6), (13, 6)])
+    @pytest.mark.parametrize("p,k", [(5, 4), (7, 4), (11, 6), (13, 6), (251, 4), (251, 6)])
     def test_against_integer_sigma(self, p, k):
         prec = 60
         ref = integer_eisenstein(k, prec)
@@ -269,6 +276,119 @@ class TestRingOps:
         lhs = mul(a + b, c)
         rhs = mul(a, c) + mul(b, c)
         assert lhs == rhs
+
+
+def _on_lattice(rng, p, prec, step, terms=None):
+    """A random series vanishing off the multiples of step, with a nonzero constant term.
+
+    All multiples of step carry random residues, or, given ``terms``, that
+    many of them carry nonzero ones.
+    """
+    coeffs = np.zeros(prec, dtype=np.uint8)
+    slots = np.arange(0, prec, step)
+    if terms is None:
+        coeffs[slots] = rng.integers(0, p, size=len(slots))
+    else:
+        chosen = rng.choice(slots[1:], size=min(terms, len(slots) - 1), replace=False)
+        coeffs[chosen] = rng.integers(1, p, size=len(chosen))
+    coeffs[0] = rng.integers(1, p)
+    return QSeries(p, coeffs)
+
+
+def _assert_product(a, b):
+    """mul(a, b) and mul(b, a) against the integer convolution and the full-length product."""
+    out_len = min(a.prec, b.prec)
+    expect = QSeries(a.p, poly_mul_modp(a.coeffs, b.coeffs, a.p, out_len))
+    assert mul_full_length(a, b) == expect
+    assert mul(a, b) == expect
+    assert mul(b, a) == expect
+
+
+class TestSupportLattice:
+    """Products of operands that vanish off the multiples of a step, bit for bit."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    @pytest.mark.parametrize("step", [2, 3, 4, 6, 9])
+    def test_both_dilated(self, p, step):
+        rng = np.random.default_rng(100 * p + step)
+        # out_len = 0, 1 and 2 mod step; dense and sparse operands
+        for prec in (step * 60, step * 60 + 1, step * 60 + 2):
+            for terms_a, terms_b in ((None, None), (None, 4), (5, 3)):
+                a = _on_lattice(rng, p, prec, step, terms_a)
+                b = _on_lattice(rng, p, prec, step, terms_b)
+                _assert_product(a, b)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    @pytest.mark.parametrize("step_a,step_b", [(2, 3), (4, 9), (4, 6), (6, 9), (2, 4), (3, 9)])
+    def test_different_steps(self, p, step_a, step_b):
+        # gcd 1, 1, 2, 3, 2 and 3
+        rng = np.random.default_rng(p * step_a * step_b)
+        for prec in (301, 302, 324):
+            for terms in (None, 4):
+                a = _on_lattice(rng, p, prec, step_a, terms)
+                b = _on_lattice(rng, p, prec, step_b)
+                _assert_product(a, b)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    @pytest.mark.parametrize("step", [2, 3, 9])
+    def test_one_dilated(self, p, step):
+        rng = np.random.default_rng(p + step)
+        for prec in (step * 40 + 1, step * 40 + 2):
+            _assert_product(_on_lattice(rng, p, prec, step), _random_series(rng, p, prec))
+            _assert_product(_on_lattice(rng, p, prec, step, 3), _sparse_series(rng, p, prec, 5))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    @pytest.mark.parametrize("step", [2, 3, 6])
+    def test_constant_and_zero_operands(self, p, step):
+        rng = np.random.default_rng(p * step)
+        prec = step * 50 + 1
+        lattice = _on_lattice(rng, p, prec, step)
+        constant = QSeries(p, np.eye(1, prec, dtype=np.uint8)[0] * (p - 1))
+        for other in (constant, zero(p, prec), one(p, prec), lattice):
+            _assert_product(lattice, other)
+            _assert_product(constant, other)
+            _assert_product(zero(p, prec), other)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    def test_unequal_precisions(self, p):
+        rng = np.random.default_rng(p)
+        for step in (2, 3, 4, 6, 9):
+            for long_prec, short_prec in ((step * 70, step * 50 + 1), (step * 50 + 2, step * 30)):
+                a = _on_lattice(rng, p, long_prec, step)
+                b = _on_lattice(rng, p, short_prec, step, 5)
+                _assert_product(a, b)
+                # an entry off the lattice past the shorter precision
+                off = a.coeffs.copy()
+                off[short_prec + 1] = 1
+                _assert_product(QSeries(p, off), b)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    def test_prefix_on_a_lattice_the_rest_off_it(self, p):
+        # the first exponents share a step that later ones break
+        rng = np.random.default_rng(p + 1)
+        prec = 3000
+        for step, stray in ((4, 6), (4, 2999), (3, 1000), (9, 2998)):
+            a = _on_lattice(rng, p, prec, step)
+            a_off = a.coeffs.copy()
+            a_off[stray] = 1
+            b = _on_lattice(rng, p, prec, step, 6)
+            _assert_product(QSeries(p, a_off), b)
+            _assert_product(a, b)
+            b_off = b.coeffs.copy()
+            b_off[stray] = p - 1
+            _assert_product(a, QSeries(p, b_off))
+
+    def test_mod3_products_run_at_a_third(self, monkeypatch):
+        lengths = []
+        sparse_kernel = kernels.mul_sparse
+        monkeypatch.setattr(
+            kernels, "mul_sparse", lambda *args: lengths.append(args[4]) or sparse_kernel(*args)
+        )
+        delta_power(3, 1, 30001)
+        assert lengths and max(lengths) <= 10001
+        lengths.clear()
+        delta_power(7, 1, 30001)
+        assert lengths and set(lengths) == {30000}
 
 
 class TestValidation:
