@@ -68,9 +68,13 @@ EXTRA = [
     ("predict", "--p", "11", "--form", "delta"),
     ("predict", "--p", "5", "--form", "delta^3", "--prime-bound", "100000"),
     ("hecke", "--p", "5", "--form", "delta", "--op", "S", "--index", "2", "--prec", "20"),
-    # square-full sums with 10 and 16 buckets, h = 2 and 3
+    # per-value constants from nilpotent walks: 10, 16 and 34 buckets at h = 2, 3 and 4,
+    # h = 3 for Delta^15, and a sum of two powers
     ("predict", "--p", "3", "--form", "delta^4"),
     ("predict", "--p", "3", "--form", "delta^5"),
+    ("predict", "--p", "3", "--form", "delta^10"),
+    ("predict", "--p", "3", "--form", "delta^15"),
+    ("predict", "--p", "3", "--form", "delta^4+delta^5"),
     # past series.MAX_PREC: exit 2
     ("expand", "--p", "3", "--form", "delta", "--prec", "10000001"),
 ]

@@ -5,13 +5,15 @@ tail estimates (equidistribution of classes is assumed beyond the prime
 bound, with a square-root cancellation allowance).  The profile of a form
 is assembled bottom-up: reduce to the coprime-support subspace through
 the W and U_p operators, split into pure components, and combine each
-component's class densities, Euler products and square-full sums.
+component's class densities, Euler products and square-full sums.  The
+h-fold products of nilpotent-class primes behind the per-value constants
+and multi_frobenian_density are counted by one level walk over ordered
+class tuples (_nilpotent_walk).
 """
 
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -111,46 +113,50 @@ def multi_frobenian_class_density(classes, modulus, height):
 def multi_frobenian_density(module, source, target, height):
     """Density of height-h products of nilpotent-class primes mapping source to target.
 
-    Counts ordered class tuples (u_1, .., u_h) whose matrix product sends
-    the source vector to the target, divided by h! * phi(c)^h.  Needs the
-    class-determined action.
+    Counts the ordered class tuples (u_1, .., u_h) whose matrix product
+    sends the source vector to the target, from the last level of the
+    nilpotent walk (so a zero target counts only at h = 0), divided by
+    h! * phi(c)^h.  Needs the class-determined action.
     """
     module.require_conductor()
     report = classify_classes(module)
     if not report.pure:
         raise ValueError("density of a non-pure module is undefined")
     phi = len(report.statuses)
-    source = np.asarray(source, dtype=np.int64) % module.p
-    target = np.asarray(target, dtype=np.int64) % module.p
-    if height == 0:
-        return Fraction(1 if (source == target).all() else 0, 1)
-    count = 0
-    for image, dens in _nilpotent_images(module, source, height).items():
-        if image == target.tobytes():
-            count += dens
-    return count / Fraction(math.factorial(height) * phi**height)
+    vecs, counts = _nilpotent_walk(_nilpotent_stack(module, height), source, height, module.p)[-1]
+    hit = (vecs == np.asarray(target, dtype=np.int64) % module.p).all(axis=1)
+    return int(counts[hit].sum()) / Fraction(math.factorial(height) * phi**height)
 
 
-def _nilpotent_images(module, source, height):
-    """Map image-vector bytes -> ordered tuple count, over height-fold nilpotent products."""
+def _nilpotent_stack(module, height):
+    """The T_l of the nilpotent classes as one array, once the h-fold tuples pass the cap."""
     nil = classify_classes(module).nilpotent_classes
     if len(nil) ** height > _ENUM_CAP:
         raise ModpFormsError(
             f"{len(nil)}^{height} nilpotent tuples exceed the enumeration cap"
         )
-    out = {}
-    for multiset in combinations_with_replacement(nil, height):
-        v = source
-        for u in multiset:
-            v = module.apply_class(v, u)
-            if not v.any():
-                break
-        else:
-            perms = math.factorial(height)
-            for u in set(multiset):
-                perms //= math.factorial(multiset.count(u))
-            out[v.tobytes()] = out.get(v.tobytes(), 0) + perms
-    return out
+    mats = [module.prime_power_matrix(u, 1) for u in nil]
+    return np.array(mats, dtype=np.int64).reshape(-1, module.dim, module.dim)
+
+
+def _nilpotent_walk(stack, source, height, p):
+    """Levels 0..height: (distinct nonzero images of source, ordered tuples reaching each).
+
+    Level 0 is the source, reached once; level j + 1 multiplies level j
+    by every matrix of the stack at once, keeps the nonzero rows distinct
+    (np.unique) and sums their counts (np.bincount).  Each tuple is
+    multiplied in its own order, so the counts do not assume that the
+    matrices commute.
+    """
+    vecs = np.asarray(source, dtype=np.int64).reshape(1, -1) % p
+    levels = [(vecs, np.ones(1, dtype=np.int64))]
+    for _ in range(height):
+        images = (vecs @ stack % p).reshape(-1, vecs.shape[1])
+        live = images.any(axis=1)
+        vecs, ids = np.unique(images[live], axis=0, return_inverse=True)
+        weights = np.tile(levels[-1][1], len(stack))[live]
+        levels.append((vecs, np.bincount(ids.ravel(), weights, len(vecs)).astype(np.int64)))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +415,12 @@ def _pure_profile(
     prime_bound=DEFAULT_PRIME_BOUND,
     sfull_bound=DEFAULT_SFULL_BOUND,
 ):
-    """Class report, alpha, h, and (optionally) the leading constants of one pure component."""
+    """Class report, alpha, h, and (optionally) the leading constants of one pure component.
+
+    One nilpotent walk per square-full bucket gives every height 0..h;
+    a_1(x g) = x . (g a_1) over Gamma is one product and the counts per
+    value one np.bincount.  Each value takes the highest height attaining it.
+    """
     p = module.p
     report = classify_classes(module)
     if not report.pure:
@@ -427,6 +438,7 @@ def _pure_profile(
     if not with_constants:
         return part
 
+    stack = _nilpotent_stack(module, h)
     cu = part.euler_constant(prime_bound)
     if squarefree:
         sums = {module.f_coords.tobytes(): cu.value}
@@ -439,28 +451,19 @@ def _pure_profile(
     gamma = gamma_group(module)
     rel_err = cu.tail / cu.value
     phi = len(report.statuses)
-    # a_1(x g) = x . (g a_1): one column per element g of Gamma
     a1 = module.vector_series[:, 1].astype(np.int64)
     orbit_a1 = np.stack([g @ a1 % p for g in gamma.elements], axis=1)
 
-    # each value takes the highest height that attains it; a lower height
-    # is enumerated only while some value is still unattained
+    totals = np.zeros((h + 1, p))
+    for key, csum in sums.items():
+        for hh, (imgs, n) in enumerate(_nilpotent_walk(stack, vecs[key], h, p)):
+            hits = np.bincount((imgs @ orbit_a1 % p).ravel(), np.repeat(n, gamma.order), p)
+            totals[hh] += csum * (hits / (math.factorial(hh) * phi**hh)) / gamma.order
     per_value = dict.fromkeys(range(1, p))
     for hh in range(h, -1, -1):
-        if None not in per_value.values():
-            break
-        denom = math.factorial(hh) * phi**hh
-        totals = {}
-        for key, csum in sums.items():
-            for img_bytes, n in _nilpotent_images(module, vecs[key], hh).items():
-                img = np.frombuffer(img_bytes, dtype=np.int64)
-                counts = np.bincount(img @ orbit_a1 % p, minlength=p).tolist()
-                for a in range(1, p):
-                    if counts[a]:
-                        share = csum * (n / denom) * counts[a] / gamma.order
-                        totals[a] = totals.get(a, 0.0) + share
-        for a, total in totals.items():
-            if per_value[a] is None:
+        # every bucket sum is positive, so a value is attained iff its total is
+        for a, total in enumerate(totals[hh].tolist()):
+            if a and total > 0 and per_value[a] is None:
                 per_value[a] = ValueProfile(hh, total, total * rel_err + sum_tail)
 
     tops = [v for v in per_value.values() if v is not None]

@@ -634,20 +634,15 @@ def _group_blocks(module, blocks):
         offset += d
         if not part.any():
             continue
-        nil_classes = set()
-        for u in sorted({ell % module.status_modulus for ell in module.per_prime}):
-            flags = {
-                nil_by_mat[module.per_prime[ell].tobytes()]
-                for ell in module.per_prime
-                if ell % module.status_modulus == u
-            }
-            if len(flags) != 1:
-                raise ConductorNotFoundError(
-                    f"status class {u} is not nilpotent-consistent on a pure component"
-                )
-            if flags.pop():
-                nil_classes.add(u)
-        key = frozenset(nil_classes)
+        flags = {}
+        for ell, mat in module.per_prime.items():
+            flags.setdefault(ell % module.status_modulus, set()).add(nil_by_mat[mat.tobytes()])
+        mixed = [u for u in sorted(flags) if len(flags[u]) != 1]
+        if mixed:
+            raise ConductorNotFoundError(
+                f"status class {mixed[0]} is not nilpotent-consistent on a pure component"
+            )
+        key = frozenset(u for u, seen in flags.items() if any(seen))
         groups.setdefault(key, np.zeros(module.dim, dtype=np.int64))
         groups[key] = (groups[key] + part) % p
     out = []

@@ -7,15 +7,16 @@ for dense products, divisor sums, powers, cusp-form powers, square-full
 sums, the prime sieve over all integers, sparse products, products at
 full length without the support-lattice step, restriction to
 a submodule, the decomposition oracle, row reduction one row at a time,
-the module closure, the per-matrix status and the nilpotence-order
-search are kept here as differential references for the fast paths that
-replaced them.
+the module closure, the per-matrix status, the nilpotence-order search
+and the multiset enumeration of nilpotent images are kept here as
+differential references for the fast paths that replaced them.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -469,3 +470,27 @@ def nilpotence_order_bfs(module):
         h += 1
         if h > module.dim:
             raise InternalInvariantError("nilpotence order exceeded the module dimension")
+
+
+def nilpotent_images_by_multisets(module, source, height):
+    """Image bytes -> ordered class-tuple count, over height-fold nilpotent products.
+
+    The former route of densities._nilpotent_walk: one chain of
+    apply_class per multiset of nilpotent classes, in the multiset's
+    order, weighted by the multinomial count of its orderings (which
+    assumes the class matrices commute); a chain that turns zero drops out.
+    """
+    nil = classify_classes(module).nilpotent_classes
+    out = {}
+    for multiset in combinations_with_replacement(nil, height):
+        v = np.asarray(source, dtype=np.int64) % module.p
+        for u in multiset:
+            v = module.apply_class(v, u)
+            if not v.any():
+                break
+        else:
+            perms = math.factorial(height)
+            for u in set(multiset):
+                perms //= math.factorial(multiset.count(u))
+            out[v.tobytes()] = out.get(v.tobytes(), 0) + perms
+    return out

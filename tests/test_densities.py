@@ -1,12 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from oracles import squarefull_buckets_walk
+from oracles import nilpotent_images_by_multisets, squarefull_buckets_walk
 
-from modpforms import arith, densities
+from modpforms import arith, cli, densities, linalg
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one
 from modpforms.densities import (
@@ -27,7 +30,7 @@ from modpforms.densities import (
     squarefull_sum,
 )
 from modpforms.errors import BudgetExceededError, InternalInvariantError, ModpFormsError
-from modpforms.module import build_module, classify_classes
+from modpforms.module import HeckeModule, build_module, classify_classes, strict_nilpotence_order
 from modpforms.series import delta_power
 
 
@@ -38,6 +41,31 @@ def _refuse(n):
 def _delta_form(p, k, sample_bound=2000):
     prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
     return GradedForm(delta_power(p, k, prec), 12 * k)
+
+
+def _invertible_only(m):
+    """A copy of the dimension-1 module m mod 3 whose two classes act invertibly."""
+    return HeckeModule(
+        m.p,
+        m.weight,
+        m.ambient,
+        m.ambient_coords,
+        m.vector_series,
+        {ell: linalg.identity(1, 3) for ell in m.per_prime},
+        3,
+        {1: 2 * linalg.identity(1, 3) % 3, 2: linalg.identity(1, 3)},
+        3,
+        {1: "invertible", 2: "invertible"},
+        m.f_coords,
+    )
+
+
+@lru_cache(maxsize=None)
+def _profiled_components(p, k):
+    """The pure component modules whose constants densities.profile computes for Delta^k mod p."""
+    with mock.patch.object(densities, "_pure_profile", wraps=densities._pure_profile) as spy:
+        densities.profile(_delta_form(p, k), prime_bound=10**4)
+    return [call.args[0] for call in spy.call_args_list]
 
 
 class TestClassDensity:
@@ -127,31 +155,40 @@ class TestMultiFrobenianDensity:
 
     @pytest.mark.parametrize("k,h", [(1, 0), (2, 1), (4, 2), (5, 3)])
     def test_module_route_matches_closed_form(self, k, h):
-        # summed over the two reachable targets the density is 1/(h! 3^h)
+        # summed over the reachable targets the density is 1/(h! 3^h)
         m = build_module(_delta_form(3, k))
-        delta_vec = np.zeros(m.dim, dtype=np.int64)
-        # the weight-12 cusp form is reachable as a module vector; find it
-        # by applying nilpotent classes h times
-        targets = {}
-        if h == 0:
-            targets[m.f_coords.tobytes()] = m.f_coords
-        else:
-            from itertools import combinations_with_replacement
-
-            from modpforms.module import classify_classes
-
-            rep = classify_classes(m)
-            for classes in combinations_with_replacement(rep.nilpotent_classes, h):
-                v = m.f_coords
-                for u in classes:
-                    v = m.apply_class(v, u)
-                if v.any():
-                    targets[v.tobytes()] = v
+        targets = nilpotent_images_by_multisets(m, m.f_coords, h)
         total = sum(
-            (multi_frobenian_density(m, m.f_coords, v, h) for v in targets.values()),
+            (
+                multi_frobenian_density(m, m.f_coords, np.frombuffer(key, dtype=np.int64), h)
+                for key in targets
+            ),
             Fraction(0),
         )
         assert total == Fraction(1, math.factorial(h) * 3**h)
+
+    def test_edges_match_the_multiset_oracle(self, delta2_mod3_module, delta_mod3_module):
+        m = delta2_mod3_module
+        zero = np.zeros(m.dim, dtype=np.int64)
+        delta_vec = np.array([0, 1], dtype=np.int64)
+        f = m.f_coords
+        # (module, source, target, height, density)
+        cases = [
+            (m, f, f, 0, 1),
+            (m, zero, zero, 0, 1),
+            (m, zero, f, 0, 0),
+            (m, zero, delta_vec, 1, 0),
+            (m, f, zero, 1, 0),
+            (m, f, zero, 2, 0),
+        ]
+        # no nilpotent class: only the empty tuple, at height 0
+        inv = _invertible_only(delta_mod3_module)
+        cases += [(inv, inv.f_coords, inv.f_coords, h, int(h == 0)) for h in range(3)]
+        for mod, source, target, h, want in cases:
+            phi = len(classify_classes(mod).statuses)
+            ref = nilpotent_images_by_multisets(mod, source, h).get(target.tobytes(), 0)
+            got = multi_frobenian_density(mod, source, target, h)
+            assert got == want == Fraction(ref, math.factorial(h) * phi**h)
 
     def test_denominator_invariant(self, delta2_mod3_module):
         m = delta2_mod3_module
@@ -159,6 +196,93 @@ class TestMultiFrobenianDensity:
         for h in range(4):
             d = multi_frobenian_density(m, m.f_coords, delta_vec, h)
             assert (math.factorial(h) * 6**h) % d.denominator == 0
+
+
+def _refuse_product(*args):
+    raise AssertionError(f"prime_power_matrix{args}: the enumeration cap must come first")
+
+
+class TestNilpotentWalk:
+    @pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (3, 5), (3, 10), (7, 2), (5, 3)])
+    def test_matches_multiset_enumeration_at_every_height(self, p, k):
+        # every bucket vector of every component that predict reaches
+        components = _profiled_components(p, k)
+        assert len(components) == (2 if p > 3 else 1)
+        for m in components:
+            report = classify_classes(m)
+            h = strict_nilpotence_order(m)
+            cu = densities._pure_profile(m, with_constants=False).euler_constant(10**4)
+            _, vecs, _ = squarefull_buckets(
+                m, m.f_coords, cu, densities.DEFAULT_SFULL_BOUND, report.invertible_classes
+            )
+            if (p, k) == (3, 10):
+                assert (len(vecs), h) == (34, 4)
+            stack = densities._nilpotent_stack(m, h)
+            for v in vecs.values():
+                levels = densities._nilpotent_walk(stack, v, h, p)
+                assert len(levels) == h + 1
+                for j, (imgs, counts) in enumerate(levels):
+                    got = {row.tobytes(): int(n) for row, n in zip(imgs, counts)}
+                    assert got == nilpotent_images_by_multisets(m, v, j)
+            # h is the last height the seed reaches
+            assert len(densities._nilpotent_walk(stack, m.f_coords, h, p)[h][0])
+
+    def test_counts_ordered_tuples_of_noncommuting_matrices(self):
+        p = 3
+        stack = np.random.default_rng(5).integers(0, p, size=(3, 3, 3))
+        assert not np.array_equal(stack[0] @ stack[1] % p, stack[1] @ stack[0] % p)
+        source = np.array([1, 0, 2], dtype=np.int64)
+        for j, (imgs, counts) in enumerate(densities._nilpotent_walk(stack, source, 4, p)):
+            want = {}
+            for tup in itertools.product(stack, repeat=j):
+                v = source
+                for mat in tup:
+                    v = v @ mat % p
+                if v.any() or not j:
+                    want[v.tobytes()] = want.get(v.tobytes(), 0) + 1
+            assert {row.tobytes(): int(n) for row, n in zip(imgs, counts)} == want
+
+    def test_height_zero_makes_no_unique_call(self, delta_mod3_module, monkeypatch):
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: _refuse(args))
+        prof = densities._pure_profile(delta_mod3_module, prime_bound=10**4, sfull_bound=10**4)
+        assert prof.h == 0 and prof.c > 0
+
+
+class TestEnumerationCap:
+    def _capped(self, monkeypatch, k):
+        """Delta^k mod 3 with the cap one below (nilpotent classes)^h and no matrix readable."""
+        m = build_module(_delta_form(3, k))
+        h = strict_nilpotence_order(m)
+        tuples = len(classify_classes(m).nilpotent_classes) ** h
+        monkeypatch.setattr(densities, "_ENUM_CAP", tuples - 1)
+        monkeypatch.setattr(densities, "strict_nilpotence_order", lambda module: h)
+        monkeypatch.setattr(m, "prime_power_matrix", _refuse_product)
+        return m, h
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_profile_refuses_before_any_product(self, monkeypatch, k):
+        m, _ = self._capped(monkeypatch, k)
+        with pytest.raises(ModpFormsError, match="enumeration cap"):
+            densities._pure_profile(m, prime_bound=10**4, sfull_bound=10**4)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_density_refuses_before_any_product(self, monkeypatch, k):
+        m, h = self._capped(monkeypatch, k)
+        with pytest.raises(ModpFormsError, match="enumeration cap"):
+            multi_frobenian_density(m, m.f_coords, m.f_coords, h)
+
+    def test_cap_itself_is_allowed(self, monkeypatch):
+        m = build_module(_delta_form(3, 4))  # 3 nilpotent classes mod 9, h = 2
+        monkeypatch.setattr(densities, "_ENUM_CAP", 9)
+        assert multi_frobenian_density(m, m.f_coords, m.f_coords, 2) == 0
+        monkeypatch.setattr(densities, "_ENUM_CAP", 8)
+        with pytest.raises(ModpFormsError, match=r"3\^2 nilpotent tuples exceed the enumeration"):
+            multi_frobenian_density(m, m.f_coords, m.f_coords, 2)
+
+    def test_predict_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(densities, "_ENUM_CAP", 1)
+        assert cli.main(["predict", "--p", "3", "--form", "delta^2"]) == 3
+        assert "enumeration cap" in capsys.readouterr().err
 
 
 class TestEulerConstant:
@@ -426,27 +550,9 @@ class TestPredict:
 
 class TestProfileValidation:
     def test_no_nilpotent_class_is_error(self, delta_mod3_module):
-        from modpforms.densities import _pure_profile
-        from modpforms.module import HeckeModule
-        from modpforms import linalg
-
-        m = delta_mod3_module
-        synthetic = HeckeModule(
-            m.p,
-            m.weight,
-            m.ambient,
-            m.ambient_coords,
-            m.vector_series,
-            {ell: linalg.identity(1, 3) for ell in m.per_prime},
-            3,
-            {1: 2 * linalg.identity(1, 3) % 3, 2: linalg.identity(1, 3)},
-            3,
-            {1: "invertible", 2: "invertible"},
-            m.f_coords,
-        )
         with pytest.raises(ModpFormsError, match="nilpotent"):
-            _pure_profile(
-                synthetic,
+            densities._pure_profile(
+                _invertible_only(delta_mod3_module),
                 squarefree=True,
                 with_constants=False,
                 prime_bound=10**4,

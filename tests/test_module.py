@@ -11,7 +11,9 @@ from modpforms.errors import ConductorNotFoundError, SpanNotClosedError
 from modpforms.expr import evaluate, parse_form_expression
 from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell
 from modpforms.module import (
+    NILPOTENT,
     HeckeModule,
+    _group_blocks,
     _tl_coords,
     build_module,
     classify_classes,
@@ -327,6 +329,39 @@ class TestDecompose:
         parts = pure_decomposition(f)
         assert len(parts) == 1
         assert parts[0].series == f.series
+
+
+class TestGroupBlocks:
+    """One block holding all of Delta^10 mod 3: classes 1 and 2 mod 3 carry several matrices."""
+
+    @pytest.fixture(scope="class")
+    def mod(self):
+        return build_module(_delta_form(3, 10), require_conductor=False)
+
+    def _block(self, m, flip=()):
+        """The whole module as one block; one matrix of each class in flip has its flag flipped."""
+        nil_by_mat = {}
+        for ell, mat in sorted(m.per_prime.items()):
+            nil_by_mat.setdefault(mat.tobytes(), m.status_by_class[ell % 3] == NILPOTENT)
+        for u in flip:
+            last = max(ell for ell in m.per_prime if ell % 3 == u)
+            nil_by_mat[m.per_prime[last].tobytes()] ^= True
+        return [(linalg.identity(m.dim, 3), nil_by_mat)]
+
+    def test_consistent_flags_give_the_status_classes(self, mod):
+        assert mod.status_modulus == 3
+        assert all(
+            len({mat.tobytes() for ell, mat in mod.per_prime.items() if ell % 3 == u}) > 1
+            for u in (1, 2)
+        )
+        (part,) = _group_blocks(mod, self._block(mod))
+        assert part.nil_classes == frozenset({2})
+        assert np.array_equal(part.coords_in_parent, mod.f_coords)
+
+    @pytest.mark.parametrize("flip,named", [((2,), 2), ((1,), 1), ((2, 1), 1)])
+    def test_first_inconsistent_class_is_named(self, mod, flip, named):
+        with pytest.raises(ConductorNotFoundError, match=f"status class {named} is not"):
+            _group_blocks(mod, self._block(mod, flip))
 
 
 class TestSubmodule:
