@@ -62,6 +62,11 @@ EXTRA = [
     ("constants", "--p", "7", "--form", "delta^2", "--sample-bound", "600", "--prime-bound", "100000"),
     # no conductor
     ("decompose", "--p", "3", "--form", "delta^7"),
+    # no conductor where one is needed: exit 3 with the detection's reason
+    ("module", "--p", "3", "--form", "delta^7"),
+    ("constants", "--p", "3", "--form", "delta^7"),
+    ("predict", "--p", "3", "--form", "delta^7"),
+    ("oracle", "--p", "3", "--form", "delta^7", "--xmax", "1000"),
     # W(Delta^3) mod 7: two submodules of a module with no conductor, then exit 3
     ("predict", "--p", "7", "--form", "delta^3"),
     # weight lifts past the form's own weight

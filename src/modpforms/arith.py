@@ -6,12 +6,10 @@ take their primes and factorizations from here.
 """
 
 import math
-import threading
 
 import numpy as np
 
 _prime_cache = {}
-_prime_lock = threading.Lock()
 _NO_PRIMES = np.zeros(0, dtype=np.int64)
 _NO_PRIMES.flags.writeable = False
 
@@ -37,11 +35,10 @@ def primes_upto(n):
     """
     if n < 2:
         return _NO_PRIMES
-    with _prime_lock:
-        best = max((b for b in _prime_cache if b >= n), default=None)
-        if best is not None:
-            arr = _prime_cache[best]
-            return arr[: np.searchsorted(arr, n, side="right")]
+    best = max((b for b in _prime_cache if b >= n), default=None)
+    if best is not None:
+        arr = _prime_cache[best]
+        return arr[: np.searchsorted(arr, n, side="right")]
     # odd numbers only: entry i stands for 2i + 1
     sieve = np.ones((n + 1) // 2, dtype=bool)
     sieve[0] = False
@@ -50,9 +47,8 @@ def primes_upto(n):
             sieve[q * q // 2 :: q] = False
     arr = np.concatenate(([2], 2 * np.flatnonzero(sieve) + 1)).astype(np.int64)
     arr.flags.writeable = False
-    with _prime_lock:
-        _prime_cache.clear()
-        _prime_cache[n] = arr
+    _prime_cache.clear()
+    _prime_cache[n] = arr
     return arr
 
 

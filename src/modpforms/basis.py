@@ -9,7 +9,6 @@ precision.  Coordinates of a form are read off its first dim coefficients;
 a full round-trip check guards against wrong weight lifts.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ import numpy as np
 from . import linalg, series
 from .errors import InternalInvariantError, NotInSpanError
 from .series import QSeries, delta_power, eisenstein, linear_combine, mul, power
-
-_SLACK = 8
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,6 @@ def _monomials(k):
 
 
 _basis_cache = {}
-_basis_lock = threading.Lock()
 
 
 def miller_basis(p, k, prec):
@@ -96,10 +92,9 @@ def miller_basis(p, k, prec):
         raise ValueError(f"the weight-{k} space is zero")
     if prec < dim:
         raise ValueError(f"precision {prec} is below the dimension {dim}")
-    with _basis_lock:
-        cached = _basis_cache.get((p, k))
-        if cached is not None and cached.prec >= prec:
-            return WeightBasis(p, k, dim, tuple(b.truncate(prec) for b in cached.basis))
+    cached = _basis_cache.get((p, k))
+    if cached is not None and cached.prec >= prec:
+        return WeightBasis(p, k, dim, tuple(b.truncate(prec) for b in cached.basis))
 
     mono = _mod_monomials(p, k, prec)
     U = linalg.inverse(np.stack([m.coeffs[:dim] for m in mono]), p)
@@ -109,11 +104,7 @@ def miller_basis(p, k, prec):
         head = row.coeffs[:dim]
         if head[i] != 1 or np.count_nonzero(head) != 1:
             raise InternalInvariantError("echelon property lost after reduction")
-    out = WeightBasis(p, k, dim, tuple(rows))
-    with _basis_lock:
-        cached = _basis_cache.get((p, k))
-        if cached is None or cached.prec < prec:
-            _basis_cache[(p, k)] = out
+    out = _basis_cache[(p, k)] = WeightBasis(p, k, dim, tuple(rows))
     return out
 
 

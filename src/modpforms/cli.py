@@ -175,6 +175,7 @@ def cmd_hecke(args):
 def cmd_module(args):
     f = _evaluate_form(args)
     mod = module_mod.build_module(f, sample_bound=args.sample_bound)
+    mod.require_conductor()
     report = module_mod.classify_classes(mod)
     prof = densities.module_profile(mod, with_constants=False)
     equi = module_mod.equidistribution_report(mod)
@@ -213,7 +214,7 @@ def cmd_module(args):
 
 def cmd_decompose(args):
     f = _evaluate_form(args)
-    mod = module_mod.build_module(f, sample_bound=args.sample_bound, require_conductor=False)
+    mod = module_mod.build_module(f, sample_bound=args.sample_bound)
     payload_parts = []
     for pp in densities.component_profiles(mod, with_constants=False):
         sub = pp.module
@@ -361,6 +362,7 @@ def cmd_alpha_group(args):
 def cmd_constants(args):
     f = _evaluate_form(args)
     mod = module_mod.build_module(f, sample_bound=args.sample_bound)
+    mod.require_conductor()
     payload_parts = []
     for pp in densities.component_profiles(mod, with_constants=False):
         cu = pp.euler_constant(args.prime_bound)

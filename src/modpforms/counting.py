@@ -97,8 +97,10 @@ def _checked_bounds(checkpoints, x_max):
 
 
 def oracle_components(f, **build_kwargs):
-    """The pure component modules of a form, for the oracle."""
-    parts = decompose(build_module(f, **build_kwargs))
+    """The pure component modules of a form, for the oracle; the parent needs a conductor too."""
+    module = build_module(f, **build_kwargs)
+    module.require_conductor()
+    parts = decompose(module)
     if not all(classify_classes(part.module).pure for part in parts):
         raise InternalInvariantError("decomposition produced a non-pure part")
     return [part.module for part in parts]

@@ -115,17 +115,24 @@ def multi_frobenian_density(module, source, target, height):
 
     Counts the ordered class tuples (u_1, .., u_h) whose matrix product
     sends the source vector to the target, from the last level of the
-    nilpotent walk (so a zero target counts only at h = 0), divided by
-    h! * phi(c)^h.  Needs the class-determined action.
+    nilpotent walk, divided by h! * phi(c)^h.  The walk drops zero images,
+    so the tuples reaching zero are all (number of nilpotent classes)^h
+    tuples but those reaching a nonzero image.  Needs the class-determined
+    action.
     """
     module.require_conductor()
     report = classify_classes(module)
     if not report.pure:
         raise ValueError("density of a non-pure module is undefined")
     phi = len(report.statuses)
-    vecs, counts = _nilpotent_walk(_nilpotent_stack(module, height), source, height, module.p)[-1]
-    hit = (vecs == np.asarray(target, dtype=np.int64) % module.p).all(axis=1)
-    return int(counts[hit].sum()) / Fraction(math.factorial(height) * phi**height)
+    stack = _nilpotent_stack(module, height)
+    vecs, counts = _nilpotent_walk(stack, source, height, module.p)[-1]
+    target = np.asarray(target, dtype=np.int64) % module.p
+    if target.any():
+        hits = int(counts[(vecs == target).all(axis=1)].sum())
+    else:
+        hits = len(stack) ** height - int(counts[vecs.any(axis=1)].sum())
+    return hits / Fraction(math.factorial(height) * phi**height)
 
 
 def _nilpotent_stack(module, height):
@@ -630,7 +637,7 @@ def profile(
             contributions.append((weight, None))
             continue
         g = _lift_weight(g_series, p, f.weight)
-        module = build_module(g, sample_bound=sample_bound, require_conductor=False)
+        module = build_module(g, sample_bound=sample_bound)
         contributions.append((weight, module_profile(module, **part_kw)))
 
     live = [(w, pr) for w, pr in contributions if pr is not None]

@@ -37,6 +37,13 @@ def ell_s_ell(ell, weight, p):
     return pow(ell, weight - 1, p)
 
 
+def t_ell_coefficients(a, ell, weight, prec, p):
+    """The first prec coefficients a_{ln} + l^{k-1} a_{n/l} of T_l along the last axis of a."""
+    out = a[..., : ell * prec : ell].astype(np.int64)
+    out[..., ::ell] += ell_s_ell(ell, weight, p) * a[..., : (prec - 1) // ell + 1].astype(np.int64)
+    return out % p
+
+
 def apply_T_ell(f, ell):
     """Prime-index Hecke operator; output precision floor(prec / l)."""
     p = f.p
@@ -47,12 +54,8 @@ def apply_T_ell(f, ell):
     out_prec = f.prec // ell
     if out_prec < 1:
         raise ValueError(f"precision {f.prec} too small for T_{ell}")
-    a = f.series.coeffs
-    out = a[: ell * out_prec : ell].astype(np.int64).copy()
-    s = ell_s_ell(ell, f.weight, p)
-    lo = a[: (out_prec - 1) // ell + 1].astype(np.int64)
-    out[:: ell][: len(lo)] += s * lo
-    return GradedForm(QSeries(p, out % p), f.weight)
+    coeffs = t_ell_coefficients(f.series.coeffs, ell, f.weight, out_prec, p)
+    return GradedForm(QSeries(p, coeffs), f.weight)
 
 
 def _t_prime_power(f, ell, e):

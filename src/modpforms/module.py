@@ -10,8 +10,9 @@ matrix.  Two layers of congruence structure are then detected:
   t(g^{j+1}) = t(g^j) t(g) - d(g) t(g^{j-1}) with t(1) = 2, so one
   sampled prime whose class generates the units fills the whole table,
   which must close cyclically onto 2*Id and match every sampled prime.
-  Detection can fail honestly: for large modules the finite quotient
-  acting on the module is not abelian and no congruence modulus exists.
+  Detection can fail honestly: the module then keeps the reason as
+  conductor_failure, and require_conductor raises it for every reader of
+  the class table.
 
 * the status modulus: a (usually much smaller) p-power modulus on which
   just the nilpotent / invertible / mixed status is constant.  This is
@@ -56,7 +57,7 @@ from .errors import (
     SpanNotClosedError,
     SplittingFieldNeededError,
 )
-from .hecke import ell_s_ell
+from .hecke import ell_s_ell, t_ell_coefficients
 from .series import QSeries
 
 GENERATOR_BOUND = 50  # the closure runs over the T_l with l at most this
@@ -105,7 +106,8 @@ class HeckeModule:
     Vectors are rows over F_p in the module basis; the stored q-expansions
     of the basis vectors provide exact coefficient functionals.  The
     conductor and per-class matrices are present only when the sampled
-    action is class-determined; the status structure is always present.
+    action is class-determined, and conductor_failure says why they are
+    not; the status structure is always present.
     Modules are built by build_module and submodule, which both end in
     _assemble.  Only classes and prime_power_matrix read the class table:
     callers group primes with class_of and take T_{l^e} from
@@ -123,6 +125,7 @@ class HeckeModule:
         per_prime,
         conductor,
         class_matrices,
+        conductor_failure,
         status_modulus,
         status_by_class,
         f_coords,
@@ -135,6 +138,7 @@ class HeckeModule:
         self.per_prime = per_prime  # sampled prime -> r x r action matrix
         self.conductor = conductor  # None when the action is not class-determined
         self.class_matrices = class_matrices
+        self.conductor_failure = conductor_failure  # the detection's reason, None with a conductor
         self.status_modulus = status_modulus
         self.status_by_class = status_by_class
         self.f_coords = f_coords
@@ -147,10 +151,7 @@ class HeckeModule:
 
     def require_conductor(self):
         if self.conductor is None:
-            raise ConductorNotFoundError(
-                "the sampled Hecke action is not determined by congruence classes "
-                "(non-abelian finite quotient); class-based data is unavailable"
-            )
+            raise ConductorNotFoundError(self.conductor_failure)
 
     @property
     def classes(self):
@@ -262,15 +263,6 @@ class EquidistributionReport:
     scalar_values: tuple
 
 
-def _tl_coords(series_rows, ell, scalar, dim, p):
-    """First-dim coefficients of T_l applied to each row's q-expansion."""
-    idx = ell * np.arange(dim)
-    out = series_rows[:, idx].astype(np.int64)
-    j = np.arange(0, dim, ell) // ell
-    out[:, ::ell] += scalar * series_rows[:, j].astype(np.int64)
-    return out % p
-
-
 def work_precision(weight, sample_bound=DEFAULT_SAMPLE_BOUND):
     """q-expansion precision at which build_module reads T_l for every sampled l."""
     return sample_bound * max(dim_level_one(weight) - 1, 1) + 1 + _SLACK
@@ -314,14 +306,14 @@ def check_sample_bound(sample_bound):
         raise ValueError(f"sample_bound must be at least the generator bound {GENERATOR_BOUND}")
 
 
-def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND, require_conductor=True):
+def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
     """Close the span of f under the prime-index operators and detect conductors.
 
     f must be nonzero and supported on indices coprime to p (apply the W
-    projector first).  With require_conductor (the default), a module
-    whose sampled action is not class-determined raises
-    ConductorNotFoundError; pass require_conductor=False for quantities
-    that only need the status structure (alpha) or the raw matrices (h).
+    projector first).  A module whose sampled action is not
+    class-determined is built all the same: the status structure (alpha)
+    and the raw matrices (h) need no conductor, and
+    module.require_conductor() raises the detection's reason for the rest.
     """
     p, k = f.p, f.weight
     check_sample_bound(sample_bound)
@@ -345,28 +337,26 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND, require_conductor=True):
     sampled = [ell for ell in primes_upto(sample_bound).tolist() if ell != p]
     gens = [ell for ell in sampled if ell <= GENERATOR_BOUND]
 
-    gen_mats = [_tl_coords(B, ell, ell_s_ell(ell, k, p), dim, p) for ell in gens]
+    gen_mats = [t_ell_coefficients(B, ell, k, dim, p) for ell in gens]
     V = _closure(f_amb, gen_mats, p, DIMENSION_CAP)  # r x dim, in ambient coordinates
     S = ((V @ B.astype(np.int64)) % p).astype(np.uint8)
 
-    images = np.concatenate([_tl_coords(S, ell, ell_s_ell(ell, k, p), dim, p) for ell in sampled])
+    images = np.concatenate([t_ell_coefficients(S, ell, k, dim, p) for ell in sampled])
     x = linalg.solve_rows(V, images, p)
     if x is None:
         raise InternalInvariantError("a sampled image left the module span")
     per_prime = dict(zip(sampled, np.split(x, len(sampled))))
-    return _assemble(p, k, ambient, V, S, per_prime, require_conductor)
+    return _assemble(p, k, ambient, V, S, per_prime)
 
 
-def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime, require_conductor):
+def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime):
     """The module on the given basis rows, with the first row as its seed.
 
-    Detects the conductor (raising ConductorNotFoundError when it is
-    missing and required) and then the status modulus.
+    Detects the conductor (keeping the reason when there is none) and then
+    the status modulus.
     """
     r = ambient_coords.shape[0]
-    conductor, class_matrices, failure = _detect_conductor(per_prime, p, weight, r)
-    if conductor is None and require_conductor:
-        raise ConductorNotFoundError(failure)
+    conductor, class_matrices, conductor_failure = _detect_conductor(per_prime, p, weight, r)
     status_modulus, status_by_class = _detect_status(per_prime, p, r)
     f_coords = np.zeros(r, dtype=np.int64)
     f_coords[0] = 1
@@ -379,6 +369,7 @@ def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime, requ
         per_prime,
         conductor,
         class_matrices,
+        conductor_failure,
         status_modulus,
         status_by_class,
         f_coords,
@@ -569,7 +560,7 @@ def submodule(parent, vec):
     restricted = dict(zip(parent.per_prime, _restrict(W, parent.per_prime.values(), p)))
     series = ((W @ parent.vector_series.astype(np.int64)) % p).astype(np.uint8)
     amb = (W @ parent.ambient_coords) % p
-    return _assemble(p, parent.weight, parent.ambient, amb, series, restricted, False)
+    return _assemble(p, parent.weight, parent.ambient, amb, series, restricted)
 
 
 def _distinct(mats):
@@ -659,7 +650,6 @@ def pure_decomposition(f, **build_kwargs):
     Purity only needs the action matrices, so the class-determined
     conductor is not required here.
     """
-    build_kwargs.setdefault("require_conductor", False)
     module = build_module(f, **build_kwargs)
     return [
         GradedForm(module.vector_to_series(part.coords_in_parent, f.prec), f.weight)

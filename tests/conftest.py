@@ -38,4 +38,4 @@ def delta_mod3_module():
 def delta2_mod7_module():
     from modpforms.module import build_module
 
-    return build_module(GradedForm(delta_power(7, 2, 4009), 24), require_conductor=True)
+    return build_module(GradedForm(delta_power(7, 2, 4009), 24))

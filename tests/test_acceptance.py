@@ -64,7 +64,7 @@ def test_criterion_1_h_table():
     start = time.monotonic()
     got = {}
     for k in H_TABLE:
-        m = build_module(_delta_form(3, k), require_conductor=False)
+        m = build_module(_delta_form(3, k))
         _h_modules[k] = m
         got[k] = strict_nilpotence_order(m)
     triple_rule = {}
@@ -128,7 +128,7 @@ def test_criterion_3_densities(delta2_mod3_module):
     # cross-check through modules wherever the class structure exists
     module_ok = True
     for k, h in [(1, 0), (2, 1), (4, 2), (5, 3)]:
-        mod = _h_modules.get(k) or build_module(_delta_form(3, k), require_conductor=False)
+        mod = _h_modules.get(k) or build_module(_delta_form(3, k))
         if mod.conductor is None:
             continue
         rep = classify_classes(mod)

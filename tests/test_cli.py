@@ -330,6 +330,18 @@ class TestExitCodes:
         assert code == 3
         assert "mathematical failure" in err
 
+    @pytest.mark.parametrize(
+        "command", [("module",), ("constants",), ("oracle", "--xmax", "1000"), ("predict",)]
+    )
+    def test_missing_conductor_names_the_detection_reason(self, capsys, command):
+        # Delta^7 mod 3: every command that needs a conductor prints the same reason
+        code, _, err = run_cli(capsys, *command, "--p", "3", "--form", "delta^7")
+        assert code == 3
+        assert err == (
+            "mathematical failure: no conductor candidate passed "
+            "(modulus 81: primes 2 and 7 give inconsistent class actions)\n"
+        )
+
     def test_internal_invariant_failure_has_its_own_code(self, capsys, monkeypatch):
         from modpforms import linalg
 

@@ -54,6 +54,7 @@ def _invertible_only(m):
         {ell: linalg.identity(1, 3) for ell in m.per_prime},
         3,
         {1: 2 * linalg.identity(1, 3) % 3, 2: linalg.identity(1, 3)},
+        None,
         3,
         {1: "invertible", 2: "invertible"},
         m.f_coords,
@@ -178,8 +179,6 @@ class TestMultiFrobenianDensity:
             (m, zero, zero, 0, 1),
             (m, zero, f, 0, 0),
             (m, zero, delta_vec, 1, 0),
-            (m, f, zero, 1, 0),
-            (m, f, zero, 2, 0),
         ]
         # no nilpotent class: only the empty tuple, at height 0
         inv = _invertible_only(delta_mod3_module)
@@ -189,6 +188,26 @@ class TestMultiFrobenianDensity:
             ref = nilpotent_images_by_multisets(mod, source, h).get(target.tobytes(), 0)
             got = multi_frobenian_density(mod, source, target, h)
             assert got == want == Fraction(ref, math.factorial(h) * phi**h)
+
+    @pytest.mark.parametrize("h,want", [(1, Fraction(1, 6)), (2, Fraction(1, 8)), (3, Fraction(1, 48))])
+    def test_zero_target_matches_every_ordered_tuple(self, delta2_mod3_module, h, want):
+        # the multiset oracle drops zero images as the walk does, so count
+        # the products of every ordered tuple of nilpotent class matrices
+        m = delta2_mod3_module
+        report = classify_classes(m)
+        nil = [m.prime_power_matrix(u, 1) for u in report.nilpotent_classes]
+        zero = np.zeros(m.dim, dtype=np.int64)
+        denominator = math.factorial(h) * len(report.statuses) ** h
+        for source in (m.f_coords, zero):
+            hits = 0
+            for mats in itertools.product(nil, repeat=h):
+                vec = source
+                for mat in mats:
+                    vec = vec @ mat % 3
+                hits += not vec.any()
+            got = multi_frobenian_density(m, source, zero, h)
+            assert got == Fraction(hits, denominator)
+        assert multi_frobenian_density(m, m.f_coords, zero, h) == want
 
     def test_denominator_invariant(self, delta2_mod3_module):
         m = delta2_mod3_module
@@ -360,7 +379,7 @@ def sfull_walk_inputs():
     """
     out = {}
     for p, k in _SFULL_CASES:
-        m = build_module(_delta_form(p, k), require_conductor=True)
+        m = build_module(_delta_form(p, k))
         report = classify_classes(m)
         alpha = class_density(report.nilpotent_classes, report.modulus)
         cu = euler_constant_C(

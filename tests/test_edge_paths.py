@@ -31,7 +31,7 @@ def _delta_form(p, k, sample_bound=2000):
 @pytest.fixture(scope="module")
 def classless_module():
     # the weight-84 module's sampled action is not class-determined
-    return build_module(_delta_form(3, 7), require_conductor=False)
+    return build_module(_delta_form(3, 7))
 
 
 class TestClasslessModule:
@@ -83,6 +83,7 @@ def _synthetic_module(action, p, dim, f_coords=None):
         per_prime=per_prime,
         conductor=None,
         class_matrices=None,
+        conductor_failure="a synthetic module has no class table",
         status_modulus=p,
         status_by_class={u: "mixed" for u in range(1, p)},
         f_coords=f_coords,

@@ -9,12 +9,11 @@ from modpforms.basis import GradedForm, dim_level_one, miller_basis
 from modpforms.densities import _lift_weight
 from modpforms.errors import ConductorNotFoundError, SpanNotClosedError
 from modpforms.expr import evaluate, parse_form_expression
-from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell
+from modpforms.hecke import apply_T_ell, apply_W, t_ell_coefficients
 from modpforms.module import (
     NILPOTENT,
     HeckeModule,
     _group_blocks,
-    _tl_coords,
     build_module,
     classify_classes,
     decompose,
@@ -82,13 +81,15 @@ class TestBuildModule:
             build_module(f)
 
     def test_conductor_failure_reported(self):
-        # the weight-84 module's action is not class-determined
-        f = _delta_form(3, 7)
-        with pytest.raises(ConductorNotFoundError):
-            build_module(f)
-        m = build_module(f, require_conductor=False)
+        # the weight-84 module's action is not class-determined: the build
+        # succeeds and keeps the detection's reason for require_conductor
+        m = build_module(_delta_form(3, 7))
         assert m.conductor is None
         assert m.status_modulus == 3
+        assert m.conductor_failure.startswith("no conductor candidate passed (modulus 81: ")
+        with pytest.raises(ConductorNotFoundError) as err:
+            m.require_conductor()
+        assert str(err.value) == m.conductor_failure
 
     def test_class_matrix_consistency_random_primes(self, delta2_mod3_module):
         # stored class matrices must reproduce directly computed operators
@@ -105,7 +106,7 @@ class TestBuildModule:
         J = np.array(pivots)
         for i in picks:
             ell = int(pool[i])
-            amb = _tl_coords(S.astype(np.uint8), ell, ell_s_ell(ell, 24, 3), 3, 3)
+            amb = t_ell_coefficients(S.astype(np.uint8), ell, 24, 3, 3)
             direct = np.stack(
                 [linalg.solve_in_rowspan(m.ambient_coords, row, 3) for row in amb]
             )
@@ -188,7 +189,7 @@ class TestClassify:
 class TestNilpotenceOrder:
     @pytest.mark.parametrize("k,h", [(1, 0), (2, 1), (5, 3)])
     def test_small_table(self, k, h):
-        m = build_module(_delta_form(3, k), require_conductor=False)
+        m = build_module(_delta_form(3, k))
         assert strict_nilpotence_order(m) == h
 
     def test_eigenform_is_zero(self, delta_mod3_module):
@@ -201,7 +202,7 @@ class TestNilpotenceOrder:
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 7, 8, 10, 20])
     def test_matches_t2_chain(self, k):
         # for p=3 and level one, h(f) equals the largest h with T_2^h f nonzero
-        m = build_module(_delta_form(3, k), require_conductor=False)
+        m = build_module(_delta_form(3, k))
         h = strict_nilpotence_order(m)
         f = GradedForm(delta_power(3, k, 2 ** (h + 2) * (k + 2) * 4), 12 * k)
         chain = 0
@@ -215,7 +216,7 @@ class TestNilpotenceOrder:
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 7, 8, 10, 11, 13])
     def test_growth_bound(self, k):
-        m = build_module(_delta_form(3, k), require_conductor=False)
+        m = build_module(_delta_form(3, k))
         assert strict_nilpotence_order(m) < 4 * k ** (math.log(2) / math.log(3))
 
     @pytest.mark.parametrize("k", [2, 4, 5])
@@ -280,6 +281,7 @@ class TestGammaGroup:
             m.per_prime,
             m.conductor,
             {1: linalg.identity(1, 3), 2: 0 * linalg.identity(1, 3)},
+            None,
             m.status_modulus,
             m.status_by_class,
             m.f_coords,
@@ -336,7 +338,7 @@ class TestGroupBlocks:
 
     @pytest.fixture(scope="class")
     def mod(self):
-        return build_module(_delta_form(3, 10), require_conductor=False)
+        return build_module(_delta_form(3, 10))
 
     def _block(self, m, flip=()):
         """The whole module as one block; one matrix of each class in flip has its flag flipped."""
@@ -413,7 +415,7 @@ class TestRestrictAgainstPerRow:
         # lifted as densities.profile lifts it; submodule closes under per_prime
         series = apply_W(delta_power(7, 3, work_precision(36, 600)))
         lifted = _lift_weight(series, 7, 36)
-        parent = build_module(lifted, sample_bound=600, require_conductor=False)
+        parent = build_module(lifted, sample_bound=600)
         assert parent.conductor is None
         parts = decompose(parent)
         assert sorted(part.module.dim for part in parts) == [1, 2]

@@ -37,12 +37,12 @@ from test_edge_paths import _delta_form, _synthetic_module
 
 
 def _delta_module(k):
-    return build_module(_delta_form(3, k), require_conductor=False)
+    return build_module(_delta_form(3, k))
 
 
 def _two_component_module():
     f = evaluate(parse_form_expression("delta^2-delta"), 7, work_precision(24))
-    return build_module(f, require_conductor=False)
+    return build_module(f)
 
 
 def _four_eigen_systems_module():
