@@ -5,8 +5,10 @@ Covers the hot loops: sparse series multiplication (cusp-form
 generation) on both of its routes, pair sums for a sparse dense operand
 and shifted adds otherwise, at p = 3 and at p = 251 (250 distinct
 coefficients), table counting with per-value tallies, the divisor-sum
-sieve (Eisenstein series) and truncated dense multiplication (basis
-expansion); then the cusp form itself, built by Frobenius digits, the
+sieve (Eisenstein series), truncated dense multiplication (basis
+expansion) and row combinations mod p (the weight-228 echelon basis mod
+3 at 38,009 coefficients, and 20 x 20,000 at p = 251); then the cusp
+form itself, built by Frobenius digits, the module of Delta^19 mod 3, the
 square-full sums of the leading constants of Delta mod 7 and Delta^5
 mod 3 and the decomposition oracle of Delta^2 mod 3.  Times are the
 best of --repeat runs.
@@ -19,11 +21,11 @@ import time
 
 import numpy as np
 
-from modpforms import kernels
-from modpforms.basis import GradedForm
+from modpforms import kernels, linalg
+from modpforms.basis import GradedForm, _mod_monomials
 from modpforms.counting import decomposition_oracle, oracle_components
 from modpforms.densities import class_density, euler_constant_C, squarefull_buckets
-from modpforms.module import build_module, classify_classes
+from modpforms.module import build_module, classify_classes, work_precision
 from modpforms.series import delta_power, eta_cubed, mul
 
 
@@ -50,6 +52,12 @@ def bench(prec, repeat):
     dense_small_b = np.random.default_rng(1).integers(0, 7, size=20000, dtype=np.uint8)
     table = delta_power(3, 1, prec).coeffs
     bounds = np.array([prec // 100, prec // 10, prec], dtype=np.int64)
+    # the echelon step of miller_basis(3, 228, 38009): 20 monomials, 20 output rows
+    mono = [m.coeffs for m in _mod_monomials(3, 228, work_precision(228))]
+    echelon = linalg.inverse(np.stack([m[:20] for m in mono]), 3)
+    rng = np.random.default_rng(2)
+    mix_251 = rng.integers(0, 251, size=(20, 20))
+    rows_251 = rng.integers(0, 251, size=(20, 20000), dtype=np.uint8)
 
     cases = [
         (
@@ -75,6 +83,14 @@ def bench(prec, repeat):
             "mul_dense (20k x 20k)",
             lambda: kernels.mul_dense(dense_small_a, dense_small_b, 7, 20000),
         ),
+        (
+            f"combine weight-228 echelon mod 3 (20 x 20 by 20 x {len(mono[0])})",
+            lambda: kernels.combine(echelon, mono, 3),
+        ),
+        (
+            "combine mod 251 (20 x 20 by 20 x 20000)",
+            lambda: kernels.combine(mix_251, rows_251, 251),
+        ),
     ]
     for label, fn in cases:
         print(f"{label}: {_time(fn, repeat) * 1000:.1f}ms")
@@ -86,6 +102,11 @@ def bench(prec, repeat):
     for p in (3, 7):
         t = _time(lambda: delta_power(p, 1, prec), repeat)
         print(f"delta_power p={p}: {t * 1000:.1f}ms ({prec} coeffs)")
+
+    # weight 228, the largest of the h-table: the basis is cached after the first run
+    delta19 = GradedForm(delta_power(3, 19, work_precision(228)), 228)
+    t = _time(lambda: build_module(delta19), repeat)
+    print(f"build_module delta^19 mod 3 ({work_precision(228)} coeffs): {t * 1000:.1f}ms")
 
     # Delta^5 mod 3: conductor 27, dim 4, 16 buckets
     for p, k, s_bounds in ((7, 1, (10**8, 10**10)), (3, 5, (10**10,))):

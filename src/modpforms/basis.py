@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, series
+from . import kernels, linalg, series
 from .errors import InternalInvariantError, NotInSpanError
-from .series import QSeries, delta_power, eisenstein, linear_combine, mul, power
+from .series import QSeries, delta_power, eisenstein, mul, power
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,12 @@ def miller_basis(p, k, prec):
     if cached is not None and cached.prec >= prec:
         return WeightBasis(p, k, dim, tuple(b.truncate(prec) for b in cached.basis))
 
-    mono = _mod_monomials(p, k, prec)
-    U = linalg.inverse(np.stack([m.coeffs[:dim] for m in mono]), p)
-    # U is unitriangular like the head block, so no row of it is zero
-    rows = [linear_combine([(int(c), m) for c, m in zip(u, mono) if c]) for u in U]
-    for i, row in enumerate(rows):
-        head = row.coeffs[:dim]
-        if head[i] != 1 or np.count_nonzero(head) != 1:
-            raise InternalInvariantError("echelon property lost after reduction")
-    out = _basis_cache[(p, k)] = WeightBasis(p, k, dim, tuple(rows))
+    mono = [m.coeffs for m in _mod_monomials(p, k, prec)]
+    U = linalg.inverse(np.stack([m[:dim] for m in mono]), p)
+    rows = kernels.combine(U, mono, p)
+    if not np.array_equal(rows[:, :dim], np.eye(dim)):
+        raise InternalInvariantError("echelon property lost after reduction")
+    out = _basis_cache[(p, k)] = WeightBasis(p, k, dim, tuple(QSeries(p, r) for r in rows))
     return out
 
 
@@ -155,5 +152,5 @@ def from_coordinates(coords, basis, prec):
         raise ValueError("coordinate length must equal the basis dimension")
     if prec > basis.prec:
         basis = miller_basis(basis.p, basis.weight, prec)
-    pairs = [(int(c), b.truncate(prec)) for c, b in zip(coords, basis.basis)]
-    return linear_combine(pairs) if pairs else series.zero(basis.p, prec)
+    rows = [b.coeffs[:prec] for b in basis.basis]
+    return QSeries(basis.p, kernels.combine(coords, rows, basis.p))

@@ -9,6 +9,11 @@ Dense products are exact floating-point FFT convolutions of the centred
 residues, guarded by Percival's rounding-error bound: O(n log n) instead of
 schoolbook O(n m).  The divisor-sum sieve walks divisor pairs (d, m) with
 d <= m, so it takes about sqrt(N) vectorised steps instead of N.
+
+Linear combinations of coefficient rows mod p (weight bases, module
+series) go through combine, which sums scaled uint8 rows in the same
+uint16/uint32 accumulators as the sparse product's shifted adds
+(_accumulator), so no full-length row is widened to int64.
 """
 
 import functools
@@ -160,12 +165,9 @@ def _shifted_adds(dense, exps, coefs, p, out_len):
     """The product's coefficients up to multiples of p, one shifted add per term.
 
     Terms run in coefficient order, so one buffer holds c * dense for the
-    current coefficient.  Entries accumulate in uint16 when 255 terms of
-    (p-1)^2 fit (p <= 17) and in uint32 otherwise, and are reduced mod p
-    every ``cadence`` terms so that no entry can wrap.
+    current coefficient.  Entries accumulate as _accumulator(p) says.
     """
-    dt = np.uint16 if (p - 1) ** 2 <= 256 else np.uint32
-    cadence = (int(np.iinfo(dt).max) - (p - 1)) // (p - 1) ** 2
+    dt, cadence = _accumulator(p)
     wide = dense.astype(dt)
     scaled = np.empty_like(wide)
     acc = np.zeros(out_len, dtype=dt)
@@ -179,6 +181,55 @@ def _shifted_adds(dense, exps, coefs, p, out_len):
         if i % cadence == 0:
             acc %= p
     return acc
+
+
+def _accumulator(p):
+    """The dtype and reduction cadence for sums of products of two residues mod p.
+
+    Entries accumulate in uint16 when 255 terms of (p-1)^2 fit (p <= 17)
+    and in uint32 otherwise.  An entry reduced mod p and then given
+    ``cadence`` more terms stays below the dtype's maximum, so reducing
+    every ``cadence`` terms keeps every entry from wrapping.
+    """
+    dt = np.uint16 if (p - 1) ** 2 <= 256 else np.uint32
+    cadence = (int(np.iinfo(dt).max) - (p - 1)) // (p - 1) ** 2
+    return dt, cadence
+
+
+def combine(coefs, rows, p):
+    """(coefs @ rows) mod p as uint8, without widening the rows to int64.
+
+    coefs is an m x r matrix (or a vector of r) of integers, taken mod p;
+    rows holds r uint8 rows of residues of equal length, as a 2-D array, a
+    strided view or a list.  Each output row sums its scaled rows in the
+    accumulator of _accumulator(p), skipping zero coefficients, and is
+    reduced mod p every cadence terms and at the end.  The result has the
+    shape of coefs @ rows.
+    """
+    coefs = np.asarray(coefs, dtype=np.int64) % p
+    matrix = np.atleast_2d(coefs)
+    if matrix.shape[1] != len(rows):
+        raise ValueError(f"{matrix.shape[1]} coefficients per output row for {len(rows)} rows")
+    dt, cadence = _accumulator(p)
+    n = len(rows[0])
+    out = np.empty((matrix.shape[0], n), dtype=np.uint8)
+    acc = np.empty(n, dtype=dt)
+    scaled = np.empty(n, dtype=dt)
+    for i, row_coefs in enumerate(matrix.tolist()):
+        acc[:] = 0
+        terms = 0
+        for c, row in zip(row_coefs, rows):
+            if c:
+                np.multiply(row, dt(c), out=scaled)
+                acc += scaled
+                terms += 1
+                if terms % cadence == 0:
+                    acc %= p
+        if dt == np.uint16:
+            np.take(_residue_table(p), acc, out=out[i])
+        else:
+            np.remainder(acc, p, out=out[i], casting="unsafe")
+    return out if coefs.ndim == 2 else out[0]
 
 
 @functools.lru_cache(maxsize=None)

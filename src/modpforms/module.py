@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .arith import multiplicative_order, primes_upto
 from .basis import (
     GradedForm,
@@ -64,6 +64,9 @@ GENERATOR_BOUND = 50  # the closure runs over the T_l with l at most this
 DEFAULT_SAMPLE_BOUND = 2000
 DIMENSION_CAP = 64
 GAMMA_ORDER_CAP = 100000
+# dim x work_prec entries of the ambient basis that build_module expands (one byte
+# each, held about three times over); the tests and benchmarks reach 840,189
+AMBIENT_CAP = 10**7
 MAX_CONDUCTOR_EXPONENT = 4
 _SLACK = 8
 
@@ -216,8 +219,7 @@ class HeckeModule:
     def vector_to_series(self, vec, prec=None):
         prec = prec or self.vector_series.shape[1]
         if prec <= self.vector_series.shape[1]:
-            coeffs = (vec.astype(np.int64) @ self.vector_series[:, :prec].astype(np.int64)) % self.p
-            return QSeries(self.p, coeffs)
+            return QSeries(self.p, kernels.combine(vec, self.vector_series[:, :prec], self.p))
         amb = linalg.matvec(vec, self.ambient_coords, self.p)
         return from_coordinates(amb, self.ambient, prec)
 
@@ -319,6 +321,11 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
     check_sample_bound(sample_bound)
     dim = dim_level_one(k)
     work_prec = work_precision(k, sample_bound)
+    if dim * work_prec > AMBIENT_CAP:
+        raise BudgetExceededError(
+            f"the weight-{k} basis at {work_prec} coefficients has {dim * work_prec} "
+            f"entries, above the cap {AMBIENT_CAP}"
+        )
 
     ambient = miller_basis(p, k, work_prec)
     g = GradedForm(f.series.truncate(min(f.prec, work_prec)), k)
@@ -327,8 +334,7 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
         raise ValueError("cannot build the module of the zero form")
     B = ambient.matrix()  # dim x work_prec
 
-    f_full = (f_amb @ B.astype(np.int64)) % p
-    if f_full[::p].any():
+    if kernels.combine(f_amb, B[:, ::p], p).any():
         raise ValueError(
             "form has nonzero coefficients at indices divisible by p; "
             "apply the W projector first"
@@ -339,7 +345,7 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
 
     gen_mats = [t_ell_coefficients(B, ell, k, dim, p) for ell in gens]
     V = _closure(f_amb, gen_mats, p, DIMENSION_CAP)  # r x dim, in ambient coordinates
-    S = ((V @ B.astype(np.int64)) % p).astype(np.uint8)
+    S = kernels.combine(V, B, p)
 
     images = np.concatenate([t_ell_coefficients(S, ell, k, dim, p) for ell in sampled])
     x = linalg.solve_rows(V, images, p)
@@ -558,7 +564,7 @@ def submodule(parent, vec):
         source = _distinct(parent.per_prime.values())
     W = _closure(vec, source, p, parent.dim)  # a subspace: the cap never binds
     restricted = dict(zip(parent.per_prime, _restrict(W, parent.per_prime.values(), p)))
-    series = ((W @ parent.vector_series.astype(np.int64)) % p).astype(np.uint8)
+    series = kernels.combine(W, parent.vector_series, p)
     amb = (W @ parent.ambient_coords) % p
     return _assemble(p, parent.weight, parent.ambient, amb, series, restricted)
 

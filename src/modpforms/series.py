@@ -285,12 +285,8 @@ def linear_combine(pairs):
     if not pairs:
         raise ValueError("need at least one (scalar, series) pair")
     p = pairs[0][1].p
+    if any(s.p != p for _, s in pairs):
+        raise ValueError("mismatched moduli")
     prec = min(s.prec for _, s in pairs)
-    acc = np.zeros(prec, dtype=np.int64)
-    for scalar, s in pairs:
-        if s.p != p:
-            raise ValueError("mismatched moduli")
-        c = int(scalar) % p
-        if c:
-            acc += c * s.coeffs[:prec].astype(np.int64)
-    return QSeries(p, acc % p)
+    coefs = [int(scalar) % p for scalar, _ in pairs]
+    return QSeries(p, kernels.combine(coefs, [s.coeffs[:prec] for _, s in pairs], p))

@@ -5,11 +5,12 @@ package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, powers, cusp-form powers, square-full
 sums, the prime sieve over all integers, sparse products, products at
-full length without the support-lattice step, restriction to
-a submodule, the decomposition oracle, row reduction one row at a time,
-the module closure, the per-matrix status, the nilpotence-order search
-and the multiset enumeration of nilpotent images are kept here as
-differential references for the fast paths that replaced them.
+full length without the support-lattice step, row combinations in int64,
+restriction to a submodule, the decomposition oracle, row reduction one
+row at a time, the module closure, the per-matrix status, the
+nilpotence-order search and the multiset enumeration of nilpotent images
+are kept here as differential references for the fast paths that
+replaced them.
 """
 
 import math
@@ -155,6 +156,12 @@ def mul_sparse_shifted_adds(dense, exps, coefs, p, out_len):
         if start + chunk < len(exps):
             acc %= p
     return (acc % p).astype(np.uint8)
+
+
+def combine_int64(coefs, rows, p):
+    """(coefs @ rows) mod p as uint8, with the rows widened to int64 and one matrix product."""
+    wide = np.stack([np.asarray(row) for row in rows]).astype(np.int64)
+    return ((np.asarray(coefs, dtype=np.int64) % p) @ wide % p).astype(np.uint8)
 
 
 def delta_power_by_eta_products(p, k, prec):

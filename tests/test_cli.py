@@ -323,6 +323,19 @@ class TestExitCodes:
         assert code == 2
         assert "input error" in err
 
+    def test_ambient_cap_is_input_error(self, capsys, monkeypatch):
+        from modpforms import module
+
+        monkeypatch.setattr(module, "AMBIENT_CAP", 1000)
+        code, _, err = run_cli(
+            capsys, "module", "--p", "3", "--form", "delta^2", "--sample-bound", "600"
+        )
+        assert code == 2
+        assert err == (
+            "input error: the weight-24 basis at 1209 coefficients has 3627 entries, "
+            "above the cap 1000\n"
+        )
+
     def test_conductor_failure_is_math_error(self, capsys):
         code, _, err = run_cli(
             capsys, "module", "--p", "3", "--form", "delta^7", "--sample-bound", "600"

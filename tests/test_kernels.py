@@ -7,7 +7,7 @@ import pytest
 from modpforms import kernels, series
 from modpforms.errors import InternalInvariantError
 
-from oracles import mul_dense_convolve, sigma_sieve_walk
+from oracles import combine_int64, mul_dense_convolve, sigma_sieve_walk
 
 
 def _random_case(rng, p, n):
@@ -273,3 +273,61 @@ class TestSigmaSieveAgainstDivisorWalk:
 
     def test_large_prefix(self):
         assert np.array_equal(kernels.sigma_sieve(50000, 5, 7), sigma_sieve_walk(50000, 5, 7))
+
+
+class TestCombineAgainstInt64:
+    """The row-combination kernel against the int64 matrix product, bit for bit."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 19, 251])
+    @pytest.mark.parametrize("m,r,n", [(1, 1, 1), (1, 5, 300), (4, 7, 1000), (20, 20, 38)])
+    def test_random_rows(self, p, m, r, n):
+        rng = np.random.default_rng(100 * p + m + r + n)
+        # coefficients outside [0, p), negative ones and zeros included
+        coefs = rng.integers(-2 * p, 2 * p, size=(m, r))
+        coefs[:, ::3] = 0
+        rows = _random_case(rng, p, r * n).reshape(r, n)
+        rows[r // 2] = 0
+        got = kernels.combine(coefs, rows, p)
+        assert got.dtype == np.uint8 and got.shape == (m, n)
+        assert np.array_equal(got, combine_int64(coefs, rows, p))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 19, 251])
+    def test_vectors_views_and_lists(self, p):
+        rng = np.random.default_rng(p)
+        B = _random_case(rng, p, 6 * 500).reshape(6, 500)
+        vec = rng.integers(-p, p, size=6)
+        # a vector of coefficients gives one row, as coefs @ rows does
+        got = kernels.combine(vec, B, p)
+        assert got.shape == (500,)
+        assert np.array_equal(got, combine_int64(vec, B, p))
+        # a strided view and a list of rows, as build_module and linear_combine pass them
+        assert np.array_equal(kernels.combine(vec, B[:, ::p], p), combine_int64(vec, B[:, ::p], p))
+        assert np.array_equal(kernels.combine(vec, list(B), p), combine_int64(vec, B, p))
+        # all-zero coefficients and all-zero rows
+        assert not kernels.combine(np.zeros(6, dtype=np.int64), B, p).any()
+        assert not kernels.combine(vec, np.zeros_like(B), p).any()
+
+    def test_cadence_reduction(self):
+        # at p = 17 the uint16 accumulator is reduced every 255 terms; 300
+        # terms of 16 * 16 wrap without that reduction
+        p, r = 17, 300
+        coefs = np.full((1, r), 16)
+        rows = np.full((r, 4), 16, dtype=np.uint8)
+        got = kernels.combine(coefs, rows, p)
+        assert np.array_equal(got, combine_int64(coefs, rows, p))
+        assert got.tolist() == [[r * 256 % p] * 4]
+
+    def test_accumulator_rule(self):
+        # uint16 while 255 terms of (p-1)^2 fit, uint32 above; the cadence
+        # keeps a reduced entry plus cadence terms within the dtype
+        assert kernels._accumulator(17) == (np.uint16, 255)
+        assert kernels._accumulator(19)[0] == np.uint32
+        for p in PRIMES:
+            dt, cadence = kernels._accumulator(p)
+            assert (p - 1) + cadence * (p - 1) ** 2 <= np.iinfo(dt).max
+            assert (p - 1) + (cadence + 1) * (p - 1) ** 2 > np.iinfo(dt).max
+
+    def test_row_count_must_match(self):
+        rows = np.zeros((3, 10), dtype=np.uint8)
+        with pytest.raises(ValueError, match="coefficients per output row"):
+            kernels.combine(np.ones((2, 4), dtype=np.int64), rows, 3)

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from modpforms import linalg, module
+from modpforms import basis, linalg, module
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, miller_basis
 from modpforms.densities import _lift_weight
-from modpforms.errors import ConductorNotFoundError, SpanNotClosedError
+from modpforms.errors import BudgetExceededError, ConductorNotFoundError, SpanNotClosedError
 from modpforms.expr import evaluate, parse_form_expression
 from modpforms.hecke import apply_T_ell, apply_W, t_ell_coefficients
 from modpforms.module import (
@@ -79,6 +80,34 @@ class TestBuildModule:
         monkeypatch.setattr(module, "DIMENSION_CAP", 1)
         with pytest.raises(SpanNotClosedError):
             build_module(f)
+
+    def test_ambient_cap_checked_before_the_basis(self, monkeypatch):
+        # Delta^2 mod 3 at the default sample bound expands 3 x 4009 entries
+        def no_basis(*args):
+            raise AssertionError("miller_basis ran past the ambient cap")
+
+        monkeypatch.setattr(module, "miller_basis", no_basis)
+        monkeypatch.setattr(module, "AMBIENT_CAP", 3 * 4009 - 1)
+        with pytest.raises(BudgetExceededError, match="has 12027 entries, above the cap 12026"):
+            build_module(_delta_form(3, 2))
+
+    def test_ambient_cap_admits_its_bound(self, monkeypatch):
+        monkeypatch.setattr(module, "AMBIENT_CAP", 3 * 4009)
+        assert build_module(_delta_form(3, 2)).dim == 2
+
+    def test_peak_memory_delta19_mod3(self, monkeypatch):
+        # weight 228: 20 basis rows of 38,009 coefficients, 760 kB as uint8.
+        # The basis is rebuilt inside the measurement; the rows must not be
+        # widened to int64 (8 bytes an entry) on the way to the module.
+        f = _delta_form(3, 19)
+        monkeypatch.setattr(basis, "_basis_cache", {})
+        tracemalloc.start()
+        try:
+            build_module(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 10**6
 
     def test_conductor_failure_reported(self):
         # the weight-84 module's action is not class-determined: the build
