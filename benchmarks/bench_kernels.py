@@ -8,10 +8,12 @@ coefficients), table counting with per-value tallies, the divisor-sum
 sieve (Eisenstein series), truncated dense multiplication (basis
 expansion) and row combinations mod p (the weight-228 echelon basis mod
 3 at 38,009 coefficients, and 20 x 20,000 at p = 251); then the cusp
-form itself, built by Frobenius digits, the module of Delta^19 mod 3, the
-square-full sums of the leading constants of Delta mod 7 and Delta^5
-mod 3 and the decomposition oracle of Delta^2 mod 3.  Times are the
-best of --repeat runs.
+form itself, built by Frobenius digits, the weight-228 basis mod 3 built
+cold, the exponents 8c (c < 20) of its Delta^c in one shared digit walk
+against one power each, the module of Delta^19 mod 3 and the batched
+status pass on its sampled matrices, the square-full sums of the
+leading constants of Delta mod 7 and Delta^5 mod 3 and the decomposition
+oracle of Delta^2 mod 3.  Times are the best of --repeat runs.
 
     python benchmarks/bench_kernels.py [--prec 1000000] [--repeat 3]
 """
@@ -21,12 +23,12 @@ import time
 
 import numpy as np
 
-from modpforms import kernels, linalg
-from modpforms.basis import GradedForm, _mod_monomials
+from modpforms import basis, kernels, linalg
+from modpforms.basis import GradedForm, _mod_monomials, miller_basis
 from modpforms.counting import decomposition_oracle, oracle_components
 from modpforms.densities import class_density, euler_constant_C, squarefull_buckets
-from modpforms.module import build_module, classify_classes, work_precision
-from modpforms.series import delta_power, eta_cubed, mul
+from modpforms.module import _statuses, build_module, classify_classes, work_precision
+from modpforms.series import delta_power, eta_cubed, mul, power, powers
 
 
 def _time(fn, repeat):
@@ -103,10 +105,29 @@ def bench(prec, repeat):
         t = _time(lambda: delta_power(p, 1, prec), repeat)
         print(f"delta_power p={p}: {t * 1000:.1f}ms ({prec} coeffs)")
 
-    # weight 228, the largest of the h-table: the basis is cached after the first run
-    delta19 = GradedForm(delta_power(3, 19, work_precision(228)), 228)
+    # weight 228, the largest of the h-table
+    prec228 = work_precision(228)
+
+    def cold_basis():
+        basis._basis_cache.clear()
+        miller_basis(3, 228, prec228)
+
+    t = _time(cold_basis, repeat)
+    print(f"miller_basis weight 228 mod 3, cold ({prec228} coeffs): {t * 1000:.1f}ms")
+    eta3_228 = eta_cubed(3, prec228 - 1)
+    exponents = [8 * c for c in range(1, 20)]
+    t = _time(lambda: powers(eta3_228, exponents), repeat)
+    print(f"powers eta^3 mod 3, exponents 8c for c < 20, one walk: {t * 1000:.1f}ms")
+    t = _time(lambda: [power(eta3_228, e) for e in exponents], repeat)
+    print(f"power eta^3 mod 3, exponents 8c for c < 20, one call each: {t * 1000:.1f}ms")
+
+    # the basis is cached after the first run
+    delta19 = GradedForm(delta_power(3, 19, prec228), 228)
     t = _time(lambda: build_module(delta19), repeat)
-    print(f"build_module delta^19 mod 3 ({work_precision(228)} coeffs): {t * 1000:.1f}ms")
+    print(f"build_module delta^19 mod 3 ({prec228} coeffs): {t * 1000:.1f}ms")
+    sampled = list(build_module(delta19).per_prime.values())
+    t = _time(lambda: _statuses(sampled, 3), repeat)
+    print(f"_statuses delta^19 mod 3 ({len(sampled)} sampled matrices): {t * 1000:.1f}ms")
 
     # Delta^5 mod 3: conductor 27, dim 4, 16 buckets
     for p, k, s_bounds in ((7, 1, (10**8, 10**10)), (3, 5, (10**10,))):

@@ -82,6 +82,14 @@ EXTRA = [
     ("predict", "--p", "3", "--form", "delta^4+delta^5"),
     # past series.MAX_PREC: exit 2
     ("expand", "--p", "3", "--form", "delta", "--prec", "10000001"),
+    # products by a constant: E4 = 1 but E6 is not mod 5; E4 is not constant mod 7
+    ("module", "--p", "5", "--form", "E6*delta^2"),
+    ("decompose", "--p", "7", "--form", "E4*delta^2"),
+    # the weight-960 basis is past module.AMBIENT_CAP, and the work precision past
+    # series.MAX_PREC: exit 2, whether checked before or after evaluating the form
+    ("module", "--p", "3", "--form", "delta^80"),
+    ("oracle", "--p", "3", "--form", "delta^80", "--xmax", "1000"),
+    ("module", "--p", "7", "--form", "E4", "--sample-bound", "10000000"),
 ]
 
 

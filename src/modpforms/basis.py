@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels, linalg, series
 from .errors import InternalInvariantError, NotInSpanError
-from .series import QSeries, delta_power, eisenstein, mul, power
+from .series import QSeries, delta_powers, eisenstein, mul, powers
 
 
 @dataclass(frozen=True)
@@ -38,20 +38,22 @@ class GradedForm:
         return self.series.prec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightBasis:
+    """The echelon basis of a weight space: one read-only dim x prec uint8 matrix of rows."""
+
     p: int
     weight: int
     dim: int
-    basis: tuple
+    rows: np.ndarray
 
     @property
     def prec(self):
-        return self.basis[0].prec
+        return self.rows.shape[1]
 
     def matrix(self):
-        """dim x prec uint8 array of basis coefficient rows."""
-        return np.stack([b.coeffs for b in self.basis])
+        """dim x prec uint8 array of basis coefficient rows (read-only, not a copy)."""
+        return self.rows
 
 
 def dim_level_one(k):
@@ -94,35 +96,36 @@ def miller_basis(p, k, prec):
         raise ValueError(f"precision {prec} is below the dimension {dim}")
     cached = _basis_cache.get((p, k))
     if cached is not None and cached.prec >= prec:
-        return WeightBasis(p, k, dim, tuple(b.truncate(prec) for b in cached.basis))
+        return WeightBasis(p, k, dim, cached.rows[:, :prec])
 
     mono = [m.coeffs for m in _mod_monomials(p, k, prec)]
     U = linalg.inverse(np.stack([m[:dim] for m in mono]), p)
     rows = kernels.combine(U, mono, p)
     if not np.array_equal(rows[:, :dim], np.eye(dim)):
         raise InternalInvariantError("echelon property lost after reduction")
-    out = _basis_cache[(p, k)] = WeightBasis(p, k, dim, tuple(QSeries(p, r) for r in rows))
+    rows.flags.writeable = False
+    out = _basis_cache[(p, k)] = WeightBasis(p, k, dim, rows)
     return out
 
 
 def _mod_monomials(p, k, prec):
-    """The generating monomials of weight k reduced mod p, sharing power tables."""
+    """The generating monomials of weight k reduced mod p.
+
+    Every Delta^c comes from one delta_powers walk and every E4^a from one
+    powers walk, so exponents share their low Frobenius digits; mul turns a
+    product by a constant (E4 mod 3 and 5, E6 mod 3 and 7) into a scaling.
+    """
     mono = _monomials(k)
-    e4_pows = {}
-    e4 = None
+    e4_exps = sorted({a for a, _, _ in mono if a})
+    e4_pows = dict(zip(e4_exps, powers(eisenstein(p, 4, prec), e4_exps))) if e4_exps else {}
     e6 = eisenstein(p, 6, prec) if any(b for _, b, _ in mono) else None
-    out = []
-    for a, b, c in mono:
-        term = delta_power(p, c, prec)
+    # each Delta^c is replaced by its monomial, so one list of rows is alive
+    out = delta_powers(p, [c for _, _, c in mono], prec)
+    for i, (a, b, _) in enumerate(mono):
         if a:
-            if a not in e4_pows:
-                if e4 is None:
-                    e4 = eisenstein(p, 4, prec)
-                e4_pows[a] = power(e4, a)
-            term = mul(term, e4_pows[a])
+            out[i] = mul(out[i], e4_pows[a])
         if b:
-            term = mul(term, e6)
-        out.append(term)
+            out[i] = mul(out[i], e6)
     return out
 
 
@@ -152,5 +155,4 @@ def from_coordinates(coords, basis, prec):
         raise ValueError("coordinate length must equal the basis dimension")
     if prec > basis.prec:
         basis = miller_basis(basis.p, basis.weight, prec)
-    rows = [b.coeffs[:prec] for b in basis.basis]
-    return QSeries(basis.p, kernels.combine(coords, rows, basis.p))
+    return QSeries(basis.p, kernels.combine(coords, basis.rows[:, :prec], basis.p))

@@ -31,6 +31,7 @@ from .errors import (
     SplittingFieldNeededError,
 )
 from .expr import evaluate, parse_form_expression
+from .series import check_prec
 
 
 def _fmt_float(x):
@@ -100,22 +101,34 @@ def _positive_int(text):
     return value
 
 
-def _module_prec(args, ast):
-    """--prec, or the module work precision for the weight read off a short probe."""
+def _module_prec(args, ast, xmax=0, own_module=True):
+    """--prec, or the module work precision for the weight read off a short probe.
+
+    A command that builds the module of the form itself (own_module) meets
+    the errors it would meet later before the form is evaluated at
+    max(x_max, work precision): the series cap on that precision, then
+    build_module's checks through module.ambient_precision.  predict and
+    compare build theirs at the weights of the U_p tower, which only the
+    evaluated form shows.
+    """
     if args.prec:
         return args.prec
-    return module_mod.work_precision(evaluate(ast, args.p, 32).weight, args.sample_bound)
+    weight = evaluate(ast, args.p, 32).weight
+    if not own_module:
+        return module_mod.work_precision(weight, args.sample_bound)
+    check_prec(max(xmax, module_mod.work_precision(weight, args.sample_bound)))
+    return module_mod.ambient_precision(weight, args.sample_bound)
 
 
-def _evaluate_form(args, prec=None):
+def _evaluate_form(args, prec=None, own_module=True):
     ast = parse_form_expression(args.form, args.p)
-    return evaluate(ast, args.p, prec or _module_prec(args, ast))
+    return evaluate(ast, args.p, prec or _module_prec(args, ast, own_module=own_module))
 
 
-def _evaluate_with_table(args, xmax):
+def _evaluate_with_table(args, xmax, own_module=True):
     """One evaluation to max(x_max, module precision): the module's form and the x_max table."""
     ast = parse_form_expression(args.form, args.p)
-    prec = _module_prec(args, ast)
+    prec = _module_prec(args, ast, xmax, own_module)
     f = evaluate(ast, args.p, max(xmax, prec))
     return GradedForm(f.series.truncate(prec), f.weight), counting.table_of_series(f.series, xmax)
 
@@ -243,7 +256,7 @@ def cmd_decompose(args):
 
 
 def cmd_predict(args):
-    f = _evaluate_form(args)
+    f = _evaluate_form(args, own_module=False)
     prof = _leading_constants(args, f)
     payload = {
         "p": args.p,
@@ -320,7 +333,7 @@ def cmd_count(args):
 
 
 def cmd_compare(args):
-    f, table = _evaluate_with_table(args, args.xmax)
+    f, table = _evaluate_with_table(args, args.xmax, own_module=False)
     report = _count_report(args, table)
     prof = _leading_constants(args, f)
     _emit_counts(args, counting.compare_report(report, prof, args.squarefree), prof)

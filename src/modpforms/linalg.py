@@ -57,26 +57,6 @@ def rref(mat, p):
     return m, pivots
 
 
-def det(mat, p):
-    m = mat.astype(np.int64) % p
-    n = m.shape[0]
-    d = 1
-    for c in range(n):
-        nz = np.flatnonzero(m[c:, c])
-        if len(nz) == 0:
-            return 0
-        i = c + nz[0]
-        if i != c:
-            m[[c, i]] = m[[i, c]]
-            d = -d
-        d = d * int(m[c, c]) % p
-        inv = pow(int(m[c, c]), p - 2, p)
-        for j in range(c + 1, n):
-            if m[j, c]:
-                m[j] = (m[j] - m[j, c] * inv * m[c]) % p
-    return d % p
-
-
 def inverse(mat, p):
     """Inverse of a square matrix over F_p; raises if it is singular."""
     n = mat.shape[0]

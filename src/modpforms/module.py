@@ -23,7 +23,7 @@ matrix.  Two layers of congruence structure are then detected:
 Classification, purity, the strict order of nilpotence, the canonical
 pure decomposition and the group of invertible actions sit on top.  The
 status of each distinct matrix is found once, with one batched
-nilpotency test by repeated squaring and a determinant only for the
+nilpotency test by repeated squaring and one batched elimination for the
 rest.  The order of nilpotence h is the last j at which the subspace
 chain W_0 = <f>, W_{j+1} = sum of W_j M over the distinct nilpotent
 action matrices M is nonzero: at most dim row reductions, and no need
@@ -37,6 +37,7 @@ classes and prime_power_matrix members read the class table; everything
 else takes T_l for a class u as prime_power_matrix(u, 1).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,16 +90,51 @@ def _nilpotent(mats, p):
     return ~power.any(axis=(1, 2))
 
 
+def _invertible(mats, p):
+    """Boolean mask of the invertible matrices in an n x r x r stack.
+
+    One Gaussian elimination mod p runs on the whole stack: column by
+    column, each matrix swaps its first row with a nonzero entry in the
+    column up and clears the entries below it, scaling by the pivot's
+    inverse from a table.  A matrix with no such row is singular; its
+    pivot is taken as zero, so its elimination step changes nothing.
+    """
+    m = mats % p
+    n, r, _ = m.shape
+    inverse = _inverse_table(p)
+    ok = np.ones(n, dtype=bool)
+    stack = np.arange(n)
+    for c in range(r):
+        nonzero = m[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        pivot_row = c + nonzero.argmax(axis=1)
+        pivot = m[stack, pivot_row]
+        m[stack, pivot_row] = m[:, c]
+        m[:, c] = pivot
+        factors = m[:, c + 1 :, c] * inverse[pivot[:, c]][:, None] % p
+        m[:, c + 1 :] = (m[:, c + 1 :] - factors[:, :, None] * pivot[:, None, :]) % p
+    return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_table(p):
+    """x^-1 mod p for every residue x, with 0 for 0."""
+    return np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+
+
 def _statuses(mats, p):
     """NILPOTENT, INVERTIBLE or MIXED for each matrix of a list.
 
     Each distinct matrix is classified once: nilpotency for all of them in
-    one batch, a determinant only for those that are not nilpotent.
+    one batch, then invertibility for the rest in one batched elimination.
     """
     distinct = _distinct(mats)
+    nilpotent = _nilpotent(distinct, p)
+    rest = np.stack(distinct)[~nilpotent]
+    invertible = iter(_invertible(rest, p))
     status = {
-        mat.tobytes(): NILPOTENT if nil else INVERTIBLE if linalg.det(mat, p) else MIXED
-        for mat, nil in zip(distinct, _nilpotent(distinct, p))
+        mat.tobytes(): NILPOTENT if nil else INVERTIBLE if next(invertible) else MIXED
+        for mat, nil in zip(distinct, nilpotent)
     }
     return [status[mat.tobytes()] for mat in mats]
 
@@ -308,6 +344,24 @@ def check_sample_bound(sample_bound):
         raise ValueError(f"sample_bound must be at least the generator bound {GENERATOR_BOUND}")
 
 
+def ambient_precision(weight, sample_bound=DEFAULT_SAMPLE_BOUND):
+    """build_module's work precision for a weight, once its checks pass.
+
+    Checks the sample bound, then the dim x work-precision entries of the
+    ambient basis against AMBIENT_CAP, before anything is evaluated or
+    built at that precision.
+    """
+    check_sample_bound(sample_bound)
+    work_prec = work_precision(weight, sample_bound)
+    entries = dim_level_one(weight) * work_prec
+    if entries > AMBIENT_CAP:
+        raise BudgetExceededError(
+            f"the weight-{weight} basis at {work_prec} coefficients has {entries} "
+            f"entries, above the cap {AMBIENT_CAP}"
+        )
+    return work_prec
+
+
 def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
     """Close the span of f under the prime-index operators and detect conductors.
 
@@ -318,14 +372,8 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
     module.require_conductor() raises the detection's reason for the rest.
     """
     p, k = f.p, f.weight
-    check_sample_bound(sample_bound)
+    work_prec = ambient_precision(k, sample_bound)
     dim = dim_level_one(k)
-    work_prec = work_precision(k, sample_bound)
-    if dim * work_prec > AMBIENT_CAP:
-        raise BudgetExceededError(
-            f"the weight-{k} basis at {work_prec} coefficients has {dim * work_prec} "
-            f"entries, above the cap {AMBIENT_CAP}"
-        )
 
     ambient = miller_basis(p, k, work_prec)
     g = GradedForm(f.series.truncate(min(f.prec, work_prec)), k)

@@ -5,17 +5,21 @@ arrays.  Products pick a sparse kernel when one operand has few nonzero
 terms and an exact FFT convolution otherwise.
 
 Powers use Frobenius: over F_p, f^p = f(q^p), so f^e is the product of
-f(q^{p^j})^{d_j} over the base-p digits d_j of e.  The weight-12 level-one
+f(q^{p^j})^{d_j} over the base-p digits d_j of e.  powers takes a set of
+exponents in one walk over their digits, so exponents that agree in their
+lowest digits share those partial products.  The weight-12 level-one
 cusp form and its powers come from the sparse cube-of-eta identity
 
     sum_{m >= 0} (-1)^m (2m+1) q^{m(m+1)/2},
 
 whose 8k-th power (shifted by q^k) is the k-th power of the cusp form; a
 digit expansion of 8k takes about its base-p digit sum of sparse products
-instead of 8k - 1.  Mod 3 the cube of eta vanishes off the multiples of 3
+instead of 8k - 1, and delta_powers takes every k of a weight basis from
+one such walk.  Mod 3 the cube of eta vanishes off the multiples of 3
 (3 divides 2m + 1 whenever 3 does not divide m(m+1)/2), and so does every
 factor and partial product of that power: mul multiplies such operands
-on the lattice 3Z, at a third of the length.
+on the lattice 3Z, at a third of the length.  A product with a constant
+operand c is c times the other operand, a row scaling, not a product.
 """
 
 import math
@@ -40,7 +44,7 @@ def _check_modulus(p):
         raise ValueError(f"modulus must be an odd prime < 256, got {p!r}")
 
 
-def _check_prec(prec):
+def check_prec(prec):
     """A series length must be positive and at most MAX_PREC; checked before any allocation."""
     if prec < 1:
         raise ValueError("prec must be positive")
@@ -128,12 +132,11 @@ def one(p, prec):
 def eta_cubed(p, prec):
     """The series sum_{m(m+1)/2 < prec} (-1)^m (2m+1) q^{m(m+1)/2} mod p: about sqrt(2 prec) terms."""
     _check_modulus(p)
-    _check_prec(prec)
+    check_prec(prec)
+    m = np.arange(math.isqrt(2 * prec) + 1)
+    m = m[m * (m + 1) // 2 < prec]
     out = np.zeros(prec, dtype=np.uint8)
-    m = 0
-    while m * (m + 1) // 2 < prec:
-        out[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1) % p
-        m += 1
+    out[m * (m + 1) // 2] = np.where(m % 2, -(2 * m + 1), 2 * m + 1) % p
     return QSeries(p, out)
 
 
@@ -144,17 +147,32 @@ def delta_power(p, k, prec):
     digits of 8k set the number of sparse products.  A precision above
     MAX_PREC raises BudgetExceededError.
     """
+    return delta_powers(p, [k], prec)[0]
+
+
+def delta_powers(p, ks, prec):
+    """delta_power(p, k, prec) for each k of ks, in their order.
+
+    Every power q^k (cube-of-eta)^(8k) comes from one powers call at the
+    length prec - k of the smallest positive k, each truncated to its own
+    prec - k, so the exponents 8k share their low Frobenius digits.
+    """
     _check_modulus(p)
-    if k < 0:
+    ks = [int(k) for k in ks]
+    if any(k < 0 for k in ks):
         raise ValueError("k must be non-negative")
-    _check_prec(prec)
-    if k == 0:
-        return one(p, prec)
-    if prec <= k:
-        return zero(p, prec)
-    out = np.zeros(prec, dtype=np.uint8)
-    out[k:] = power(eta_cubed(p, prec - k), 8 * k).coeffs
-    return QSeries(p, out)
+    check_prec(prec)
+    live = sorted({k for k in ks if 0 < k < prec})
+    out = {}
+    if live:
+        bodies = powers(eta_cubed(p, prec - live[0]), [8 * k for k in live])
+        for i, k in enumerate(live):
+            coeffs = np.zeros(prec, dtype=np.uint8)
+            coeffs[k:] = bodies[i].coeffs[: prec - k]
+            # each body is dropped once shifted, so the two lists never coexist
+            bodies[i] = None
+            out[k] = QSeries(p, coeffs)
+    return [one(p, prec) if k == 0 else out[k] if k in out else zero(p, prec) for k in ks]
 
 
 _EISENSTEIN = {4: (240, 3), 6: (-504, 5)}
@@ -163,7 +181,7 @@ _EISENSTEIN = {4: (240, 3), 6: (-504, 5)}
 def eisenstein(p, k, prec):
     """Level-one Eisenstein series of weight 4 or 6, reduced mod p."""
     _check_modulus(p)
-    _check_prec(prec)
+    check_prec(prec)
     if k not in _EISENSTEIN:
         raise ValueError(f"unsupported weight {k}; only 4 and 6 are provided")
     const, e = _EISENSTEIN[k]
@@ -180,8 +198,10 @@ def eisenstein(p, k, prec):
 def mul(a, b):
     """Truncated product at the smaller precision.
 
-    An operand with at most max(8, _SPARSE_FRACTION * out_len) nonzero
-    entries goes to kernels.mul_sparse; otherwise the product is the FFT
+    When one operand is a constant c (zero past q^0), the product is c
+    times the other, one kernels.combine row scaling.  Otherwise an
+    operand with at most max(8, _SPARSE_FRACTION * out_len) nonzero
+    entries goes to kernels.mul_sparse, and the rest to the FFT
     kernels.mul_dense.  When both operands vanish off the multiples of some
     s > 1 (_support_step), so does the product, and its entries at the
     multiples of s are the product of a[::s] and b[::s] at length
@@ -193,6 +213,9 @@ def mul(a, b):
         raise ValueError("mismatched moduli")
     out_len = min(a.prec, b.prec)
     x, y = a.coeffs[:out_len], b.coeffs[:out_len]
+    for const, other in ((x, y), (y, x)):
+        if not const[1:].any():
+            return QSeries(a.p, kernels.combine([int(const[0])], [other], a.p))
     budget = max(8, int(_SPARSE_FRACTION * out_len))
     s = _support_step(x, y)
     if s == 1:
@@ -223,8 +246,6 @@ def _support_step(x, y):
     s = 0
     for c, count in zip((x, y), counts):
         s = _exponent_gcd(c, s, min(3, count - (c[0] != 0)))
-    # s = 0: both operands are constants, and every step works
-    s = s or len(x)
     if s > 1 and all(count == np.count_nonzero(c[::s]) for c, count in zip((x, y), counts)):
         return s
     return 1
@@ -247,27 +268,69 @@ def _exponent_gcd(c, g, terms):
 
 
 def power(a, e):
-    """e-th power, truncated at a's precision.
+    """e-th power, truncated at a's precision: powers(a, [e])[0]."""
+    return powers(a, [e])[0]
+
+
+def powers(a, exponents):
+    """a^e truncated at a's precision for each e of exponents, in their order.
 
     Frobenius is a ring endomorphism of F_p[[q]], so a^(p^j) = a(q^(p^j)).
     With e = sum_j d_j p^j in base p, the power is the product of
     a(q^(p^j))^(d_j): the digit sum of e, less one, products through mul.
     Every factor is a dilation of a, so a sparse a takes only sparse
-    products.
+    products.  The exponents are walked as a tree of their base-p digits,
+    lowest digit first and depth first: exponents that agree in their J
+    lowest digits share the partial product over those digits, the digits
+    of one level are taken in increasing order from one running product,
+    and only the partial products on the current path are alive.  A
+    dilation by a step >= prec is the constant a_0, as is every dilation
+    of a constant a, and a_0^(p^j) = a_0: what is left of e past that
+    point, r, contributes the scalar a_0^r, not products.
     """
-    if e < 0:
+    exponents = [int(e) for e in exponents]
+    if any(e < 0 for e in exponents):
         raise ValueError("exponent must be non-negative")
-    result = None
-    step = 1
-    while e:
-        e, digit = divmod(e, a.p)
-        if digit:
-            factor = _dilate(a, step)
-            for _ in range(digit):
-                result = factor if result is None else mul(result, factor)
-        # every dilation by a step >= prec is the constant a_0
-        step = min(step * a.p, a.prec)
-    return one(a.p, a.prec) if result is None else result
+    out = [None] * len(exponents)
+    _power_walk(a, not a.coeffs[1:].any(), list(enumerate(exponents)), None, 1, out)
+    return out
+
+
+def _power_walk(a, constant, group, partial, step, out):
+    """Fill out[i] = partial * a^rest for each (i, rest) of group; the digits below step are done.
+
+    partial is the product over the digits already walked (None for 1);
+    constant says that every dilation of a is its constant term.
+    """
+    p, prec = a.p, a.prec
+    if constant or step >= prec:
+        for i, rest in group:
+            out[i] = _scaled(partial, pow(int(a.coeffs[0]), rest, p), p, prec)
+        return
+    by_digit = {}
+    for i, rest in group:
+        if rest:
+            by_digit.setdefault(rest % p, []).append((i, rest // p))
+        else:
+            out[i] = _scaled(partial, 1, p, prec)
+    if not by_digit:
+        return
+    factor = _dilate(a, step)
+    running, reached = partial, 0
+    for digit in sorted(by_digit):
+        for _ in range(digit - reached):
+            running = factor if running is None else mul(running, factor)
+        reached = digit
+        _power_walk(a, constant, by_digit[digit], running, min(step * p, prec), out)
+
+
+def _scaled(partial, c, p, prec):
+    """c times partial, where None stands for the series 1."""
+    if partial is None:
+        coeffs = np.zeros(prec, dtype=np.uint8)
+        coeffs[0] = c
+        return QSeries(p, coeffs)
+    return partial if c == 1 else linear_combine([(c, partial)])
 
 
 def _dilate(a, step):

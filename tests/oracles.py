@@ -6,11 +6,11 @@ Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, powers, cusp-form powers, square-full
 sums, the prime sieve over all integers, sparse products, products at
 full length without the support-lattice step, row combinations in int64,
-restriction to a submodule, the decomposition oracle, row reduction one
-row at a time, the module closure, the per-matrix status, the
-nilpotence-order search and the multiset enumeration of nilpotent images
-are kept here as differential references for the fast paths that
-replaced them.
+weight bases one monomial at a time, restriction to a submodule, the
+decomposition oracle, row reduction one row at a time, the module
+closure, the per-matrix status and determinant, the nilpotence-order
+search and the multiset enumeration of nilpotent images are kept here as
+differential references for the fast paths that replaced them.
 """
 
 import math
@@ -22,9 +22,10 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from modpforms import kernels, linalg
+from modpforms.basis import _monomials
 from modpforms.errors import InternalInvariantError, SpanNotClosedError
 from modpforms.module import INVERTIBLE, MIXED, NILPOTENT, classify_classes
-from modpforms.series import QSeries, one, zero
+from modpforms.series import QSeries, delta_power, eisenstein, mul, one, power, zero
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +189,27 @@ def delta_power_by_eta_products(p, k, prec):
     out = np.zeros(prec, dtype=np.uint8)
     out[k:] = acc
     return QSeries(p, out)
+
+
+def miller_basis_per_monomial(p, k, prec):
+    """The echelon rows of basis.miller_basis, each monomial built on its own.
+
+    The route before shared Frobenius digits: delta_power for each
+    Delta^c, power for each E4^a, every product through mul, then the
+    inverse of the leading block applied in int64.
+    """
+    e4, e6 = eisenstein(p, 4, prec), eisenstein(p, 6, prec)
+    rows = []
+    for a, b, c in _monomials(k):
+        term = delta_power(p, c, prec)
+        if a:
+            term = mul(term, power(e4, a))
+        if b:
+            term = mul(term, e6)
+        rows.append(term.coeffs)
+    dim = len(rows)
+    mono = np.stack(rows)
+    return combine_int64(linalg.inverse(mono[:, :dim], p), mono, p)
 
 
 def int_poly_mul(a, b, prec):
@@ -434,11 +456,32 @@ def closure_row_basis(seed, matrices, p, max_dim):
     return np.stack(rows)
 
 
+def det(mat, p):
+    """Determinant mod p by Gaussian elimination, one row at a time."""
+    m = mat.astype(np.int64) % p
+    n = m.shape[0]
+    d = 1
+    for c in range(n):
+        nz = np.flatnonzero(m[c:, c])
+        if len(nz) == 0:
+            return 0
+        i = c + nz[0]
+        if i != c:
+            m[[c, i]] = m[[i, c]]
+            d = -d
+        d = d * int(m[c, c]) % p
+        inv = pow(int(m[c, c]), p - 2, p)
+        for j in range(c + 1, n):
+            if m[j, c]:
+                m[j] = (m[j] - m[j, c] * inv * m[c]) % p
+    return d % p
+
+
 def status_of(mat, p):
     """Status of one matrix: M^r == 0 by matpow, then its determinant."""
     if not linalg.matpow(mat, mat.shape[0], p).any():
         return NILPOTENT
-    if linalg.det(mat, p) != 0:
+    if det(mat, p) != 0:
         return INVERTIBLE
     return MIXED
 

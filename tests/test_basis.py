@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from modpforms import basis, kernels
 from modpforms.basis import (
     GradedForm,
+    _mod_monomials,
     dim_level_one,
     from_coordinates,
     miller_basis,
@@ -16,6 +18,7 @@ from oracles import (
     int_poly_mul,
     integer_delta_power,
     integer_eisenstein,
+    miller_basis_per_monomial,
 )
 
 
@@ -32,19 +35,19 @@ class TestMillerBasis:
     def test_weight_zero(self):
         b = miller_basis(3, 0, 6)
         assert b.dim == 1
-        assert b.basis[0] == one(3, 6)
+        assert np.array_equal(b.matrix()[0], one(3, 6).coeffs)
 
     def test_weight_twelve_mod3(self):
         b = miller_basis(3, 12, 10)
         assert b.dim == 2
-        assert b.basis[0][0] == 1 and b.basis[0][1] == 0
-        assert b.basis[1] == delta_power(3, 1, 10)
+        assert b.matrix()[0, 0] == 1 and b.matrix()[0, 1] == 0
+        assert np.array_equal(b.matrix()[1], delta_power(3, 1, 10).coeffs)
 
     def test_weight_24_mod7_echelon(self):
         b = miller_basis(7, 24, 12)
         assert b.dim == 3
-        for i, row in enumerate(b.basis):
-            head = [row[j] for j in range(3)]
+        for i, row in enumerate(b.matrix()):
+            head = [int(row[j]) for j in range(3)]
             assert head == [1 if j == i else 0 for j in range(3)]
 
     @pytest.mark.parametrize("k,p", [(24, 7), (60, 3), (60, 251), (120, 5)])
@@ -68,7 +71,7 @@ class TestMillerBasis:
         for x in sum(([f.denominator for f in row] for row in ech), []):
             assert x == 1  # pivots are 1, so the echelon basis stays integral
         got = miller_basis(p, k, prec)
-        assert [[int(c) for c in b.coeffs] for b in got.basis] == expect
+        assert got.matrix().tolist() == expect
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_echelon_survives_reduction(self, p):
@@ -76,8 +79,8 @@ class TestMillerBasis:
             if dim_level_one(k) == 0:
                 continue
             b = miller_basis(p, k, dim_level_one(k) + 4)
-            for i, row in enumerate(b.basis):
-                head = row.coeffs[: b.dim]
+            for i, row in enumerate(b.matrix()):
+                head = row[: b.dim]
                 assert head[i] == 1 and np.count_nonzero(head) == 1
 
     def test_rejects_odd_weight_and_small_prec(self):
@@ -85,6 +88,52 @@ class TestMillerBasis:
             miller_basis(3, 13, 10)
         with pytest.raises(ValueError):
             miller_basis(3, 24, 2)
+
+
+class TestSharedMonomials:
+    """The weight basis from shared digit walks against the per-monomial route."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_bytes_match_per_monomial_route(self, p, monkeypatch):
+        monkeypatch.setattr(basis, "_basis_cache", {})
+        for k in range(12, 229, 2):
+            dim = dim_level_one(k)
+            if dim == 0:
+                continue
+            prec = 3 * dim + 40
+            got = miller_basis(p, k, prec).matrix()
+            assert got.tobytes() == miller_basis_per_monomial(p, k, prec).tobytes(), k
+
+    def test_weight_228_mod3_at_work_precision(self, monkeypatch):
+        monkeypatch.setattr(basis, "_basis_cache", {})
+        got = miller_basis(3, 228, 38009).matrix()
+        assert got.tobytes() == miller_basis_per_monomial(3, 228, 38009).tobytes()
+
+    def test_no_product_kernel_takes_a_constant(self, monkeypatch):
+        # mod 3, E4 = E6 = 1: mul scales by them instead of calling a kernel
+        seen = []
+        sparse, dense = kernels.mul_sparse, kernels.mul_dense
+
+        def sparse_spy(d, exps, coefs, p, out_len):
+            seen.append(not d[1:out_len].any() or not (np.asarray(exps) > 0).any())
+            return sparse(d, exps, coefs, p, out_len)
+
+        def dense_spy(a, b, p, out_len):
+            seen.append(not a[1:out_len].any() or not b[1:out_len].any())
+            return dense(a, b, p, out_len)
+
+        monkeypatch.setattr(kernels, "mul_sparse", sparse_spy)
+        monkeypatch.setattr(kernels, "mul_dense", dense_spy)
+        _mod_monomials(3, 228, 38009)
+        assert seen and not any(seen)
+
+    def test_one_read_only_matrix(self, monkeypatch):
+        monkeypatch.setattr(basis, "_basis_cache", {})
+        full = miller_basis(7, 48, 500)
+        assert full.matrix() is full.rows and not full.matrix().flags.writeable
+        short = miller_basis(7, 48, 100)
+        assert np.shares_memory(short.matrix(), full.matrix())
+        assert short.matrix().shape == (5, 100)
 
 
 class TestCoordinates:
@@ -109,7 +158,7 @@ class TestCoordinates:
         assert from_coordinates([0, 0, 0], basis, 10).is_zero()
         for i in range(3):
             e = [1 if j == i else 0 for j in range(3)]
-            assert from_coordinates(e, basis, 10) == basis.basis[i]
+            assert np.array_equal(from_coordinates(e, basis, 10).coeffs, basis.matrix()[i])
 
     def test_extension_regenerates_basis(self):
         basis = miller_basis(3, 24, 10)

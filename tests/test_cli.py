@@ -336,6 +336,47 @@ class TestExitCodes:
             "above the cap 1000\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("module",),
+            ("decompose",),
+            ("constants", "--prime-bound", "1000"),
+            ("oracle", "--xmax", "100"),
+        ],
+    )
+    def test_ambient_cap_is_checked_before_evaluation(self, capsys, monkeypatch, argv):
+        # the cap and its message as in test_ambient_cap_is_input_error, while
+        # any evaluation past the precision-32 weight probe fails the test
+        from modpforms import cli, module
+
+        evaluate = cli.evaluate
+
+        def probe_only(ast, p, prec):
+            assert prec <= 32, f"evaluated at {prec} coefficients"
+            return evaluate(ast, p, prec)
+
+        monkeypatch.setattr(module, "AMBIENT_CAP", 1000)
+        monkeypatch.setattr(cli, "evaluate", probe_only)
+        code, out, err = run_cli(
+            capsys, argv[0], "--p", "3", "--form", "delta^2", "--sample-bound", "600", *argv[1:]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "input error: the weight-24 basis at 1209 coefficients has 3627 entries, "
+            "above the cap 1000\n"
+        )
+
+    def test_sample_bound_is_checked_before_the_ambient_cap(self, capsys, monkeypatch):
+        from modpforms import module
+
+        monkeypatch.setattr(module, "AMBIENT_CAP", 10)
+        code, _, err = run_cli(
+            capsys, "module", "--p", "3", "--form", "delta^2", "--sample-bound", "30"
+        )
+        assert code == 2
+        assert "generator bound 50" in err
+
     def test_conductor_failure_is_math_error(self, capsys):
         code, _, err = run_cli(
             capsys, "module", "--p", "3", "--form", "delta^7", "--sample-bound", "600"

@@ -109,6 +109,21 @@ class TestBuildModule:
             tracemalloc.stop()
         assert peak < 6 * 10**6
 
+    def test_peak_memory_miller_basis_weight228_mod3(self, monkeypatch):
+        # the monomials and the echelon rows are one 760 kB matrix each; the
+        # kernels' temporaries bring the peak to about 2.0 MB (NumPy 2.4).
+        # Keeping the rows once more as series took it to 2.3 MB, and a list
+        # of all the Delta^c beside the monomials would add 760 kB.
+        monkeypatch.setattr(basis, "_basis_cache", {})
+        miller_basis(3, 12, 100)  # residue tables and other one-time allocations
+        tracemalloc.start()
+        try:
+            miller_basis(3, 228, work_precision(228))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 10**6
+
     def test_conductor_failure_reported(self):
         # the weight-84 module's action is not class-determined: the build
         # succeeds and keeps the detection's reason for require_conductor

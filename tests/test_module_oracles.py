@@ -148,6 +148,29 @@ def test_single_jordan_block_statuses(r):
     assert _statuses(mats, p)[0] == "nilpotent"
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 251])
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+def test_batched_statuses_on_random_stacks(p, r):
+    # random matrices (mostly invertible), rank-one and rank r - 1 products
+    # (singular, seldom nilpotent), strictly triangular ones (nilpotent), and
+    # the zero and identity matrices, with repeats, in one call
+    rng = np.random.default_rng(p * 10 + r)
+    mats = [rng.integers(0, p, (r, r)) for _ in range(12)]
+    for rank in {1, max(r - 1, 1)}:
+        mats += [
+            rng.integers(0, p, (r, rank)) @ rng.integers(0, p, (rank, r)) % p for _ in range(8)
+        ]
+    mats += [np.triu(rng.integers(0, p, (r, r)), 1) for _ in range(3)]
+    mats += [np.zeros((r, r), dtype=np.int64), np.eye(r, dtype=np.int64)]
+    mats += mats[::5]
+    order = rng.permutation(len(mats))
+    mats = [mats[i] for i in order]
+    expect = [status_of(mat, p) for mat in mats]
+    assert _statuses(mats, p) == expect
+    if r > 1:
+        assert set(expect) == {"nilpotent", "invertible", "mixed"}
+
+
 class TestBoundedNilpotenceOrder:
     @pytest.mark.parametrize("which", ["identity", "sampled invertible"])
     def test_non_nilpotent_input_raises_within_dim_steps(self, monkeypatch, which):

@@ -8,12 +8,14 @@ from modpforms.errors import BudgetExceededError
 from modpforms.series import (
     QSeries,
     delta_power,
+    delta_powers,
     eisenstein,
     eta_cubed,
     linear_combine,
     mul,
     one,
     power,
+    powers,
     zero,
 )
 
@@ -137,6 +139,116 @@ class TestFrobeniusPowersAgainstOldRoutes:
         rng = np.random.default_rng(6)
         sparse = _sparse_series(rng, 5, 400, 6)
         assert power(sparse, 16) == power_by_squaring(sparse, 16)
+
+
+def _no_kernel_products(monkeypatch):
+    """Make the product kernels fail, for code that must take no product."""
+
+    def refuse(*args):
+        raise AssertionError("a product kernel ran")
+
+    monkeypatch.setattr(kernels, "mul_sparse", refuse)
+    monkeypatch.setattr(kernels, "mul_dense", refuse)
+
+
+class TestSharedDigitPowers:
+    """powers and delta_powers, one digit walk for a set of exponents, against the old routes."""
+
+    PRIMES = [3, 5, 7, 11, 13, 23, 251]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("prec", [1, 2, 3, 40])
+    def test_powers_match_squaring(self, p, prec):
+        rng = np.random.default_rng(p * prec)
+        # zero, repeats, one and several digits, exponents whose steps reach prec
+        exponents = [0, 5, 1, 0, 5, p - 1, p, p + 1, 2 * p + 3, p * p, p * p + 1, 5, 41]
+        for a in (_random_series(rng, p, prec), _sparse_series(rng, p, prec, 1)):
+            got = powers(a, exponents)
+            assert len(got) == len(exponents)
+            for e, g in zip(exponents, got):
+                assert g == power_by_squaring(a, e), e
+                assert g == power(a, e), e
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_digits_past_the_precision(self, p):
+        a = QSeries(p, [2, 1, 0, 3 % p, 1])
+        exponents = [p**5, p**5 + 2, 3 * p**9 + p**6 + 1, p**4 - 1, p**5 + 2]
+        for e, g in zip(exponents, powers(a, exponents)):
+            assert g == power_by_squaring(a, e), e
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_constant_base_takes_no_product(self, p, monkeypatch):
+        exponents = [0, 1, 2, p, 7 * p + 3]
+        for c in (0, 1, p - 1):
+            base = QSeries(p, np.eye(1, 30, dtype=np.uint8)[0] * c)
+            expect = [power_by_squaring(base, e) for e in exponents]
+            with monkeypatch.context() as m:
+                _no_kernel_products(m)
+                assert powers(base, exponents) == expect
+
+    def test_powers_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            powers(one(3, 5), [1, -1])
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_delta_powers_match_eta_products(self, p):
+        ks = [0, 3, 1, 5, 3, 2, 12, 0, 40]
+        for prec in (1, 2, 3, 4, 13, 120):
+            got = delta_powers(p, ks, prec)
+            for k, g in zip(ks, got):
+                assert g == delta_power_by_eta_products(p, k, prec), (k, prec)
+                assert g == delta_power(p, k, prec), (k, prec)
+
+    def test_delta_powers_checks(self):
+        with pytest.raises(ValueError):
+            delta_powers(3, [1, -1], 10)
+        with pytest.raises(ValueError):
+            delta_powers(4, [1], 10)
+
+    def test_shared_walk_takes_fewer_products(self, monkeypatch):
+        # 8c for c < 20 share their low base-3 digits and one running product per
+        # level: fewer products than the exponents' digit sums
+        calls = []
+        sparse_kernel = kernels.mul_sparse
+        monkeypatch.setattr(
+            kernels, "mul_sparse", lambda *args: calls.append(1) or sparse_kernel(*args)
+        )
+        delta_powers(3, range(20), 2000)
+        shared = len(calls)
+        calls.clear()
+        for k in range(20):
+            delta_power(3, k, 2000)
+        assert 0 < shared < len(calls)
+
+    def test_eta_cubed_matches_the_term_loop(self):
+        for p in (3, 7, 251):
+            for prec in (1, 2, 3, 6, 7, 1000, 1035, 1036):
+                expect = np.zeros(prec, dtype=np.int64)
+                m = 0
+                while m * (m + 1) // 2 < prec:
+                    expect[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1) % p
+                    m += 1
+                assert eta_cubed(p, prec) == QSeries(p, expect), (p, prec)
+
+
+class TestConstantOperand:
+    """A product with a constant operand is a scaling, equal to the full-length product."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    def test_against_full_length_product(self, p, monkeypatch):
+        rng = np.random.default_rng(p)
+        for prec_a, prec_b in ((50, 50), (50, 31), (1, 20), (20, 1)):
+            for c in (0, 1, 2 % p, p - 1):
+                const = QSeries(p, np.eye(1, prec_a, dtype=np.uint8)[0] * c)
+                for other in (
+                    _random_series(rng, p, prec_b),
+                    _sparse_series(rng, p, prec_b, 1),
+                    zero(p, prec_b),
+                ):
+                    expect = [mul_full_length(const, other), mul_full_length(other, const)]
+                    with monkeypatch.context() as m:
+                        _no_kernel_products(m)
+                        assert [mul(const, other), mul(other, const)] == expect
 
 
 class TestEisenstein:
