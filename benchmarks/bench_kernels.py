@@ -4,8 +4,9 @@
 Covers the hot loops: sparse series multiplication (cusp-form
 generation) on both of its routes, pair sums for a sparse dense operand
 and shifted adds otherwise, at p = 3 and at p = 251 (250 distinct
-coefficients), table counting with per-value tallies, the divisor-sum
-sieve (Eisenstein series), truncated dense multiplication (basis
+coefficients), table counting with per-value tallies (alone and with
+the square-free counts in the same pass), the square-free mask, the
+divisor-sum sieve (Eisenstein series) at p = 7 and p = 251, truncated dense multiplication (basis
 expansion) and row combinations mod p (the weight-228 echelon basis mod
 3 at 38,009 coefficients, and 20 x 20,000 at p = 251); then the cusp
 form itself, built by Frobenius digits, the weight-228 basis mod 3 built
@@ -24,6 +25,7 @@ import time
 import numpy as np
 
 from modpforms import basis, kernels, linalg
+from modpforms.arith import squarefree_mask
 from modpforms.basis import GradedForm, _mod_monomials, miller_basis
 from modpforms.counting import decomposition_oracle, oracle_components
 from modpforms.densities import class_density, euler_constant_C, squarefull_buckets
@@ -61,6 +63,8 @@ def bench(prec, repeat):
     mix_251 = rng.integers(0, 251, size=(20, 20))
     rows_251 = rng.integers(0, 251, size=(20, 20000), dtype=np.uint8)
 
+    sf_mask = squarefree_mask(prec)
+
     cases = [
         (
             f"mul_sparse eta^3 * eta^3 mod 3, pair sums ({prec} coeffs)",
@@ -79,8 +83,14 @@ def bench(prec, repeat):
             lambda: kernels.mul_sparse(eta6_251, exps_251, coefs_251, 251, prec),
         ),
         (f"count_segments ({prec})", lambda: kernels.count_segments(table, bounds, 3)),
+        (
+            f"count_segments with the square-free mask ({prec})",
+            lambda: kernels.count_segments(table, bounds, 3, sf_mask),
+        ),
+        (f"squarefree_mask ({prec})", lambda: squarefree_mask(prec)),
         (f"sigma_sieve ({prec // 10})", lambda: kernels.sigma_sieve(prec // 10, 3, 7)),
         (f"sigma_sieve ({prec})", lambda: kernels.sigma_sieve(prec, 3, 7)),
+        (f"sigma_sieve mod 251 ({prec})", lambda: kernels.sigma_sieve(prec, 3, 251)),
         (
             "mul_dense (20k x 20k)",
             lambda: kernels.mul_dense(dense_small_a, dense_small_b, 7, 20000),

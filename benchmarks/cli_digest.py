@@ -90,6 +90,22 @@ EXTRA = [
     ("module", "--p", "3", "--form", "delta^80"),
     ("oracle", "--p", "3", "--form", "delta^80", "--xmax", "1000"),
     ("module", "--p", "7", "--form", "E4", "--sample-bound", "10000000"),
+    # counting keys past uint8 (p >= 128), divisor sums reduced inside the sieve's loop,
+    # and zero and repeated checkpoints
+    ("count", "--p", "251", "--form", "E6", "--xmax", "100000", "--out", "csv"),
+    (
+        "count", "--p", "131", "--form", "E4*delta", "--xmax", "30000",
+        "--checkpoints", "0,5,5,30000",
+    ),
+    ("count", "--p", "7", "--form", "E4", "--xmax", "1000", "--checkpoints", "0,5,5"),
+    # argparse's own exits: help, an unknown command, a flag the command does not take
+    ("--help",),
+    ("count", "--help"),
+    ("predict", "--help"),
+    ("frobnicate", "--p", "3"),
+    ("count", "--p", "3", "--form", "delta", "--op", "T"),
+    ("alpha-group", "--p", "3"),
+    (),
 ]
 
 

@@ -88,8 +88,7 @@ def squarefree_mask(n):
     mask = np.ones(n, dtype=np.uint8)
     if n:
         mask[0] = 0
-    q = 2
-    while q * q < n:
+    # a square divides n exactly when the square of a prime does
+    for q in primes_upto(math.isqrt(max(n - 1, 0))).tolist():
         mask[q * q :: q * q] = 0
-        q += 1
     return mask

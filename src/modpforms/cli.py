@@ -294,10 +294,7 @@ def _checkpoints(args, xmax):
 
 
 def _count_report(args, table):
-    checkpoints = _checkpoints(args, table.x_max)
-    report = counting.count_pi(table, checkpoints)
-    report.pi_sf = counting.count_pi_sf(table, checkpoints).pi_sf
-    return report
+    return counting.count_pi(table, _checkpoints(args, table.x_max), with_pi_sf=True)
 
 
 def _emit_counts(args, report, prof=None):
@@ -437,13 +434,24 @@ _COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The argument parser; given a command name, with that command's flags only.
+
+    The usage line lists every command either way, so argparse's messages
+    and exit codes are the full parser's for any command line that starts
+    with the given command.
+    """
     parser = argparse.ArgumentParser(
         prog="modpforms",
         description="Coefficient statistics of level-one modular forms over F_p",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a metavar would also rename the argument in the full parser's messages
+    # for a missing or unknown command, which a lazy parser never prints
+    listed = {} if command is None else dict(metavar="{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
     for name, (func, flags, defaults) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         # no abbreviations: "alpha-group --p 3" would otherwise set --param
         sp = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
@@ -454,7 +462,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build the invoked command's flags only; help and unknown commands get the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ConductorNotFoundError, SplittingFieldNeededError) as exc:

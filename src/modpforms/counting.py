@@ -1,7 +1,7 @@
 """Empirical coefficient statistics and the exact decomposition oracle.
 
 Tables are byte-packed; counting runs through the NumPy kernels in one
-pass per checkpoint segment.  The oracle re-derives every coefficient at
+pass over the table.  The oracle re-derives every coefficient at
 an index coprime to p from pure-component class data alone (square-full
 part, nilpotent part, unit part) and compares against the table; when
 those agree for every index, the module machinery, the conductor, the
@@ -61,28 +61,32 @@ def table_of_series(qs, x_max=None):
     return CoeffTable(qs.p, x_max, qs.coeffs[:x_max])
 
 
-def _counts(table, checkpoints, squarefree):
-    """(checkpoints, nonzero counts, per-value counts), over square-free indices if asked."""
+def count_pi(table, checkpoints, with_pi_sf=False):
+    """Nonzero-coefficient counts at each checkpoint, in total and per value.
+
+    With with_pi_sf, the same pass over the table also gives pi_sf, the
+    counts over square-free indices.
+    """
     bounds = _checked_bounds(checkpoints, table.x_max)
-    if squarefree:
-        mask = squarefree_mask(table.x_max)
-        totals, vals = kernels.count_segments_masked(table.coeffs, mask, bounds, table.p)
-    else:
+    if not with_pi_sf:
         totals, vals = kernels.count_segments(table.coeffs, bounds, table.p)
-    per_value = {a: vals[:, a].tolist() for a in range(1, table.p)}
-    return bounds.tolist(), totals.tolist(), per_value
-
-
-def count_pi(table, checkpoints):
-    """Nonzero-coefficient counts at each checkpoint, in total and per value."""
-    bounds, totals, per_value = _counts(table, checkpoints, False)
-    return CountReport(bounds, totals, per_value=per_value)
+        return CountReport(bounds.tolist(), totals.tolist(), per_value=_per_value(vals))
+    mask = squarefree_mask(int(bounds[-1]))
+    totals, vals, sf_totals, _ = kernels.count_segments(table.coeffs, bounds, table.p, mask)
+    return CountReport(bounds.tolist(), totals.tolist(), sf_totals.tolist(), _per_value(vals))
 
 
 def count_pi_sf(table, checkpoints):
     """Counts restricted to square-free indices."""
-    bounds, totals, per_value = _counts(table, checkpoints, True)
-    return CountReport(bounds, pi=None, pi_sf=totals, per_value=per_value)
+    bounds = _checked_bounds(checkpoints, table.x_max)
+    mask = squarefree_mask(int(bounds[-1]))
+    totals, vals = kernels.count_segments_masked(table.coeffs, mask, bounds, table.p)
+    return CountReport(bounds.tolist(), pi=None, pi_sf=totals.tolist(), per_value=_per_value(vals))
+
+
+def _per_value(by_value):
+    """Per-value count lists keyed by the nonzero values 1 .. p-1."""
+    return {a: by_value[:, a].tolist() for a in range(1, by_value.shape[1])}
 
 
 def _checked_bounds(checkpoints, x_max):

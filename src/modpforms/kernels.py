@@ -8,7 +8,13 @@ stay exact integers.
 Dense products are exact floating-point FFT convolutions of the centred
 residues, guarded by Percival's rounding-error bound: O(n log n) instead of
 schoolbook O(n m).  The divisor-sum sieve walks divisor pairs (d, m) with
-d <= m, so it takes about sqrt(N) vectorised steps instead of N.
+d <= m: one strided add per d adds d^e + m^e to every n = d*m at once, so
+it takes about sqrt(N) vectorised steps instead of N, in a uint16
+accumulator.
+
+The checkpoint counts tally each block of the table with one np.bincount
+over the value plus p times a 0/1 mask bit, so the counts over all indices
+and over the masked ones (the square-free indices) come from one pass.
 
 Linear combinations of coefficient rows mod p (weight bases, module
 series) go through combine, which sums scaled uint8 rows in the same
@@ -241,54 +247,99 @@ def _residue_table(p):
     return table
 
 
+# sigma_sieve's accumulator; its reduction cadence follows from the dtype's maximum
+_SIEVE_ACC = np.uint16
+
+
 def sigma_sieve(prec, e, p):
     """sigma_e(n) mod p for 0 <= n < prec (index 0 set to 0).
 
-    Walks the divisor pairs n = d*m with d <= m: the step for d adds d^e
-    to every such n and m^e to those with m > d, so d only runs up to
-    sqrt(prec).  m^e mod p is read from a table indexed by m mod p.
+    Walks the divisor pairs n = d*m with d <= m, d^2 < prec: the step for d
+    is one strided add of d^e + m^e to n = d*m for m = d, d+1, ..., read
+    from a row of r^e + (m mod p)^e for the residue r of d.  The d run
+    through one residue class mod p at a time, so one such row is alive.  The add at
+    n = d^2 counts d^e twice, so the accumulator starts at -d^e mod p
+    there.  Every entry stays below p + 2(p-1) * steps, so it is reduced
+    through _residue_table every ``cadence`` steps and fits _SIEVE_ACC.
     """
-    acc = np.zeros(prec, dtype=np.uint32)
-    powers = np.array([pow(r, e, p) for r in range(p)], dtype=np.uint8)
-    cofactor_powers = np.tile(powers, -(-prec // p))[:prec]
-    # one step adds at most 2(p-1) to an entry
-    chunk = (2**32 - 1) // (2 * (p - 1))
-    d = 1
-    while d * d < prec:
-        last = (prec - 1) // d
-        acc[d * d :: d] += powers[d % p]
-        acc[d * (d + 1) :: d] += cofactor_powers[d + 1 : last + 1]
-        if d % chunk == 0:
-            acc %= p
-        d += 1
-    return (acc % p).astype(np.uint8)
+    top = math.isqrt(max(prec - 1, 0))
+    powers = np.array([pow(r, e, p) for r in range(p)], dtype=np.uint16)
+    acc = np.zeros(prec, dtype=_SIEVE_ACC)
+    d = np.arange(1, top + 1)
+    acc[d * d] = (p - powers[d % p]) % p
+    cofactor_powers = np.tile(powers.astype(np.uint8), -(-prec // p))[:prec]
+    row = np.empty(prec, dtype=np.uint16)
+    cadence = (int(np.iinfo(_SIEVE_ACC).max) - (p - 1)) // (2 * (p - 1))
+    steps = 0
+    for r in range(p):
+        first = r or p
+        if first > top:
+            continue
+        # the longest add in the class is the first one's, to m = (prec-1) // first
+        width = (prec - 1) // first + 1
+        np.add(cofactor_powers[:width], powers[r], out=row[:width])
+        for d in range(first, top + 1, p):
+            acc[d * d :: d] += row[d : (prec - 1) // d + 1]
+            steps += 1
+            if steps % cadence == 0:
+                _reduce(acc, p, acc)
+    del row
+    return _reduce(acc, p, np.empty(prec, dtype=np.uint8))
 
 
-def count_segments(table, bounds, p):
+# entries per np.take or np.bincount call on a full-length array: both widen
+# their indices to intp, 512 KB a call whatever the array length
+_INDEX_BLOCK = 1 << 16
+
+
+def _reduce(acc, p, out):
+    """Write acc mod p into out (acc itself allowed), one _residue_table lookup per block."""
+    table = _residue_table(p)
+    for lo in range(0, len(acc), _INDEX_BLOCK):
+        out[lo : lo + _INDEX_BLOCK] = np.take(table, acc[lo : lo + _INDEX_BLOCK])
+    return out
+
+
+def count_segments(table, bounds, p, mask=None):
     """Cumulative nonzero counts and per-value counts at each bound.
 
     ``bounds`` must be increasing.  Returns (totals, by_value) with
     totals[i] = #{n < bounds[i] : table[n] != 0} and
     by_value[i, v] = #{n < bounds[i] : table[n] == v}.
+
+    Given a 0/1 byte ``mask`` at least bounds[-1] long, the same pass also
+    counts over the indices where it is 1 and returns (totals, by_value,
+    kept_totals, kept_by_value).  Each block of at most _INDEX_BLOCK
+    indices is one np.bincount of the key table[n] + p * mask[n] (uint8
+    for p < 128, uint16 above): bins below p count the indices outside the
+    mask and bins from p those inside.
     """
-    k = len(bounds)
-    totals = np.zeros(k, dtype=np.int64)
-    by_value = np.zeros((k, p), dtype=np.int64)
-    cum = np.zeros(p, dtype=np.int64)
+    width = p if mask is None else 2 * p
+    if mask is not None:
+        key_dtype = np.uint8 if width <= 256 else np.uint16
+        key = np.empty(min(_INDEX_BLOCK, int(bounds[-1])), dtype=key_dtype)
+    tallies = np.empty((len(bounds), width), dtype=np.int64)
+    cum = np.zeros(width, dtype=np.int64)
     prev = 0
-    for i, b in enumerate(bounds):
-        seg = table[prev:b]
-        cum += np.bincount(seg, minlength=p)[:p]
-        by_value[i] = cum
-        totals[i] = cum[1:].sum()
+    for i, b in enumerate(int(b) for b in bounds):
+        for lo in range(prev, b, _INDEX_BLOCK):
+            hi = min(lo + _INDEX_BLOCK, b)
+            if mask is None:
+                block = table[lo:hi]
+            else:
+                block = key[: hi - lo]
+                np.multiply(mask[lo:hi], p, out=block)
+                block += table[lo:hi]
+            cum += np.bincount(block, minlength=width)
+        tallies[i] = cum
         prev = b
-    return totals, by_value
+    if mask is None:
+        return tallies[:, 1:].sum(axis=1), tallies
+    kept = tallies[:, p:]
+    by_value = tallies[:, :p] + kept
+    return by_value[:, 1:].sum(axis=1), by_value, kept[:, 1:].sum(axis=1), kept
 
 
 def count_segments_masked(table, mask, bounds, p):
-    """Same as count_segments but restricted to indices where mask is nonzero.
-
-    ``mask`` has the length of ``table``.
-    """
-    kept = np.array([np.count_nonzero(mask[:b]) for b in bounds], dtype=np.int64)
-    return count_segments(table[mask != 0], kept, p)
+    """count_segments over the indices where the 0/1 byte mask is 1 only."""
+    return count_segments(table, bounds, p, mask)[2:]

@@ -399,7 +399,7 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
     x = linalg.solve_rows(V, images, p)
     if x is None:
         raise InternalInvariantError("a sampled image left the module span")
-    per_prime = dict(zip(sampled, np.split(x, len(sampled))))
+    per_prime = dict(zip(sampled, _blocks(x, len(sampled))))
     return _assemble(p, k, ambient, V, S, per_prime)
 
 
@@ -594,7 +594,14 @@ def _restrict(rows, mats, p):
     x = linalg.solve_rows(rows, np.concatenate([(rows @ mat) % p for mat in mats]), p)
     if x is None:
         raise InternalInvariantError("subspace not stable under the sampled action")
-    return np.split(x, len(mats))
+    return _blocks(x, len(mats))
+
+
+def _blocks(x, count):
+    """The count square matrices stacked in the rows of x, as read-only views."""
+    mats = x.reshape(count, -1, x.shape[1])
+    mats.flags.writeable = False
+    return mats
 
 
 def submodule(parent, vec):

@@ -3,9 +3,10 @@
 Everything here is deliberately computed by a different route than the
 package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
-for dense products, divisor sums, powers, cusp-form powers, square-full
-sums, the prime sieve over all integers, sparse products, products at
-full length without the support-lattice step, row combinations in int64,
+for dense products, divisor sums, the two-add divisor-pair sieve, the
+two-pass square-free count, powers, cusp-form powers, square-full sums,
+the prime sieve over all integers, sparse products, products at full
+length without the support-lattice step, row combinations in int64,
 weight bases one monomial at a time, restriction to a submodule, the
 decomposition oracle, row reduction one row at a time, the module
 closure, the per-matrix status and determinant, the nilpotence-order
@@ -120,6 +121,62 @@ def sigma_sieve_walk(prec, e, p):
     for d in range(1, prec):
         acc[d::d] += pow(d, e, p)
     return (acc % p).astype(np.uint8)
+
+
+def sigma_sieve_divisor_pairs(prec, e, p):
+    """sigma_e(n) mod p by two strided adds per divisor d with d^2 < prec, in uint32.
+
+    The route before the one-add uint16 sieve: the step for d adds d^e to
+    every n = d*m with m >= d and m^e to those with m > d.
+    """
+    acc = np.zeros(prec, dtype=np.uint32)
+    powers = np.array([pow(r, e, p) for r in range(p)], dtype=np.uint8)
+    cofactor_powers = np.tile(powers, -(-prec // p))[:prec]
+    # one step adds at most 2(p-1) to an entry
+    chunk = (2**32 - 1) // (2 * (p - 1))
+    d = 1
+    while d * d < prec:
+        last = (prec - 1) // d
+        acc[d * d :: d] += powers[d % p]
+        acc[d * (d + 1) :: d] += cofactor_powers[d + 1 : last + 1]
+        if d % chunk == 0:
+            acc %= p
+        d += 1
+    return (acc % p).astype(np.uint8)
+
+
+def count_segments_two_pass(table, mask, bounds, p):
+    """Counts at each bound over all indices, then over the masked ones in a second pass.
+
+    The route before the one-pass key count: the masked pass copies
+    table[mask != 0] and counts it up to the number of masked indices below
+    each bound.  Returns ((totals, by_value), (kept_totals, kept_by_value)).
+    """
+
+    def tally(values, ends):
+        by_value = np.zeros((len(ends), p), dtype=np.int64)
+        for i, b in enumerate(ends):
+            by_value[i] = np.bincount(values[:b], minlength=p)[:p]
+        return by_value[:, 1:].sum(axis=1), by_value
+
+    kept = [np.count_nonzero(mask[:b]) for b in bounds]
+    return tally(table, bounds), tally(table[mask != 0], kept)
+
+
+def counts_per_index(table, mask, bounds, p):
+    """The same counts as count_segments_two_pass, tallied one index at a time in Python."""
+    out = {"all": [], "kept": []}
+    all_counts, kept_counts = [0] * p, [0] * p
+    n = 0
+    for b in sorted(bounds):
+        while n < b:
+            all_counts[int(table[n])] += 1
+            if mask[n]:
+                kept_counts[int(table[n])] += 1
+            n += 1
+        out["all"].append(list(all_counts))
+        out["kept"].append(list(kept_counts))
+    return out
 
 
 def power_by_squaring(a, e):

@@ -120,3 +120,13 @@ def test_squarefree_mask():
         mask = squarefree_mask(n)
         assert mask.dtype == np.uint8
         assert mask.tolist() == expect[:n]
+
+
+def test_squarefree_mask_against_every_square():
+    # the mask strikes prime squares only; striking every q^2 gives the same bytes
+    n = 200_003
+    expect = np.ones(n, dtype=np.uint8)
+    expect[0] = 0
+    for q in range(2, math.isqrt(n - 1) + 1):
+        expect[q * q :: q * q] = 0
+    assert np.array_equal(squarefree_mask(n), expect)

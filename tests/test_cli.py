@@ -193,6 +193,28 @@ class TestCountsAndOracle:
         assert rows[0] == ["x", "pi", "pi_sf", "predicted", "ratio", "a=1", "a=2"]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("form,p", [("E4*delta", 7), ("E6", 251)])
+    def test_count_matches_a_per_index_tally(self, capsys, monkeypatch, form, p):
+        # one counting pass: the square-free counts come with the plain ones
+        passes = count_calls(monkeypatch, "kernels", "count_segments")
+        masked = count_calls(monkeypatch, "kernels", "count_segments_masked")
+        code, out, _ = run_cli(
+            capsys, "count", "--p", str(p), "--form", form, "--xmax", "2000",
+            "--checkpoints", "0,5,5",
+        )
+        data = json.loads(out)
+        assert code == 0 and len(passes) == 1 and masked == []
+        coeffs = json.loads(
+            run_cli(capsys, "expand", "--p", str(p), "--form", form, "--prec", "5")[1]
+        )["coeffs"]
+        squarefree = [False, True, True, True, False]
+        assert data["checkpoints"] == [0, 5, 5]
+        assert data["pi"] == [0] + [sum(1 for c in coeffs if c)] * 2
+        assert data["pi_sf"] == [0] + [sum(1 for c, sf in zip(coeffs, squarefree) if c and sf)] * 2
+        assert data["per_value"] == {
+            str(a): [0] + [coeffs.count(a)] * 2 for a in range(1, p)
+        }
+
     def test_oracle_match_line(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -476,6 +498,69 @@ UNREAD = [
 def _base_argv(command):
     form = () if command == "alpha-group" else ("--p", "3", "--form", "delta")
     return [command, *form, *BASE_ARGV.get(command, ())]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit code or None, stdout, stderr, parsed flags or None) of one parse."""
+    try:
+        parsed, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, parsed
+
+
+class TestLazyParser:
+    """main builds the invoked command's flags only, with the full parser's behaviour."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["-h", "count"],
+            ["frobnicate", "--p", "3"],
+            ["count", "--bogus"],
+            ["count", "--p", "3"],
+            ["count", "--p", "3", "--form", "delta", "--op", "T"],
+            ["alpha-group", "--p", "3"],
+            ["alpha-group", "--case", "nonsense"],
+            ["hecke", "--p", "3", "--form", "delta", "--op", "Q"],
+            ["count", "--p", "3", "--form", "delta", "--xmax", "0"],
+        ]
+        + [[command, "--help"] for command in READS],
+    )
+    def test_exits_match_the_full_parser(self, capsys, monkeypatch, argv):
+        from modpforms import cli
+
+        full = _parse_outcome(build_parser(), argv, capsys)
+        built = []
+        monkeypatch.setattr(
+            cli, "build_parser", lambda command=None: built.append(command) or build_parser(command)
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out, out.err) == full[:3]
+        assert full[0] in (0, 2)
+        assert built == [argv[0] if argv and argv[0] in READS else None]
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_parsed_flags_match_the_full_parser(self, capsys, command):
+        argv = _base_argv(command)
+        for flag in READS[command].split():
+            if flag not in argv and flag in SHARED_FLAGS:
+                value = SHARED_FLAGS[flag]
+                argv += [flag] + ([value] if value else [])
+        lazy = _parse_outcome(build_parser(command), argv, capsys)
+        assert lazy == _parse_outcome(build_parser(), argv, capsys)
+        assert lazy[0] is None and lazy[3]["command"] == command
+
+    def test_lazy_parser_has_one_command(self):
+        (commands,) = [
+            a for a in build_parser("count")._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(commands.choices) == ["count"]
 
 
 class TestFlagTable:

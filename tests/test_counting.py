@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +24,7 @@ from modpforms.expr import evaluate, parse_form_expression
 from modpforms.module import work_precision
 from modpforms.series import delta_power
 
-from oracles import decomposition_oracle_per_index, integer_delta_power
+from oracles import counts_per_index, decomposition_oracle_per_index, integer_delta_power
 
 # the forms of acceptance criterion 7
 CRITERION_7_FORMS = [
@@ -130,6 +131,35 @@ class TestCounts:
         with pytest.raises(ValueError, match="precision"):
             table_of_series(delta_power(3, 1, 10), 20)
         assert table_of_series(delta_power(3, 1, 10), 5).coeffs.tolist() == [0, 1, 0, 0, 1]
+
+
+class TestOnePassCounts:
+    def test_squarefree_counts_ride_along(self):
+        t = coefficient_table("delta^2", 3, 10**4)
+        marks = [0, 5, 5, 10**3, 10**4]
+        both = count_pi(t, marks, with_pi_sf=True)
+        plain = count_pi(t, marks)
+        assert plain.pi_sf is None
+        assert (both.checkpoints, both.pi, both.per_value) == (
+            plain.checkpoints, plain.pi, plain.per_value
+        )
+        assert both.pi_sf == count_pi_sf(t, marks).pi_sf
+
+    @pytest.mark.parametrize("form,p", [("E4*delta", 7), ("E6", 131), ("E6", 251)])
+    def test_against_per_index_tally(self, form, p):
+        size = 3000
+        t = coefficient_table(form, p, size)
+        marks = [0, 5, 5, 6, 1000, size]
+        mask = [
+            n > 0 and all(n % (q * q) for q in range(2, math.isqrt(n) + 1)) for n in range(size)
+        ]
+        expect = counts_per_index(t.coeffs, mask, marks, p)
+        both = count_pi(t, marks, with_pi_sf=True)
+        sf = count_pi_sf(t, marks)
+        assert both.pi == [sum(row[1:]) for row in expect["all"]]
+        assert both.pi_sf == sf.pi_sf == [sum(row[1:]) for row in expect["kept"]]
+        assert both.per_value == {a: [row[a] for row in expect["all"]] for a in range(1, p)}
+        assert sf.per_value == {a: [row[a] for row in expect["kept"]] for a in range(1, p)}
 
 
 class TestSquarefreeMask:

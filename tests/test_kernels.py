@@ -7,7 +7,14 @@ import pytest
 from modpforms import kernels, series
 from modpforms.errors import InternalInvariantError
 
-from oracles import combine_int64, mul_dense_convolve, sigma_sieve_walk
+from oracles import (
+    combine_int64,
+    count_segments_two_pass,
+    counts_per_index,
+    mul_dense_convolve,
+    sigma_sieve_divisor_pairs,
+    sigma_sieve_walk,
+)
 
 
 def _random_case(rng, p, n):
@@ -262,17 +269,113 @@ class TestMulDenseAgainstConvolution:
             kernels.mul_dense(ones, ones, 3, 4)
 
 
+def _sieve_cadence(p):
+    """Steps between sigma_sieve's in-loop reductions, from its accumulator's maximum."""
+    return (int(np.iinfo(kernels._SIEVE_ACC).max) - (p - 1)) // (2 * (p - 1))
+
+
 class TestSigmaSieveAgainstDivisorWalk:
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 251])
+    """The one-add uint16 sieve against the divisor walk and the two-add uint32 sieve."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 131, 251])
     @pytest.mark.parametrize("e", [3, 5])
     def test_prefixes_at_square_boundaries(self, p, e):
-        for prec in (1, 2, 3, 4, 5, 9, 10, 16, 17, 49, 50, 121, 122, 2000):
+        precs = [1, 2, 3, 4, 5, 9, 10, 16, 17, 49, 50, 121, 122, p * p, p * p + 1, 2000]
+        cadence = _sieve_cadence(p)
+        if cadence < 300:
+            # the sieve takes isqrt(prec - 1) steps: one short of a reduction
+            # (every 130 steps at p = 251), exactly at one, one past it, and
+            # past the second
+            precs += [k * k + 1 for k in (cadence - 1, cadence, cadence + 1, 2 * cadence + 1)]
+        for prec in precs:
             got = kernels.sigma_sieve(prec, e, p)
             assert got.dtype == np.uint8 and got[0] == 0
-            assert np.array_equal(got, sigma_sieve_walk(prec, e, p))
+            assert np.array_equal(got, sigma_sieve_divisor_pairs(prec, e, p)), prec
+            if prec <= 70000:
+                assert np.array_equal(got, sigma_sieve_walk(prec, e, p)), prec
 
     def test_large_prefix(self):
         assert np.array_equal(kernels.sigma_sieve(50000, 5, 7), sigma_sieve_walk(50000, 5, 7))
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    @pytest.mark.parametrize("e", [3, 5])
+    def test_narrow_accumulator_needs_the_in_loop_reduction(self, monkeypatch, p, e):
+        # in uint16 no entry below 10^7 wraps even without the reduction (the
+        # largest sum, at n = 8648640 for p = 251, e = 5, is 55,817), so it is
+        # exercised in uint8: at p = 7 it comes every 20 steps, and
+        # n = 102960 (60 divisor pairs) wraps a uint8 entry without it
+        monkeypatch.setattr(kernels, "_SIEVE_ACC", np.uint8)
+        prec = 110000
+        got = kernels.sigma_sieve(prec, e, p)
+        assert np.array_equal(got, sigma_sieve_divisor_pairs(prec, e, p))
+
+    def test_peak_memory(self):
+        # uint16 accumulator, one uint16 row and one uint8 cofactor table:
+        # 5 bytes an entry and a block (the uint32 route peaked at 10 MB)
+        tracemalloc.start()
+        kernels.sigma_sieve(10**6, 3, 7)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 5e6 + 12 * kernels._INDEX_BLOCK
+
+
+class TestCountSegments:
+    """The one-pass key count against the two-pass masked count and a per-index tally."""
+
+    @pytest.mark.parametrize("p", [3, 7, 127, 128, 131, 251])
+    def test_against_two_passes(self, p):
+        rng = np.random.default_rng(p)
+        n = 3 * kernels._INDEX_BLOCK + 123
+        table = _random_case(rng, p, n)
+        table[rng.random(n) < 0.5] = 0
+        masks = [
+            rng.integers(0, 2, size=n).astype(np.uint8),
+            np.zeros(n, dtype=np.uint8),
+            np.ones(n, dtype=np.uint8),
+        ]
+        block = kernels._INDEX_BLOCK
+        for bounds in ([n], [0, 5, 5, n], [1, block, block + 1, n - 1]):
+            bounds = np.array(bounds, dtype=np.int64)
+            plain = kernels.count_segments(table, bounds, p)
+            for mask in masks:
+                got = kernels.count_segments(table, bounds, p, mask)
+                (totals, by_value), (kept_totals, kept_by_value) = count_segments_two_pass(
+                    table, mask, bounds, p
+                )
+                for a, b in zip(got, (totals, by_value, kept_totals, kept_by_value)):
+                    assert np.array_equal(a, b)
+                for a, b in zip(plain, got[:2]):
+                    assert np.array_equal(a, b)
+                masked = kernels.count_segments_masked(table, mask, bounds, p)
+                for a, b in zip(masked, got[2:]):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [5, 251])
+    def test_per_index_tally_across_small_blocks(self, monkeypatch, p):
+        monkeypatch.setattr(kernels, "_INDEX_BLOCK", 7)
+        rng = np.random.default_rng(10 + p)
+        table = _random_case(rng, p, 300)
+        mask = rng.integers(0, 2, size=300).astype(np.uint8)
+        bounds = [0, 5, 5, 6, 13, 14, 299, 300]
+        expect = counts_per_index(table, mask, bounds, p)
+        totals, by_value, kept_totals, kept_by_value = kernels.count_segments(
+            table, np.array(bounds), p, mask
+        )
+        assert by_value.tolist() == expect["all"]
+        assert kept_by_value.tolist() == expect["kept"]
+        assert totals.tolist() == [sum(row[1:]) for row in expect["all"]]
+        assert kept_totals.tolist() == [sum(row[1:]) for row in expect["kept"]]
+
+    def test_peak_memory_is_a_block(self):
+        # the keys and bincount's intp copy of them are one block, not the table
+        p, n = 7, 10**6
+        table = np.ones(n, dtype=np.uint8)
+        mask = np.ones(n, dtype=np.uint8)
+        tracemalloc.start()
+        kernels.count_segments(table, np.array([10**3, n]), p, mask)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 16 * kernels._INDEX_BLOCK
 
 
 class TestCombineAgainstInt64:

@@ -423,6 +423,17 @@ class TestSubmodule:
         assert rep.nilpotent_classes == (2,)
 
 
+class TestReadOnlyMatrices:
+    def test_per_prime_matrices_are_read_only_views(self, delta2_mod3_module):
+        m = delta2_mod3_module
+        mats = list(m.per_prime.values())
+        assert all(mat.base is mats[0].base for mat in mats)
+        for mat in (mats[0], submodule(m, m.f_coords).per_prime[2]):
+            assert mat.ndim == 2 and not mat.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 1
+
+
 class TestRestrictAgainstPerRow:
     """Every matrix decompose restricts equals the per-row solve of the reference."""
 
