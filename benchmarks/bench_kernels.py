@@ -12,7 +12,9 @@ expansion) and row combinations mod p (the weight-228 echelon basis mod
 form itself, built by Frobenius digits, the weight-228 basis mod 3 built
 cold, the exponents 8c (c < 20) of its Delta^c in one shared digit walk
 against one power each, the module of Delta^19 mod 3 and the batched
-status pass on its sampled matrices, the square-full sums of the
+status pass on its sampled matrices, the generalized eigenspaces of a
+64-dimensional split block at p = 3, 7 and 251 (decompose's step), the
+square-full sums of the
 leading constants of Delta mod 7 and Delta^5 mod 3 and the decomposition
 oracle of Delta^2 mod 3.  Times are the best of --repeat runs.
 
@@ -29,7 +31,13 @@ from modpforms.arith import squarefree_mask
 from modpforms.basis import GradedForm, _mod_monomials, miller_basis
 from modpforms.counting import decomposition_oracle, oracle_components
 from modpforms.densities import class_density, euler_constant_C, squarefull_buckets
-from modpforms.module import _statuses, build_module, classify_classes, work_precision
+from modpforms.module import (
+    _eigenspaces,
+    _statuses,
+    build_module,
+    classify_classes,
+    work_precision,
+)
 from modpforms.series import delta_power, eta_cubed, mul, power, powers
 
 
@@ -47,6 +55,17 @@ def _sparse_case(p, prec):
     eta3 = eta_cubed(p, prec)
     exps = np.flatnonzero(eta3.coeffs)
     return eta3.coeffs, mul(eta3, eta3).coeffs, exps, eta3.coeffs[exps]
+
+
+def _split_block(p, dim=64):
+    """A dim x dim matrix mod p with eigenvalues 0, 1 and 2 and Jordan blocks, in a random basis."""
+    rng = np.random.default_rng(p)
+    action = np.triu(rng.integers(0, p, size=(dim, dim)), 1) + np.diag(rng.integers(0, 3, size=dim))
+    # a product of unit triangular matrices is invertible
+    lower = np.tril(rng.integers(0, p, size=(dim, dim)), -1) + np.eye(dim, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(dim, dim)), 1) + np.eye(dim, dtype=np.int64)
+    basis = (lower @ upper) % p
+    return (linalg.inverse(basis, p) @ action @ basis) % p
 
 
 def bench(prec, repeat):
@@ -138,6 +157,12 @@ def bench(prec, repeat):
     sampled = list(build_module(delta19).per_prime.values())
     t = _time(lambda: _statuses(sampled, 3), repeat)
     print(f"_statuses delta^19 mod 3 ({len(sampled)} sampled matrices): {t * 1000:.1f}ms")
+
+    for p in (3, 7, 251):
+        mat = _split_block(p)
+        rows = linalg.identity(len(mat), p)
+        t = _time(lambda: _eigenspaces(rows, {}, mat, p), repeat)
+        print(f"_eigenspaces 64-dim split block mod {p}: {t * 1000:.1f}ms")
 
     # Delta^5 mod 3: conductor 27, dim 4, 16 buckets
     for p, k, s_bounds in ((7, 1, (10**8, 10**10)), (3, 5, (10**10,))):

@@ -119,7 +119,7 @@ def mul_sparse(dense, exps, coefs, p, out_len):
     else:
         acc = _shifted_adds(dense, exps, coefs, p, out_len)
     if acc.dtype == np.uint16:
-        return np.take(_residue_table(p), acc)
+        return _reduce(acc, p, np.empty(out_len, dtype=np.uint8))
     acc %= p
     return acc.astype(np.uint8)
 
@@ -232,7 +232,7 @@ def combine(coefs, rows, p):
                 if terms % cadence == 0:
                     acc %= p
         if dt == np.uint16:
-            np.take(_residue_table(p), acc, out=out[i])
+            _reduce(acc, p, out[i])
         else:
             np.remainder(acc, p, out=out[i], casting="unsafe")
     return out if coefs.ndim == 2 else out[0]

@@ -1,7 +1,9 @@
 """Dense linear algebra over F_p for the small matrices of Hecke modules.
 
 Everything works on int64 NumPy arrays with entries in [0, p); dimensions
-stay below the module-size cap (64), so cubic algorithms are fine.
+stay below the module-size cap (64), so cubic algorithms are fine.  There
+is no polynomial arithmetic: eigenvalues come from singularity tests
+(module._eigenspaces), and coordinates from the batched solve_rows.
 """
 
 import numpy as np
@@ -83,19 +85,6 @@ def nullspace(mat, p):
     return basis
 
 
-def solve_in_rowspan(rows, vec, p):
-    """Coefficients x with x @ rows == vec, or None if vec is outside the span."""
-    k = rows.shape[0]
-    aug = np.concatenate([rows.T % p, (vec % p).reshape(-1, 1)], axis=1)
-    m, pivots = rref(aug, p)
-    if aug.shape[1] - 1 in pivots:
-        return None
-    x = np.zeros(k, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = m[r, -1]
-    return x
-
-
 def solve_rows(rows, images, p):
     """Coefficients x with x @ rows == images, or None if an image is outside the span.
 
@@ -116,52 +105,3 @@ def row_basis(mat, p):
     """Independent rows spanning the row space (rref rows, zero rows dropped)."""
     m, pivots = rref(mat, p)
     return m[: len(pivots)]
-
-
-def min_poly(mat, p):
-    """Minimal polynomial coefficients [c_0, ..., c_{d-1}, 1] of mat over F_p."""
-    n = mat.shape[0]
-    powers = [identity(n, p).ravel()]
-    while True:
-        d = len(powers)
-        stacked = np.stack(powers)
-        nxt = matpow(mat, d, p).ravel()
-        x = solve_in_rowspan(stacked, nxt, p)
-        if x is not None:
-            return [int((-c) % p) for c in x] + [1]
-        powers.append(nxt)
-        if d > n:
-            raise InternalInvariantError("minimal polynomial search exceeded the dimension")
-
-
-def poly_eval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def poly_divmod_linear(coeffs, root, p):
-    """Divide a polynomial by (x - root); returns quotient (remainder must be 0)."""
-    out = [0] * (len(coeffs) - 1)
-    acc = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = (acc * root + coeffs[i]) % p
-        out[i - 1] = acc
-    if (acc * root + coeffs[0]) % p:
-        raise InternalInvariantError(f"{root} is not a root")
-    return out
-
-
-def strip_linear_factors(coeffs, p):
-    """All roots in F_p (with multiplicity) and the rootless cofactor."""
-    roots = []
-    while len(coeffs) > 1:
-        for x in range(p):
-            if poly_eval(coeffs, x, p) == 0:
-                roots.append(x)
-                coeffs = poly_divmod_linear(coeffs, x, p)
-                break
-        else:
-            break
-    return roots, coeffs

@@ -24,20 +24,25 @@ Classification, purity, the strict order of nilpotence, the canonical
 pure decomposition and the group of invertible actions sit on top.  The
 status of each distinct matrix is found once, with one batched
 nilpotency test by repeated squaring and one batched elimination for the
-rest.  The order of nilpotence h is the last j at which the subspace
-chain W_0 = <f>, W_{j+1} = sum of W_j M over the distinct nilpotent
-action matrices M is nonzero: at most dim row reductions, and no need
-for the full conductor.  The closure behind every module basis keeps one reduced
-echelon form and reduces each new image against it.
+rest.  The same batched elimination finds the eigenvalues behind the
+decomposition: on each block, the lambda in F_p for which the restricted
+action minus lambda*I is singular.  The order of nilpotence h is the
+last j at which the subspace chain W_0 = <f>, W_{j+1} = sum of W_j M
+over the distinct nilpotent action matrices M is nonzero: at most dim
+row reductions, and no need for the full conductor.  The closure behind
+every module basis keeps one reduced echelon form and reduces each new
+image against it.
 
 One function, _assemble, turns basis rows and per-prime matrices into a
 module, for build_module and submodule alike; both put images into module
-coordinates through one batched solve, linalg.solve_rows.  Only the
+coordinates through one batched solve, linalg.solve_rows, which also
+splits the seed over the decomposition's blocks.  Only the
 classes and prime_power_matrix members read the class table; everything
 else takes T_l for a class u as prime_power_matrix(u, 1).
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -481,9 +486,11 @@ def _detect_conductor(per_prime, p, weight, r):
 def _detect_status(per_prime, p, r):
     """Smallest p-power modulus with class-constant nilpotent/invertible status.
 
-    Every unit class must carry a sampled prime.  This is the semisimple
-    layer of the action, so it exists (with a small modulus) whenever the
-    underlying representations are reducible with p-power conductors.
+    Every unit class must carry a sampled prime; the sampled primes exclude
+    p, so that holds when they reach phi(modulus) classes.  This is the
+    semisimple layer of the action, so it exists (with a small modulus)
+    whenever the underlying representations are reducible with p-power
+    conductors.
     """
     statuses = dict(zip(per_prime, _statuses(list(per_prime.values()), p)))
     failure = None
@@ -499,10 +506,12 @@ def _detect_status(per_prime, p, r):
         if not ok:
             failure = f"modulus {cand}: status not constant on classes"
             continue
-        units = [u for u in range(1, cand) if u % p]
-        missing = [u for u in units if u not in by_class]
-        if missing:
-            failure = f"modulus {cand}: classes {missing[:4]} have no sampled prime"
+        if len(by_class) < cand - cand // p:
+            missing = (u for u in range(1, cand) if u % p and u not in by_class)
+            failure = (
+                f"modulus {cand}: classes {list(itertools.islice(missing, 4))} "
+                "have no sampled prime"
+            )
             continue
         return cand, by_class
     raise ConductorNotFoundError(
@@ -654,27 +663,35 @@ def decompose(module):
 
 
 def _eigenspaces(rows, nil_by_mat, mat, p):
-    """The generalized eigenspaces of mat on the block spanned by rows, as blocks."""
+    """The generalized eigenspaces of mat on the block spanned by rows, as blocks.
+
+    The eigenvalues in F_p are the lambda for which restr - lambda*I is
+    singular, found for all p values at once by one batched elimination;
+    the eigenspace of lambda is the kernel of (restr - lambda*I)^d on the
+    d-dimensional block.  Raises SplittingFieldNeededError when these
+    kernels fill less than the block.
+    """
     (restr,) = _restrict(rows, [mat], p)
-    roots, leftover = linalg.strip_linear_factors(linalg.min_poly(restr, p), p)
-    if len(leftover) > 1:
-        raise SplittingFieldNeededError(
-            "a sampled action has an irreducible factor of degree "
-            f"{len(leftover) - 1} in its minimal polynomial over F_{p}"
-        )
-    ident = linalg.identity(rows.shape[0], p)
+    d = rows.shape[0]
+    shifted = (restr - np.arange(p)[:, None, None] * linalg.identity(d, p)) % p
     out = []
-    for lam in sorted(set(roots)):
-        power = linalg.matpow((restr - lam * ident) % p, roots.count(lam), p)
-        sub = (linalg.nullspace(power, p) @ rows) % p
+    for lam in np.flatnonzero(~_invertible(shifted, p)).tolist():
+        sub = (linalg.nullspace(linalg.matpow(shifted[lam], d, p), p) @ rows) % p
         out.append((sub, {**nil_by_mat, mat.tobytes(): lam == 0}))
+    rest = d - sum(len(sub) for sub, _ in out)
+    if rest:
+        raise SplittingFieldNeededError(
+            f"a sampled action has irreducible factors of total degree {rest} "
+            f"in its characteristic polynomial over F_{p}"
+        )
     return out
 
 
 def _group_blocks(module, blocks):
     p = module.p
+    # the blocks are a direct sum of the module, so stacked is square and invertible
     stacked = np.concatenate([rows for rows, _ in blocks])
-    x = linalg.solve_in_rowspan(stacked, module.f_coords, p)
+    x = linalg.solve_rows(stacked, module.f_coords[None], p)
     if x is None:
         raise InternalInvariantError("seed vector escaped the block decomposition")
     # the nilpotent status-class set of each block, validated across samples
@@ -682,7 +699,7 @@ def _group_blocks(module, blocks):
     offset = 0
     for rows, nil_by_mat in blocks:
         d = rows.shape[0]
-        part = (x[offset : offset + d] @ rows) % p
+        part = (x[0, offset : offset + d] @ rows) % p
         offset += d
         if not part.any():
             continue

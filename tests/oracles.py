@@ -10,8 +10,10 @@ length without the support-lattice step, row combinations in int64,
 weight bases one monomial at a time, restriction to a submodule, the
 decomposition oracle, row reduction one row at a time, the module
 closure, the per-matrix status and determinant, the nilpotence-order
-search and the multiset enumeration of nilpotent images are kept here as
-differential references for the fast paths that replaced them.
+search, the multiset enumeration of nilpotent images, the one-vector
+solve in a row span and the eigenspaces from the minimal polynomial and
+its roots are kept here as differential references for the fast paths
+that replaced them.
 """
 
 import math
@@ -24,7 +26,11 @@ import numpy as np
 
 from modpforms import kernels, linalg
 from modpforms.basis import _monomials
-from modpforms.errors import InternalInvariantError, SpanNotClosedError
+from modpforms.errors import (
+    InternalInvariantError,
+    SpanNotClosedError,
+    SplittingFieldNeededError,
+)
 from modpforms.module import INVERTIBLE, MIXED, NILPOTENT, classify_classes
 from modpforms.series import QSeries, delta_power, eisenstein, mul, one, power, zero
 
@@ -395,15 +401,100 @@ def squarefull_buckets_walk(module, seed, cu, s_bound, inv_classes):
     return sums, vecs, tail
 
 
+def solve_in_rowspan(rows, vec, p):
+    """Coefficients x with x @ rows == vec, or None if vec is outside the span."""
+    k = rows.shape[0]
+    aug = np.concatenate([rows.T % p, (vec % p).reshape(-1, 1)], axis=1)
+    m, pivots = linalg.rref(aug, p)
+    if aug.shape[1] - 1 in pivots:
+        return None
+    x = np.zeros(k, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = m[r, -1]
+    return x
+
+
 def restrict_per_row(rows, mat, p):
     """module._restrict for one matrix, one solve_in_rowspan per image row."""
     img = (rows @ mat) % p
     out = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.int64)
     for i in range(rows.shape[0]):
-        x = linalg.solve_in_rowspan(rows, img[i], p)
+        x = solve_in_rowspan(rows, img[i], p)
         if x is None:
             raise InternalInvariantError("subspace not stable under the sampled action")
         out[i] = x
+    return out
+
+
+def min_poly(mat, p):
+    """Minimal polynomial coefficients [c_0, ..., c_{d-1}, 1] of mat over F_p."""
+    n = mat.shape[0]
+    powers = [linalg.identity(n, p).ravel()]
+    while True:
+        d = len(powers)
+        stacked = np.stack(powers)
+        nxt = linalg.matpow(mat, d, p).ravel()
+        x = solve_in_rowspan(stacked, nxt, p)
+        if x is not None:
+            return [int((-c) % p) for c in x] + [1]
+        powers.append(nxt)
+        if d > n:
+            raise InternalInvariantError("minimal polynomial search exceeded the dimension")
+
+
+def poly_eval(coeffs, x, p):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def poly_divmod_linear(coeffs, root, p):
+    """Divide a polynomial by (x - root); returns quotient (remainder must be 0)."""
+    out = [0] * (len(coeffs) - 1)
+    acc = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = (acc * root + coeffs[i]) % p
+        out[i - 1] = acc
+    if (acc * root + coeffs[0]) % p:
+        raise InternalInvariantError(f"{root} is not a root")
+    return out
+
+
+def strip_linear_factors(coeffs, p):
+    """All roots in F_p (with multiplicity) and the rootless cofactor."""
+    roots = []
+    while len(coeffs) > 1:
+        for x in range(p):
+            if poly_eval(coeffs, x, p) == 0:
+                roots.append(x)
+                coeffs = poly_divmod_linear(coeffs, x, p)
+                break
+        else:
+            break
+    return roots, coeffs
+
+
+def eigenspaces_by_min_poly(rows, nil_by_mat, mat, p):
+    """module._eigenspaces through the minimal polynomial and its roots in F_p.
+
+    The generalized eigenspace of a root lambda of multiplicity m is the
+    kernel of (restr - lambda*I)^m; an irreducible factor of degree above
+    one raises SplittingFieldNeededError.
+    """
+    restr = restrict_per_row(rows, mat, p)
+    roots, leftover = strip_linear_factors(min_poly(restr, p), p)
+    if len(leftover) > 1:
+        raise SplittingFieldNeededError(
+            "a sampled action has an irreducible factor of degree "
+            f"{len(leftover) - 1} in its minimal polynomial over F_{p}"
+        )
+    ident = linalg.identity(rows.shape[0], p)
+    out = []
+    for lam in sorted(set(roots)):
+        power = linalg.matpow((restr - lam * ident) % p, roots.count(lam), p)
+        sub = (linalg.nullspace(power, p) @ rows) % p
+        out.append((sub, {**nil_by_mat, mat.tobytes(): lam == 0}))
     return out
 
 
@@ -503,7 +594,7 @@ def closure_row_basis(seed, matrices, p, max_dim):
         v = queue.pop()
         for mat in matrices:
             w = linalg.matvec(v, mat, p)
-            if not w.any() or linalg.solve_in_rowspan(span_rref, w, p) is not None:
+            if not w.any() or solve_in_rowspan(span_rref, w, p) is not None:
                 continue
             rows.append(w)
             queue.append(w)

@@ -101,7 +101,10 @@ class TestSplittingField:
         mat[1, 0] = -1 % p
         mat[1, 1] = -1 % p
         module = _synthetic_module(lambda u: mat, p, 3)
-        with pytest.raises(SplittingFieldNeededError, match="irreducible"):
+        with pytest.raises(
+            SplittingFieldNeededError,
+            match="irreducible factors of total degree 2 in its characteristic polynomial over F_5",
+        ):
             decompose(module)
 
 

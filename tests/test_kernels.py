@@ -12,6 +12,7 @@ from oracles import (
     count_segments_two_pass,
     counts_per_index,
     mul_dense_convolve,
+    mul_sparse_shifted_adds,
     sigma_sieve_divisor_pairs,
     sigma_sieve_walk,
 )
@@ -207,6 +208,25 @@ class TestMulSparseAgainstConvolution:
         sparse = np.zeros(out_len, dtype=np.uint8)
         sparse[exps] = coefs
         assert np.array_equal(got, kernels.mul_dense(dense, sparse, p, out_len))
+
+    def test_uint16_reduction_memory_at_1e6(self, routes):
+        # shifted adds at p = 3 hold three uint16 arrays (6 MB); the result
+        # is reduced from the accumulator in blocks, since one whole-array
+        # lookup would widen its indices to 8 MB of intp
+        p, out_len = 3, 10**6
+        rng = np.random.default_rng(3)
+        dense = _random_case(rng, p, out_len)
+        exps = np.arange(0, 300, 7, dtype=np.int64)
+        coefs = (np.arange(len(exps)) % (p - 1) + 1).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            got = kernels.mul_sparse(dense, exps, coefs, p, out_len)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * out_len
+        assert routes == ["_shifted_adds"]
+        assert np.array_equal(got, mul_sparse_shifted_adds(dense, exps, coefs, p, out_len))
 
 
 class TestMulDenseAgainstConvolution:

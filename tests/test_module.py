@@ -8,12 +8,20 @@ from modpforms import basis, linalg, module
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, miller_basis
 from modpforms.densities import _lift_weight
-from modpforms.errors import BudgetExceededError, ConductorNotFoundError, SpanNotClosedError
+from modpforms.errors import (
+    BudgetExceededError,
+    ConductorNotFoundError,
+    SpanNotClosedError,
+    SplittingFieldNeededError,
+)
 from modpforms.expr import evaluate, parse_form_expression
 from modpforms.hecke import apply_T_ell, apply_W, t_ell_coefficients
 from modpforms.module import (
     NILPOTENT,
     HeckeModule,
+    _detect_status,
+    _distinct,
+    _eigenspaces,
     _group_blocks,
     build_module,
     classify_classes,
@@ -27,7 +35,14 @@ from modpforms.module import (
 )
 from modpforms.series import delta_power, linear_combine
 
-from oracles import restrict_per_row, tau
+from oracles import (
+    eigenspaces_by_min_poly,
+    min_poly,
+    restrict_per_row,
+    solve_in_rowspan,
+    strip_linear_factors,
+    tau,
+)
 
 
 def _delta_form(p, k, sample_bound=2000):
@@ -152,7 +167,7 @@ class TestBuildModule:
             ell = int(pool[i])
             amb = t_ell_coefficients(S.astype(np.uint8), ell, 24, 3, 3)
             direct = np.stack(
-                [linalg.solve_in_rowspan(m.ambient_coords, row, 3) for row in amb]
+                [solve_in_rowspan(m.ambient_coords, row, 3) for row in amb]
             )
             assert np.array_equal(direct % 3, m.class_matrices[ell % 9] % 3)
 
@@ -171,6 +186,31 @@ class TestBuildModule:
             direct = (m.class_matrices[u] @ m.class_matrices[u] - m.scalar_map[u] *
                       linalg.identity(2, 3)) % 3
             assert np.array_equal(sq, direct)
+
+
+class TestStatusModulus:
+    def test_missing_classes_take_no_list_of_units(self):
+        # the status changes inside classes mod 29, so the search runs on to
+        # 29^4, where 302 sampled primes leave most of the 682,892 unit
+        # classes empty; a list of the unit classes would take 33 MB
+        p = 29
+        per_prime = {
+            ell: np.array([[0 if ell < 1000 else 1]], dtype=np.int64)
+            for ell in primes_upto(2000).tolist()
+            if ell != p
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConductorNotFoundError) as err:
+                _detect_status(per_prime, p, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "no modulus explains the nilpotent/invertible pattern "
+            "(modulus 707281: classes [1, 4, 6, 8] have no sampled prime)"
+        )
+        assert peak < 10**6
 
 
 class TestHeckeAction:
@@ -220,8 +260,8 @@ class TestClassify:
         assert rep.nilpotent_classes == (6,)
         # eigenvalues at class 3 are (3^2+3^3, 3+3^4) = (1, 0) mod 7
         mat = delta2_mod7_module.class_matrices[3]
-        mp = linalg.min_poly(mat, 7)
-        roots, left = linalg.strip_linear_factors(mp, 7)
+        mp = min_poly(mat, 7)
+        roots, left = strip_linear_factors(mp, 7)
         assert left == [1] and sorted(set(roots)) == [0, 1]
 
     def test_one_dim_zero_scalar_nilpotent(self, delta_mod3_module):
@@ -408,6 +448,130 @@ class TestGroupBlocks:
     def test_first_inconsistent_class_is_named(self, mod, flip, named):
         with pytest.raises(ConductorNotFoundError, match=f"status class {named} is not"):
             _group_blocks(mod, self._block(mod, flip))
+
+    def test_seed_coordinates_match_one_vector_solve(self, mod, delta2_mod7_module, monkeypatch):
+        # Delta^10 mod 3 cut into three blocks of a random basis, and the
+        # blocks of Delta^2 mod 7 refined by the minimal-polynomial oracle
+        ((_, nil_by_mat),) = self._block(mod)
+        rows = _random_invertible(np.random.default_rng(10), mod.dim, 3)
+        m7 = delta2_mod7_module
+        blocks7 = [(linalg.identity(m7.dim, 7), {})]
+        for mat in _distinct(m7.per_prime.values()):
+            blocks7 = [
+                sub for b, nil in blocks7 for sub in eigenspaces_by_min_poly(b, nil, mat, 7)
+            ]
+        assert len(blocks7) == 2
+        solved = []
+        solve_rows = linalg.solve_rows
+        monkeypatch.setattr(
+            linalg, "solve_rows", lambda *args: solved.append(solve_rows(*args)) or solved[-1]
+        )
+
+        def group(m, blocks):
+            solved.clear()
+            parts = _group_blocks(m, blocks)
+            # the first solve is the seed's, before the components' submodules
+            stacked = np.concatenate([b for b, _ in blocks])
+            assert np.array_equal(solved[0], solve_in_rowspan(stacked, m.f_coords, m.p)[None])
+            total = sum(part.coords_in_parent for part in parts) % m.p
+            assert np.array_equal(total, m.f_coords)
+            return parts
+
+        group(mod, [(part, nil_by_mat) for part in np.array_split(rows, 3)])
+        assert [(c.nil_classes, c.coords_in_parent.tolist()) for c in group(m7, blocks7)] == [
+            (c.nil_classes, c.coords_in_parent.tolist()) for c in decompose(m7)
+        ]
+
+
+def _random_invertible(rng, d, p):
+    while True:
+        mat = rng.integers(0, p, size=(d, d))
+        if len(linalg.rref(mat, p)[1]) == d:
+            return mat
+
+
+def _irreducible_quadratic(p):
+    """Companion matrix of the first x^2 - t*x - n with no root in F_p."""
+    t, n = next(
+        (t, n)
+        for t in range(p)
+        for n in range(1, p)
+        if all((x * x - t * x - n) % p for x in range(p))
+    )
+    return np.array([[0, 1], [n, t]])
+
+
+def _action(rng, d, p, quadratics=0):
+    """Irreducible quadratic blocks, then an upper triangular block.
+
+    The triangular block's diagonal is drawn from 0 and two other
+    eigenvalues, so eigenvalues repeat and carry Jordan blocks.
+    """
+    out = np.zeros((d, d), dtype=np.int64)
+    for i in range(quadratics):
+        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = _irreducible_quadratic(p)
+    s = 2 * quadratics
+    out[s:, s:] = np.triu(rng.integers(0, p, size=(d - s, d - s)), 1)
+    roots = [0, *rng.choice(np.arange(1, p), size=min(2, p - 1), replace=False)]
+    out[range(s, d), range(s, d)] = rng.choice(roots, size=d - s)
+    return out
+
+
+def _invariant_block(rng, action, p, extra=2):
+    """Rows spanning a subspace of F_p^(d + extra), and a matrix acting on it as action.
+
+    The action is conjugated by a random basis of the subspace, and the
+    whole space by a random change of coordinates.
+    """
+    d = len(action)
+    full = np.zeros((d + extra, d + extra), dtype=np.int64)
+    full[:d, :d] = action
+    full[d:] = rng.integers(0, p, size=(extra, d + extra))
+    q = _random_invertible(rng, d + extra, p)
+    mat = (linalg.inverse(q, p) @ full @ q) % p
+    rows = (_random_invertible(rng, d, p) @ q[:d]) % p
+    return rows, mat
+
+
+class TestEigenspacesAgainstMinPoly:
+    """_eigenspaces against the minimal-polynomial oracle: rows, order and nil flags."""
+
+    @staticmethod
+    def _compare(rows, mat, p):
+        nil_by_mat = {b"earlier": True}
+        try:
+            want = eigenspaces_by_min_poly(rows, nil_by_mat, mat, p)
+        except SplittingFieldNeededError:
+            with pytest.raises(SplittingFieldNeededError) as err:
+                _eigenspaces(rows, nil_by_mat, mat, p)
+            return str(err.value)
+        got = _eigenspaces(rows, nil_by_mat, mat, p)
+        assert len(got) == len(want)
+        for (got_rows, got_nil), (want_rows, want_nil) in zip(got, want):
+            assert got_rows.dtype == want_rows.dtype
+            assert np.array_equal(got_rows, want_rows)
+            assert got_nil == want_nil
+        assert sum(len(sub) for sub, _ in got) == len(rows)
+        return got
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 251])
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_split_and_irreducible(self, p, d):
+        rng = np.random.default_rng(1000 * p + d)
+        for _ in range(2):
+            got = self._compare(*_invariant_block(rng, _action(rng, d, p), p), p)
+            assert isinstance(got, list)
+        for quadratics in range(1, d // 2 + 1) if d < 16 else (1, 3):
+            message = self._compare(*_invariant_block(rng, _action(rng, d, p, quadratics), p), p)
+            assert message == (
+                f"a sampled action has irreducible factors of total degree {2 * quadratics} "
+                f"in its characteristic polynomial over F_{p}"
+            )
+
+    def test_split_64_dim_mod7(self):
+        rng = np.random.default_rng(64)
+        got = self._compare(*_invariant_block(rng, _action(rng, 64, 7), 7), 7)
+        assert len(got) == 3 and any(len(sub) > 1 for sub, _ in got)
 
 
 class TestSubmodule:
