@@ -67,6 +67,14 @@ EXTRA = [
     ("constants", "--p", "3", "--form", "delta^7"),
     ("predict", "--p", "3", "--form", "delta^7"),
     ("oracle", "--p", "3", "--form", "delta^7", "--xmax", "1000"),
+    # no conductor up to the moduli 625, 2401 and 23^4 = 279841
+    ("module", "--p", "5", "--form", "delta^6"),
+    ("module", "--p", "7", "--form", "delta^8"),
+    ("predict", "--p", "23", "--form", "delta"),
+    # conductor 27 at sample bound 50: 4 of the 18 classes have no sampled prime
+    ("module", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
+    ("predict", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
+    ("oracle", "--p", "3", "--form", "delta^5", "--sample-bound", "50", "--xmax", "20000"),
     # W(Delta^3) mod 7: two submodules of a module with no conductor, then exit 3
     ("predict", "--p", "7", "--form", "delta^3"),
     # weight lifts past the form's own weight

@@ -1,10 +1,11 @@
-"""Elementary number theory: primality, factoring, sieves and unit orders.
+"""Elementary number theory: primality, factoring, sieves, unit orders and discrete logs.
 
 The Hecke action at each prime, the conductor search over unit classes,
 the Euler products, the square-full sums and the square-free counts all
 take their primes and factorizations from here.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -81,6 +82,30 @@ def multiplicative_order(g, m):
         while order % q == 0 and pow(g, order // q, m) == 1:
             order //= q
     return order
+
+
+def discrete_log(u, g, m):
+    """The least j >= 0 with g^j = u mod m, by Pohlig-Hellman; ValueError if there is none.
+
+    j is read one mixed-radix digit per prime factor q of the order n of g
+    (with multiplicity): each digit is the exponent of a power of g^(n/q),
+    found in the table of its q powers.
+    """
+    n = multiplicative_order(g, m)
+    j, step = 0, 1
+    for q in [q for q, k in factorize(n).items() for _ in range(k)]:
+        target = pow(u * pow(g, -j, m), n // (step * q), m)
+        j += step * _digit_table(pow(g, n // q, m), q, m).get(target, 0)
+        step *= q
+    if pow(g, j, m) != u % m:
+        raise ValueError(f"{u} is not a power of {g} mod {m}")
+    return j
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(root, q, m):
+    """root^d mod m -> d for the q exponents d < q."""
+    return {pow(root, d, m): d for d in range(q)}
 
 
 def squarefree_mask(n):

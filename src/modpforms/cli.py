@@ -192,16 +192,15 @@ def cmd_module(args):
     report = module_mod.classify_classes(mod)
     prof = densities.module_profile(mod, with_constants=False)
     equi = module_mod.equidistribution_report(mod)
-    classes = []
-    for u in mod.classes:
-        classes.append(
-            {
-                "class": u,
-                "status": report.statuses[u],
-                "scalar": mod.scalar_map[u],
-                "matrix": [[int(x) for x in row] for row in mod.prime_power_matrix(u, 1)],
-            }
-        )
+    classes = [
+        {
+            "class": u,
+            "status": report.statuses[u],
+            "scalar": hecke.ell_s_ell(u, mod.weight, mod.p),
+            "matrix": [[int(x) for x in row] for row in mod.prime_power_matrix(u, 1)],
+        }
+        for u in mod.classes
+    ]
     _emit_json(
         {
             "p": args.p,

@@ -197,9 +197,8 @@ def _check_sfull_bound(s_bound):
 
 def _in_classes(pr, u_classes, modulus, r):
     """Mask of the sorted primes pr that lie in the given classes and do not divide r."""
-    is_class = np.zeros(modulus, dtype=bool)
-    is_class[[int(u) % modulus for u in u_classes]] = True
-    in_u = is_class[pr % modulus]
+    # kind="sort" compares against the few classes; "table" would span the modulus
+    in_u = np.isin(pr % modulus, [int(u) % modulus for u in u_classes], kind="sort")
     r_primes = [q for q in factorize(r) if q <= pr[-1]]
     in_u[np.searchsorted(pr, r_primes)] = False
     return in_u

@@ -8,11 +8,12 @@ matrix.  Two layers of congruence structure are then detected:
   depends only on the prime's class mod c.  The unit group mod c is
   cyclic and a two-dimensional pseudo-representation trace satisfies
   t(g^{j+1}) = t(g^j) t(g) - d(g) t(g^{j-1}) with t(1) = 2, so one
-  sampled prime whose class generates the units fills the whole table,
-  which must close cyclically onto 2*Id and match every sampled prime.
-  Detection can fail honestly: the module then keeps the reason as
-  conductor_failure, and require_conductor raises it for every reader of
-  the class table.
+  sampled prime g whose class generates the units gives the matrix at
+  g^j as a block of C^j, for one companion matrix C and j the discrete
+  log: O(samples * log phi(c)) products check that these close
+  cyclically onto 2*Id and match every sampled prime.  Detection can
+  fail honestly: the module then keeps the reason as conductor_failure,
+  and require_conductor raises it for every reader of the class data.
 
 * the status modulus: a (usually much smaller) p-power modulus on which
   just the nilpotent / invertible / mixed status is constant.  This is
@@ -36,19 +37,18 @@ image against it.
 One function, _assemble, turns basis rows and per-prime matrices into a
 module, for build_module and submodule alike; both put images into module
 coordinates through one batched solve, linalg.solve_rows, which also
-splits the seed over the decomposition's blocks.  Only the
-classes and prime_power_matrix members read the class table; everything
-else takes T_l for a class u as prime_power_matrix(u, 1).
+splits the seed over the decomposition's blocks.  Every class read goes
+through prime_power_matrix, and only it reads the detection's lookup.
 """
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, linalg
-from .arith import multiplicative_order, primes_upto
+from .arith import discrete_log, multiplicative_order, primes_upto
 from .basis import (
     GradedForm,
     dim_level_one,
@@ -103,8 +103,9 @@ def _invertible(mats, p):
     column up and clears the entries below it, scaling by the pivot's
     inverse from a table.  A matrix with no such row is singular; its
     pivot is taken as zero, so its elimination step changes nothing.
+    Products of residues stay below p^2 < 2^31, so the entries are int32.
     """
-    m = mats % p
+    m = mats.astype(np.int32) % p
     n, r, _ = m.shape
     inverse = _inverse_table(p)
     ok = np.ones(n, dtype=bool)
@@ -124,7 +125,7 @@ def _invertible(mats, p):
 @functools.lru_cache(maxsize=None)
 def _inverse_table(p):
     """x^-1 mod p for every residue x, with 0 for 0."""
-    return np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    return np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
 
 
 def _statuses(mats, p):
@@ -144,50 +145,35 @@ def _statuses(mats, p):
     return [status[mat.tobytes()] for mat in mats]
 
 
+@dataclass(eq=False, repr=False)
 class HeckeModule:
     """The finite module generated by a form under the prime-index operators.
 
     Vectors are rows over F_p in the module basis; the stored q-expansions
     of the basis vectors provide exact coefficient functionals.  The
-    conductor and per-class matrices are present only when the sampled
-    action is class-determined, and conductor_failure says why they are
-    not; the status structure is always present.
+    conductor and class_matrix (unit class -> read-only T_l) exist only when
+    the sampled action is class-determined, and conductor_failure says why
+    they do not; the status structure is always present.
     Modules are built by build_module and submodule, which both end in
-    _assemble.  Only classes and prime_power_matrix read the class table:
-    callers group primes with class_of and take T_{l^e} from
-    prime_power_matrix, which computes each matrix once, as
-    classify_classes does the class report.
+    _assemble.  Only prime_power_matrix reads the lookup: callers group
+    primes with class_of and take T_{l^e} from prime_power_matrix, which
+    computes each matrix once, as classify_classes does the class report.
     """
 
-    def __init__(
-        self,
-        p,
-        weight,
-        ambient,
-        ambient_coords,
-        vector_series,
-        per_prime,
-        conductor,
-        class_matrices,
-        conductor_failure,
-        status_modulus,
-        status_by_class,
-        f_coords,
-    ):
-        self.p = p
-        self.weight = weight
-        self.ambient = ambient
-        self.ambient_coords = ambient_coords  # r x dim, rows = module basis
-        self.vector_series = vector_series  # r x prec uint8
-        self.per_prime = per_prime  # sampled prime -> r x r action matrix
-        self.conductor = conductor  # None when the action is not class-determined
-        self.class_matrices = class_matrices
-        self.conductor_failure = conductor_failure  # the detection's reason, None with a conductor
-        self.status_modulus = status_modulus
-        self.status_by_class = status_by_class
-        self.f_coords = f_coords
-        self._report = None  # classify_classes memo
-        self._powers = {}  # (class, e) -> read-only T_{l^e} matrix
+    p: int
+    weight: int
+    ambient: object
+    ambient_coords: np.ndarray  # r x dim, rows = module basis
+    vector_series: np.ndarray  # r x prec uint8
+    per_prime: dict  # sampled prime -> r x r action matrix
+    conductor: object  # None when the action is not class-determined
+    class_matrix: object
+    conductor_failure: object  # the detection's reason, None with a conductor
+    status_modulus: int
+    status_by_class: dict
+    f_coords: np.ndarray
+    _report: object = field(default=None, init=False)  # classify_classes memo
+    _powers: dict = field(default_factory=dict, init=False)  # (class, e) -> read-only T_{l^e}
 
     @property
     def dim(self):
@@ -200,30 +186,18 @@ class HeckeModule:
     @property
     def classes(self):
         self.require_conductor()
-        return sorted(self.class_matrices)
-
-    @property
-    def scalar_map(self):
-        """Class u -> the scalar l*S_l = u^(k-1) mod p; empty without a conductor."""
-        if self.conductor is None:
-            return {}
-        return {u: ell_s_ell(u, self.weight, self.p) for u in self.classes}
+        return [u for u in range(1, self.conductor) if u % self.p]
 
     def class_of(self, ell):
         """Class of a prime, or the int64 array of classes of an int64 array of primes."""
-        classes = self.classes
+        self.require_conductor()
         u = ell % self.conductor
-        is_class = np.zeros(self.conductor, dtype=bool)
-        is_class[classes] = True
-        bad = np.flatnonzero(~np.atleast_1d(is_class[u]))
+        bad = np.flatnonzero(np.atleast_1d(u % self.p) == 0)
         if len(bad):
             raise ConductorNotFoundError(
                 f"{np.atleast_1d(ell)[bad[0]]} is not a unit class mod {self.conductor}"
             )
         return u
-
-    def apply_class(self, vec, u):
-        return linalg.matvec(vec, self.prime_power_matrix(u, 1), self.p)
 
     def prime_power_matrix(self, u, e):
         """Action of the index-l^e operator for any prime l in class u (read-only, memoized)."""
@@ -232,10 +206,10 @@ class HeckeModule:
             if e == 0:
                 mat = linalg.identity(self.dim, self.p)
             elif e == 1:
-                mat = self.class_matrices[u].copy()
+                mat = self.class_matrix(u)
             else:
                 s = ell_s_ell(u, self.weight, self.p)
-                a = self.class_matrices[u]
+                a = self.prime_power_matrix(u, 1)
                 prev = self.prime_power_matrix(u, e - 2)
                 mat = (self.prime_power_matrix(u, e - 1) @ a - s * prev) % self.p
             mat.flags.writeable = False
@@ -243,12 +217,8 @@ class HeckeModule:
         return self._powers[u, e]
 
     def nilpotent_matrices(self):
-        """Distinct nilpotent action matrices (class table if known, else sampled)."""
-        if self.conductor:
-            source = [self.prime_power_matrix(u, 1) for u in self.classes]
-        else:
-            source = self.per_prime.values()
-        mats = _distinct(source)
+        """Distinct nilpotent sampled action matrices."""
+        mats = _distinct(self.per_prime.values())
         return [mat for mat, nil in zip(mats, _nilpotent(mats, self.p)) if nil]
 
     def coefficient(self, vec, n):
@@ -415,7 +385,7 @@ def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime):
     the status modulus.
     """
     r = ambient_coords.shape[0]
-    conductor, class_matrices, conductor_failure = _detect_conductor(per_prime, p, weight, r)
+    conductor, class_matrix, conductor_failure = _detect_conductor(per_prime, p, weight, r)
     status_modulus, status_by_class = _detect_status(per_prime, p, r)
     f_coords = np.zeros(r, dtype=np.int64)
     f_coords[0] = 1
@@ -427,7 +397,7 @@ def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime):
         vector_series,
         per_prime,
         conductor,
-        class_matrices,
+        class_matrix,
         conductor_failure,
         status_modulus,
         status_by_class,
@@ -438,49 +408,57 @@ def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime):
 def _detect_conductor(per_prime, p, weight, r):
     """Smallest p-power modulus whose classes explain every sampled action matrix.
 
-    Seeds the per-class table from one sampled prime whose class generates
-    the (cyclic) unit group, through the pseudo-representation trace
-    recurrence; accepts when the table closes cyclically onto 2*Id and
-    matches every sampled prime.
+    Returns (conductor, class lookup, None) or (None, None, the reason).  For
+    each p^e, the first sampled prime g whose class generates the (cyclic)
+    units seeds the trace recurrence M_{j+1} = T_g M_j - d M_{j-1}, M_0 = 2*Id,
+    M_1 = T_g, d = g^(k-1), whose M_j is T at the class g^j (_class_lookup);
+    p^e passes when M_phi = 2*Id and every sampled prime matches its class.
     """
     two_id = 2 * linalg.identity(r, p) % p
     failure = None
     for exponent in range(1, MAX_CONDUCTOR_EXPONENT + 1):
         cand = p**exponent
         phi = cand - cand // p
-        gen = None
-        for ell in per_prime:
-            if multiplicative_order(ell % cand, cand) == phi:
-                gen = ell
-                break
+        gen = next((q for q in per_prime if multiplicative_order(q % cand, cand) == phi), None)
         if gen is None:
             failure = f"modulus {cand}: no sampled prime generates the unit classes"
             continue
-        g = gen % cand
-        d = ell_s_ell(g, weight, p)
-        mats = [two_id, per_prime[gen]]
-        for _ in range(phi - 1):
-            mats.append((mats[-1] @ mats[1] - d * mats[-2]) % p)
-        if (mats[phi] != two_id).any():
+        closing, lookup = _class_lookup(per_prime[gen], gen % cand, cand, weight, p)
+        if (closing != two_id).any():
             failure = (
                 f"modulus {cand}: the class table of prime {gen} does not close "
                 f"cyclically onto 2*Id"
             )
             continue
-        table = {pow(g, j, cand): mats[j] for j in range(phi)}
-        violation = None
-        for ell, mat in per_prime.items():
-            if (table[ell % cand] != mat).any():
-                violation = ell
-                break
+        violation = next((q for q, mat in per_prime.items() if (lookup(q) != mat).any()), None)
         if violation is not None:
             failure = (
                 f"modulus {cand}: primes {gen} and {violation} give inconsistent "
                 f"class actions"
             )
             continue
-        return cand, table, None
+        return cand, lookup, None
     return None, None, f"no conductor candidate passed ({failure})"
+
+
+def _class_lookup(t_g, g, modulus, weight, p):
+    """(M_phi, class g^j -> read-only M_j, memoized per class), where M_j is the
+    lower block of C^j [T_g; 2*Id], C = [[T_g, -d*Id], [Id, 0]]: O(log j) products."""
+    r = len(t_g)
+    eye = linalg.identity(r, p)
+    companion = np.block([[t_g, -ell_s_ell(g, weight, p) * eye], [eye, 0 * eye]]) % p
+    start = np.concatenate([t_g, 2 * eye]) % p
+
+    def at_power(j):
+        return (linalg.matpow(companion, j, p) @ start % p)[r:]
+
+    @functools.lru_cache(maxsize=None)
+    def at_class(u):
+        mat = at_power(discrete_log(u, g, modulus))
+        mat.flags.writeable = False
+        return mat
+
+    return at_power(modulus - modulus // p), lambda u: at_class(u % modulus)
 
 
 def _detect_status(per_prime, p, r):
@@ -575,7 +553,8 @@ def gamma_group(module):
     module.require_conductor()
     p = module.p
     r = module.dim
-    gens = [module.prime_power_matrix(u, 1) for u in classify_classes(module).invertible_classes]
+    mats = [module.prime_power_matrix(u, 1) for u in classify_classes(module).invertible_classes]
+    gens = list({mat.tobytes(): mat for mat in mats}.values())  # distinct, first seen first
     elements = {linalg.identity(r, p).tobytes(): linalg.identity(r, p)}
     frontier = list(elements.values())
     while frontier:
@@ -622,11 +601,7 @@ def submodule(parent, vec):
     module).
     """
     p = parent.p
-    if parent.conductor:
-        source = [parent.prime_power_matrix(u, 1) for u in parent.classes]
-    else:
-        source = _distinct(parent.per_prime.values())
-    W = _closure(vec, source, p, parent.dim)  # a subspace: the cap never binds
+    W = _closure(vec, _distinct(parent.per_prime.values()), p, parent.dim)  # the cap never binds
     restricted = dict(zip(parent.per_prime, _restrict(W, parent.per_prime.values(), p)))
     series = kernels.combine(W, parent.vector_series, p)
     amb = (W @ parent.ambient_coords) % p

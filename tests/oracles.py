@@ -9,11 +9,12 @@ the prime sieve over all integers, sparse products, products at full
 length without the support-lattice step, row combinations in int64,
 weight bases one monomial at a time, restriction to a submodule, the
 decomposition oracle, row reduction one row at a time, the module
-closure, the per-matrix status and determinant, the nilpotence-order
-search, the multiset enumeration of nilpotent images, the one-vector
-solve in a row span and the eigenspaces from the minimal polynomial and
-its roots are kept here as differential references for the fast paths
-that replaced them.
+closure, the per-matrix status and determinant, the int64 batched
+elimination, the nilpotence-order search, the multiset enumeration of
+nilpotent images, the one-vector solve in a row span, the eigenspaces
+from the minimal polynomial and its roots and the class table walked
+through every unit class are kept here as differential references for
+the fast paths that replaced them.
 """
 
 import math
@@ -31,7 +32,15 @@ from modpforms.errors import (
     SpanNotClosedError,
     SplittingFieldNeededError,
 )
-from modpforms.module import INVERTIBLE, MIXED, NILPOTENT, classify_classes
+from modpforms.arith import multiplicative_order
+from modpforms.hecke import ell_s_ell
+from modpforms.module import (
+    INVERTIBLE,
+    MAX_CONDUCTOR_EXPONENT,
+    MIXED,
+    NILPOTENT,
+    classify_classes,
+)
 from modpforms.series import QSeries, delta_power, eisenstein, mul, one, power, zero
 
 
@@ -549,7 +558,7 @@ def _component_prediction(module, fac, cache):
         for q, e in fac.items():
             if e == 1 and q % module.conductor in report.nilpotent_classes:
                 m_prime *= q
-                v = module.apply_class(v, q % module.conductor)
+                v = linalg.matvec(v, module.prime_power_matrix(q % module.conductor, 1), p)
                 if not v.any():
                     break
     if v.any():
@@ -557,7 +566,7 @@ def _component_prediction(module, fac, cache):
         for q, e in fac.items():
             if e == 1 and q % module.conductor in report.invertible_classes:
                 m *= q
-                v = module.apply_class(v, q % module.conductor)
+                v = linalg.matvec(v, module.prime_power_matrix(q % module.conductor, 1), p)
     value = module.coefficient(v, 1) if v.any() else 0
     return value, (m, m_prime, m_dfull)
 
@@ -625,6 +634,25 @@ def det(mat, p):
     return d % p
 
 
+def invertible_int64(mats, p):
+    """module._invertible with int64 entries, as it was before the int32 elimination."""
+    m = mats.astype(np.int64) % p
+    n, r, _ = m.shape
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    ok = np.ones(n, dtype=bool)
+    stack = np.arange(n)
+    for c in range(r):
+        nonzero = m[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        pivot_row = c + nonzero.argmax(axis=1)
+        pivot = m[stack, pivot_row]
+        m[stack, pivot_row] = m[:, c]
+        m[:, c] = pivot
+        factors = m[:, c + 1 :, c] * inverse[pivot[:, c]][:, None] % p
+        m[:, c + 1 :] = (m[:, c + 1 :] - factors[:, :, None] * pivot[:, None, :]) % p
+    return ok
+
+
 def status_of(mat, p):
     """Status of one matrix: M^r == 0 by matpow, then its determinant."""
     if not linalg.matpow(mat, mat.shape[0], p).any():
@@ -643,6 +671,55 @@ def nilpotent_matrices_per_matrix(module):
     distinct = {mat.tobytes(): mat for mat in source}
     keys = [key for key in sorted(distinct) if status_of(distinct[key], module.p) == NILPOTENT]
     return [distinct[key] for key in keys]
+
+
+def class_table_by_recurrence(per_prime, p, weight, r):
+    """module._detect_conductor by walking the trace recurrence through every class.
+
+    For each p^e, e <= MAX_CONDUCTOR_EXPONENT, the first sampled prime g
+    that generates the units gives M_0 = 2*Id, M_1 = T_g and
+    M_{j+1} = M_j T_g - d M_{j-1} for j < phi, all kept, and the table
+    {g^j: M_j}.  Returns (conductor, table, None) or (None, None, reason),
+    with the package's reasons.
+    """
+    two_id = 2 * linalg.identity(r, p) % p
+    failure = None
+    for exponent in range(1, MAX_CONDUCTOR_EXPONENT + 1):
+        cand = p**exponent
+        phi = cand - cand // p
+        gen = None
+        for ell in per_prime:
+            if multiplicative_order(ell % cand, cand) == phi:
+                gen = ell
+                break
+        if gen is None:
+            failure = f"modulus {cand}: no sampled prime generates the unit classes"
+            continue
+        g = gen % cand
+        d = ell_s_ell(g, weight, p)
+        mats = [two_id, per_prime[gen]]
+        for _ in range(phi - 1):
+            mats.append((mats[-1] @ mats[1] - d * mats[-2]) % p)
+        if (mats[phi] != two_id).any():
+            failure = (
+                f"modulus {cand}: the class table of prime {gen} does not close "
+                f"cyclically onto 2*Id"
+            )
+            continue
+        table = {pow(g, j, cand): mats[j] for j in range(phi)}
+        violation = None
+        for ell, mat in per_prime.items():
+            if (table[ell % cand] != mat).any():
+                violation = ell
+                break
+        if violation is not None:
+            failure = (
+                f"modulus {cand}: primes {gen} and {violation} give inconsistent "
+                f"class actions"
+            )
+            continue
+        return cand, table, None
+    return None, None, f"no conductor candidate passed ({failure})"
 
 
 def nilpotence_order_bfs(module):
@@ -674,7 +751,7 @@ def nilpotent_images_by_multisets(module, source, height):
     """Image bytes -> ordered class-tuple count, over height-fold nilpotent products.
 
     The former route of densities._nilpotent_walk: one chain of
-    apply_class per multiset of nilpotent classes, in the multiset's
+    class matrices per multiset of nilpotent classes, in the multiset's
     order, weighted by the multinomial count of its orderings (which
     assumes the class matrices commute); a chain that turns zero drops out.
     """
@@ -683,7 +760,7 @@ def nilpotent_images_by_multisets(module, source, height):
     for multiset in combinations_with_replacement(nil, height):
         v = np.asarray(source, dtype=np.int64) % module.p
         for u in multiset:
-            v = module.apply_class(v, u)
+            v = linalg.matvec(v, module.prime_power_matrix(u, 1), module.p)
             if not v.any():
                 break
         else:

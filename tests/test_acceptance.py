@@ -95,8 +95,8 @@ def test_criterion_2_operator_tables(delta2_mod3_module):
     eps = np.array([[0, 1], [0, 0]], dtype=np.int64)
     t_table = {1: 2 * eye % 3, 4: 2 * eye % 3, 7: 2 * eye % 3, 2: eps, 5: 2 * eps % 3, 8: 0 * eye}
     s_table = {1: 1, 4: 1, 7: 1, 2: 2, 5: 2, 8: 2}
-    ok = all(np.array_equal(m.class_matrices[u], t_table[u]) for u in t_table)
-    ok = ok and all(m.scalar_map[u] == s_table[u] for u in s_table)
+    ok = all(np.array_equal(m.prime_power_matrix(u, 1), t_table[u]) for u in t_table)
+    ok = ok and all(ell_s_ell(u, m.weight, m.p) == s_table[u] for u in s_table)
 
     # the prime-power table, keyed by (class block, n mod 6)
     by_residue = {
@@ -139,7 +139,7 @@ def test_criterion_3_densities(delta2_mod3_module):
             for classes in combinations_with_replacement(rep.nilpotent_classes, h):
                 v = mod.f_coords
                 for u in classes:
-                    v = mod.apply_class(v, u)
+                    v = linalg.matvec(v, mod.prime_power_matrix(u, 1), mod.p)
                 if v.any():
                     targets[v.tobytes()] = v
         total = sum(

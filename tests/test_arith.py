@@ -11,6 +11,7 @@ import pytest
 
 from modpforms import arith
 from modpforms.arith import (
+    discrete_log,
     factorize,
     is_odd_prime_power,
     is_prime,
@@ -112,6 +113,42 @@ def test_multiplicative_order(m):
             x = x * g % m
             order += 1
         assert multiplicative_order(g, m) == order
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_discrete_log_on_every_unit(p, e):
+    m = p**e
+    phi = m - m // p
+    for g in (2, 3, 5, 6, 7, 10):
+        if g % p == 0:
+            continue
+        n = multiplicative_order(g, m)
+        logs, x = {}, 1
+        for j in range(n):
+            logs[x] = j
+            x = x * g % m
+        for u in range(2 * m):
+            if u % m in logs:
+                assert discrete_log(u, g, m) == logs[u % m]
+            else:
+                with pytest.raises(ValueError, match="is not a power of"):
+                    discrete_log(u, g, m)
+        if n == phi:
+            assert len(logs) == phi
+
+
+def test_discrete_log_at_251_to_the_4th():
+    m = 251**4
+    phi = m - m // 251
+    g = 11  # the least prime whose class generates the units mod 251^4
+    assert multiplicative_order(g, m) == phi
+    assert all(multiplicative_order(q, m) < phi for q in (2, 3, 5, 7))
+    rng = np.random.default_rng(251)
+    for j in [0, 1, 2, phi - 1, phi // 2, phi // 251] + rng.integers(0, phi, 200).tolist():
+        assert discrete_log(pow(g, j, m), g, m) == j
+    with pytest.raises(ValueError):
+        discrete_log(251, g, m)
 
 
 def test_squarefree_mask():

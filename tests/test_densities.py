@@ -53,7 +53,7 @@ def _invertible_only(m):
         m.vector_series,
         {ell: linalg.identity(1, 3) for ell in m.per_prime},
         3,
-        {1: 2 * linalg.identity(1, 3) % 3, 2: linalg.identity(1, 3)},
+        {1: 2 * linalg.identity(1, 3) % 3, 2: linalg.identity(1, 3)}.__getitem__,
         None,
         3,
         {1: "invertible", 2: "invertible"},

@@ -82,7 +82,7 @@ def _synthetic_module(action, p, dim, f_coords=None):
         vector_series=np.eye(dim, dtype=np.uint8),
         per_prime=per_prime,
         conductor=None,
-        class_matrices=None,
+        class_matrix=None,
         conductor_failure="a synthetic module has no class table",
         status_modulus=p,
         status_by_class={u: "mixed" for u in range(1, p)},

@@ -15,7 +15,7 @@ from modpforms.errors import (
     SplittingFieldNeededError,
 )
 from modpforms.expr import evaluate, parse_form_expression
-from modpforms.hecke import apply_T_ell, apply_W, t_ell_coefficients
+from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell, t_ell_coefficients
 from modpforms.module import (
     NILPOTENT,
     HeckeModule,
@@ -56,8 +56,8 @@ class TestBuildModule:
         assert m.dim == 1
         assert m.conductor == 3
         # the action scalar in class u is 1 + u, the trace of 1 + cyclotomic
-        assert int(m.class_matrices[1][0, 0]) == 2
-        assert int(m.class_matrices[2][0, 0]) == 0
+        assert int(m.prime_power_matrix(1, 1)[0, 0]) == 2
+        assert int(m.prime_power_matrix(2, 1)[0, 0]) == 0
         # cross-check against sampled cusp form coefficients
         for ell in primes_upto(200).tolist():
             if ell == 3:
@@ -72,8 +72,9 @@ class TestBuildModule:
         table = {1: 2 * np.eye(2), 4: 2 * np.eye(2), 7: 2 * np.eye(2),
                  2: eps, 5: 2 * eps, 8: 0 * eps}
         for u, expect in table.items():
-            assert np.array_equal(m.class_matrices[u] % 3, expect.astype(np.int64) % 3)
-        assert m.scalar_map == {1: 1, 4: 1, 7: 1, 2: 2, 5: 2, 8: 2}
+            assert np.array_equal(m.prime_power_matrix(u, 1) % 3, expect.astype(np.int64) % 3)
+        scalars = {u: ell_s_ell(u, m.weight, m.p) for u in m.classes}
+        assert scalars == {1: 1, 4: 1, 7: 1, 2: 2, 5: 2, 8: 2}
 
     def test_delta_square_mod7(self, delta2_mod7_module):
         m = delta2_mod7_module
@@ -169,11 +170,11 @@ class TestBuildModule:
             direct = np.stack(
                 [solve_in_rowspan(m.ambient_coords, row, 3) for row in amb]
             )
-            assert np.array_equal(direct % 3, m.class_matrices[ell % 9] % 3)
+            assert np.array_equal(direct % 3, m.prime_power_matrix(ell % 9, 1) % 3)
 
     def test_class_matrices_commute(self, delta2_mod3_module):
         m = delta2_mod3_module
-        mats = list(m.class_matrices.values())
+        mats = [m.prime_power_matrix(u, 1) for u in m.classes]
         for a in mats:
             for b in mats:
                 assert np.array_equal((a @ b) % 3, (b @ a) % 3)
@@ -183,8 +184,8 @@ class TestBuildModule:
         m = delta2_mod3_module
         for u in m.classes:
             sq = m.prime_power_matrix(u, 2)
-            direct = (m.class_matrices[u] @ m.class_matrices[u] - m.scalar_map[u] *
-                      linalg.identity(2, 3)) % 3
+            a = m.prime_power_matrix(u, 1)
+            direct = (a @ a - ell_s_ell(u, m.weight, m.p) * linalg.identity(2, 3)) % 3
             assert np.array_equal(sq, direct)
 
 
@@ -213,16 +214,48 @@ class TestStatusModulus:
         assert peak < 10**6
 
 
+class TestConductorDetection:
+    def test_p251_reaches_the_fourth_power_in_log_phi_products(self, monkeypatch):
+        # T_l = l^3 + l^8 depends on l mod 251 only, so every candidate passes
+        # its closure check and is refused at the one perturbed prime, 1999;
+        # a walk through the classes would take 251^3 * 250 steps at 251^4
+        p = 251
+        per_prime = {
+            ell: np.array([[(ell**3 + ell**8 + (ell == 1999)) % p]], dtype=np.int64)
+            for ell in primes_upto(2000).tolist()
+            if ell != p
+        }
+        # every product: those inside matpow, and one more per power applied
+        products = []
+        matmul, matpow = linalg.matmul, linalg.matpow
+        monkeypatch.setattr(linalg, "matmul", lambda *a: products.append(1) or matmul(*a))
+        monkeypatch.setattr(linalg, "matpow", lambda *a: products.append(1) or matpow(*a))
+        tracemalloc.start()
+        try:
+            conductor, lookup, failure = module._detect_conductor(per_prime, p, 12, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (conductor, lookup) == (None, None)
+        assert failure == (
+            "no conductor candidate passed "
+            "(modulus 3969126001: primes 11 and 1999 give inconsistent class actions)"
+        )
+        phi = p**4 - p**3
+        assert len(products) <= 8 * len(per_prime) * math.log2(phi)
+        assert peak < 10**6
+
+
 class TestHeckeAction:
     @pytest.mark.parametrize("p, k", [(3, 2), (7, 1)])
     def test_prime_power_matrices_follow_the_recurrence(self, p, k):
         m = build_module(_delta_form(p, k))
         for u in m.classes:
-            a = m.class_matrices[u]
+            a = m.prime_power_matrix(u, 1)
             prev, cur = np.eye(m.dim, dtype=np.int64), a % p
             for e in range(7):
                 assert np.array_equal(m.prime_power_matrix(u, e), prev)
-                prev, cur = cur, (cur @ a - m.scalar_map[u] * prev) % p
+                prev, cur = cur, (cur @ a - ell_s_ell(u, m.weight, p) * prev) % p
         # memoized: the same object on every call
         assert m.prime_power_matrix(m.classes[0], 6) is m.prime_power_matrix(m.classes[0], 6)
 
@@ -259,7 +292,7 @@ class TestClassify:
         assert 3 in rep.mixed_classes and 5 in rep.mixed_classes
         assert rep.nilpotent_classes == (6,)
         # eigenvalues at class 3 are (3^2+3^3, 3+3^4) = (1, 0) mod 7
-        mat = delta2_mod7_module.class_matrices[3]
+        mat = delta2_mod7_module.prime_power_matrix(3, 1)
         mp = min_poly(mat, 7)
         roots, left = strip_linear_factors(mp, 7)
         assert left == [1] and sorted(set(roots)) == [0, 1]
@@ -317,7 +350,7 @@ class TestNilpotenceOrder:
         for classes in combinations_with_replacement(rep.nilpotent_classes, h):
             v = m.f_coords
             for u in classes:
-                v = m.apply_class(v, u)
+                v = linalg.matvec(v, m.prime_power_matrix(u, 1), m.p)
             if v.any():
                 found = classes
                 break
@@ -353,6 +386,27 @@ class TestGammaGroup:
         values = sorted(int(x[0, 0]) for x in g.elements)
         assert values == [1, 2, 4]
 
+    def test_each_distinct_generator_multiplies_once(self, monkeypatch):
+        # Delta^5 mod 3: the 9 invertible classes mod 27 act by 2 distinct matrices
+        m = build_module(_delta_form(3, 5))
+        p, r = m.p, m.dim
+        mats = [m.prime_power_matrix(u, 1) for u in classify_classes(m).invertible_classes]
+        assert (m.conductor, len(mats), len(_distinct(mats))) == (27, 9, 2)
+        # the closure over every class matrix, repeats included, in class order
+        elements = {linalg.identity(r, p).tobytes(): None}
+        frontier = [linalg.identity(r, p)]
+        while frontier:
+            images = [x @ g % p for x in frontier for g in mats]
+            frontier = [y for y in images if y.tobytes() not in elements]
+            frontier = list({y.tobytes(): y for y in frontier}.values())
+            elements.update(dict.fromkeys(y.tobytes() for y in frontier))
+        products = []
+        matmul = linalg.matmul
+        monkeypatch.setattr(linalg, "matmul", lambda *a: products.append(1) or matmul(*a))
+        g = gamma_group(m)
+        assert [x.tobytes() for x in g.elements] == list(elements)
+        assert len(products) == 2 * g.order
+
     def test_identity_only_module(self, delta_mod3_module):
         # synthetic: keep only the invertible class but replace it by the identity
         m = delta_mod3_module
@@ -364,7 +418,7 @@ class TestGammaGroup:
             m.vector_series,
             m.per_prime,
             m.conductor,
-            {1: linalg.identity(1, 3), 2: 0 * linalg.identity(1, 3)},
+            {1: linalg.identity(1, 3), 2: 0 * linalg.identity(1, 3)}.__getitem__,
             None,
             m.status_modulus,
             m.status_by_class,
@@ -578,7 +632,7 @@ class TestSubmodule:
     def test_conductor_shrinks_for_embedded_eigenline(self, delta2_mod3_module):
         # the line spanned by the weight-12 cusp form inside the square's module
         m = delta2_mod3_module
-        eps = m.class_matrices[2]
+        eps = m.prime_power_matrix(2, 1)
         line = linalg.matvec(m.f_coords, eps, 3)  # image = the cusp form
         sub = submodule(m, line)
         assert sub.dim == 1

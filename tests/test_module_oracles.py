@@ -6,16 +6,24 @@ module without a conductor), Delta^2 - Delta mod 7 (two pure components)
 and a synthetic mod-3 module with four joint eigen-systems.  Every call
 to module._closure made while building a case, by build_module or by
 submodule inside decompose, is recorded and replayed through the oracle.
+The conductor detection is replayed the same way, on these cases and on
+modules whose detection fails at 5^4, 11^4 and 23^4.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from modpforms import linalg
+from modpforms import densities, linalg
 from modpforms import module as module_mod
-from modpforms.errors import InternalInvariantError, SpanNotClosedError
+from modpforms.errors import (
+    ConductorNotFoundError,
+    InternalInvariantError,
+    SpanNotClosedError,
+    SplittingFieldNeededError,
+)
 from modpforms.expr import evaluate, parse_form_expression
 from modpforms.module import (
     HeckeModule,
@@ -27,7 +35,9 @@ from modpforms.module import (
     work_precision,
 )
 from oracles import (
+    class_table_by_recurrence,
     closure_row_basis,
+    invertible_int64,
     nilpotence_order_bfs,
     nilpotent_matrices_per_matrix,
     status_of,
@@ -135,6 +145,75 @@ def test_closure_of_sparse_matrices_matches_row_basis_route(seed):
         closure_row_basis(vec, mats, p, cap)
 
 
+DETECTION_BUILDERS = {
+    **BUILDERS,
+    "delta mod 5": lambda: build_module(_delta_form(5, 1)),
+    "delta mod 7": lambda: build_module(_delta_form(7, 1)),
+    # predict's modules: Delta has indices divisible by p, so its W-projection is lifted
+    "delta mod 11": lambda: densities.profile(_delta_form(11, 1), prime_bound=10**4),
+    "delta mod 23": lambda: densities.profile(_delta_form(23, 1), prime_bound=10**4),
+    "delta^6 mod 5": lambda: build_module(_delta_form(5, 6)),
+    # 4 of the 18 classes mod 27 carry no sampled prime
+    "delta^5 mod 3, sample bound 50": lambda: build_module(_delta_form(3, 5, 50), 50),
+}
+
+# the reasons the parent modules' detection gives, as the CLI prints them
+DETECTION_FAILURES = {
+    "delta^7 mod 3": "modulus 81: primes 2 and 7 give inconsistent class actions",
+    "delta mod 11": "modulus 14641: the class table of prime 2 does not close cyclically onto 2*Id",
+    "delta mod 23": "modulus 279841: primes 5 and 2 give inconsistent class actions",
+    "delta^6 mod 5": "modulus 625: primes 2 and 3 give inconsistent class actions",
+}
+
+
+@lru_cache(maxsize=None)
+def _detections(name):
+    """Every (arguments, result) of module._detect_conductor while a case is built and split."""
+    calls = []
+    detect = module_mod._detect_conductor
+
+    def recording(*args):
+        result = detect(*args)
+        calls.append((args, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module_mod, "_detect_conductor", recording)
+        try:
+            module = DETECTION_BUILDERS[name]()
+            if isinstance(module, HeckeModule):
+                decompose(module)
+        except (ConductorNotFoundError, SplittingFieldNeededError):
+            pass
+    return calls
+
+
+@pytest.mark.parametrize("name", list(DETECTION_BUILDERS))
+def test_conductor_detection_matches_recurrence_table(name):
+    calls = _detections(name)
+    assert calls
+    for args, (conductor, lookup, failure) in calls:
+        want_conductor, table, want_failure = class_table_by_recurrence(*args)
+        assert (conductor, failure) == (want_conductor, want_failure)
+        if conductor is None:
+            assert lookup is None
+            continue
+        for u, mat in table.items():
+            got = lookup(u)
+            assert got.dtype == mat.dtype and np.array_equal(got, mat)
+            assert not got.flags.writeable
+    if name in DETECTION_FAILURES:
+        failure = f"no conductor candidate passed ({DETECTION_FAILURES[name]})"
+        assert failure in [result[2] for _, result in calls]
+
+
+def test_detection_cases_cover_every_conductor():
+    found = {
+        result[0] for name in DETECTION_BUILDERS for _, result in _detections(name)
+    }
+    assert found == {None, 3, 5, 7, 9, 27}
+
+
 @pytest.mark.parametrize("r", range(1, 10))
 def test_single_jordan_block_statuses(r):
     # the shift matrix has nilpotence index exactly r, so squaring must
@@ -169,6 +248,27 @@ def test_batched_statuses_on_random_stacks(p, r):
     assert _statuses(mats, p) == expect
     if r > 1:
         assert set(expect) == {"nilpotent", "invertible", "mixed"}
+
+
+def test_int32_elimination_matches_int64_at_p251():
+    # the stack _eigenspaces builds for a 64-dim block at p = 251: restr - lambda*I
+    # for every lambda, singular exactly at the eigenvalues, the diagonal of t
+    p, d = 251, 64
+    rng = np.random.default_rng(251)
+    q = rng.integers(0, p, (d, d))
+    t = np.triu(rng.integers(0, p, (d, d)), 1) + np.diag(rng.integers(0, p, d))
+    restr = q @ t % p @ linalg.inverse(q, p) % p
+    stack = (restr - np.arange(p)[:, None, None] * linalg.identity(d, p)) % p
+    tracemalloc.start()
+    try:
+        mask = module_mod._invertible(stack, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mask, invertible_int64(stack, p))
+    assert mask.tolist() == [lam not in set(np.diag(t).tolist()) for lam in range(p)]
+    # the int64 route peaks at 24.8 MB on this 8.2 MB stack
+    assert peak <= 14 * 10**6
 
 
 class TestBoundedNilpotenceOrder:
