@@ -35,7 +35,6 @@ from modpforms.module import (
     _eigenspaces,
     _statuses,
     build_module,
-    classify_classes,
     work_precision,
 )
 from modpforms.series import delta_power, eta_cubed, mul, power, powers
@@ -167,7 +166,7 @@ def bench(prec, repeat):
     # Delta^5 mod 3: conductor 27, dim 4, 16 buckets
     for p, k, s_bounds in ((7, 1, (10**8, 10**10)), (3, 5, (10**10,))):
         module = build_module(GradedForm(delta_power(p, k, 10009), 12 * k))
-        report = classify_classes(module)
+        report = module.report
         beta = 1 - class_density(report.nilpotent_classes, report.modulus)
         cu = euler_constant_C(report.invertible_classes, report.modulus, beta)
         name = "delta" if k == 1 else f"delta^{k}"

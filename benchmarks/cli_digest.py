@@ -75,6 +75,8 @@ EXTRA = [
     ("module", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
     ("predict", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
     ("oracle", "--p", "3", "--form", "delta^5", "--sample-bound", "50", "--xmax", "20000"),
+    ("decompose", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
+    ("constants", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
     # W(Delta^3) mod 7: two submodules of a module with no conductor, then exit 3
     ("predict", "--p", "7", "--form", "delta^3"),
     # weight lifts past the form's own weight

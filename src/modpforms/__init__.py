@@ -53,7 +53,6 @@ from .hecke import (
 from .module import (
     HeckeModule,
     build_module,
-    classify_classes,
     decompose,
     equidistribution_report,
     gamma_group,

@@ -71,13 +71,18 @@ def is_odd_prime_power(q):
     return q % 2 == 1 and len(factorize(q)) == 1
 
 
+def totient(n):
+    """Euler's phi(n): the number of units mod n, from the factorization of n."""
+    for q in factorize(n):
+        n = n // q * (q - 1)
+    return n
+
+
 def multiplicative_order(g, m):
     """Order of g in the unit group mod m."""
     if math.gcd(g, m) != 1:
         raise ValueError(f"{g} is not a unit mod {m}")
-    order = m
-    for q in factorize(m):
-        order = order // q * (q - 1)
+    order = totient(m)
     for q in factorize(order):
         while order % q == 0 and pow(g, order // q, m) == 1:
             order //= q
@@ -91,15 +96,22 @@ def discrete_log(u, g, m):
     (with multiplicity): each digit is the exponent of a power of g^(n/q),
     found in the table of its q powers.
     """
-    n = multiplicative_order(g, m)
+    n, digits = _order_digits(g, m)
     j, step = 0, 1
-    for q in [q for q, k in factorize(n).items() for _ in range(k)]:
+    for q in digits:
         target = pow(u * pow(g, -j, m), n // (step * q), m)
         j += step * _digit_table(pow(g, n // q, m), q, m).get(target, 0)
         step *= q
     if pow(g, j, m) != u % m:
         raise ValueError(f"{u} is not a power of {g} mod {m}")
     return j
+
+
+@functools.lru_cache(maxsize=None)
+def _order_digits(g, m):
+    """(the order n of g mod m, the prime factors of n with multiplicity)."""
+    n = multiplicative_order(g, m)
+    return n, tuple(q for q, k in factorize(n).items() for _ in range(k))
 
 
 @functools.lru_cache(maxsize=None)

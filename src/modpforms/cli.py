@@ -189,17 +189,16 @@ def cmd_module(args):
     f = _evaluate_form(args)
     mod = module_mod.build_module(f, sample_bound=args.sample_bound)
     mod.require_conductor()
-    report = module_mod.classify_classes(mod)
     prof = densities.module_profile(mod, with_constants=False)
     equi = module_mod.equidistribution_report(mod)
     classes = [
         {
             "class": u,
-            "status": report.statuses[u],
+            "status": status,
             "scalar": hecke.ell_s_ell(u, mod.weight, mod.p),
             "matrix": [[int(x) for x in row] for row in mod.prime_power_matrix(u, 1)],
         }
-        for u in mod.classes
+        for u, status in mod.report.statuses.items()
     ]
     _emit_json(
         {
@@ -208,7 +207,7 @@ def cmd_module(args):
             "weight": f.weight,
             "dim": mod.dim,
             "conductor": mod.conductor,
-            "pure": report.pure,
+            "pure": mod.report.pure,
             "alpha": prof.alpha,
             "h": prof.h,
             "classes": classes,

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels, linalg
 from .arith import primes_upto, squarefree_mask
 from .errors import InternalInvariantError
-from .module import build_module, classify_classes, decompose
+from .module import build_module, decompose
 
 DEFAULT_XMAX_CAP = 10**6
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
@@ -105,7 +105,7 @@ def oracle_components(f, **build_kwargs):
     module = build_module(f, **build_kwargs)
     module.require_conductor()
     parts = decompose(module)
-    if not all(classify_classes(part.module).pure for part in parts):
+    if not all(part.module.report.pure for part in parts):
         raise InternalInvariantError("decomposition produced a non-pure part")
     return [part.module for part in parts]
 
@@ -168,7 +168,7 @@ def decomposition_oracle(components, X, p):
 
 def _component_block(module, lo, size, small, large):
     """a_1 of the predicted operator chain for n = lo .. lo + size - 1 on one component."""
-    report = classify_classes(module)
+    report = module.report
     p = module.p
     hi = lo + size
     rows = np.tile(module.f_coords.astype(np.int64), (size, 1))

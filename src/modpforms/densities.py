@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .arith import factorize, is_odd_prime_power, primes_upto
+from .arith import factorize, is_odd_prime_power, primes_upto, totient
 from .basis import GradedForm, dim_level_one, miller_basis, to_coordinates
 from .errors import BudgetExceededError, InternalInvariantError, ModpFormsError, NotInSpanError
 from .hecke import apply_U_m, apply_W
@@ -28,7 +28,6 @@ from .module import (
     HeckeModule,
     build_module,
     check_sample_bound,
-    classify_classes,
     decompose,
     gamma_group,
     strict_nilpotence_order,
@@ -50,11 +49,10 @@ _ENUM_CAP = 10**6
 def class_density(classes, modulus):
     """|classes| / phi(modulus) for a set of unit residues."""
     classes = set(int(u) % modulus for u in classes)
-    units = [u for u in range(1, modulus) if math.gcd(u, modulus) == 1]
-    bad = classes.difference(units)
+    bad = sorted(u for u in classes if math.gcd(u, modulus) != 1)
     if bad:
-        raise ValueError(f"non-unit classes {sorted(bad)} mod {modulus}")
-    return Fraction(len(classes), len(units))
+        raise ValueError(f"non-unit classes {bad} mod {modulus}")
+    return Fraction(len(classes), totient(modulus))
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def multi_frobenian_density(module, source, target, height):
     action.
     """
     module.require_conductor()
-    report = classify_classes(module)
+    report = module.report
     if not report.pure:
         raise ValueError("density of a non-pure module is undefined")
     phi = len(report.statuses)
@@ -137,7 +135,7 @@ def multi_frobenian_density(module, source, target, height):
 
 def _nilpotent_stack(module, height):
     """The T_l of the nilpotent classes as one array, once the h-fold tuples pass the cap."""
-    nil = classify_classes(module).nilpotent_classes
+    nil = module.report.nilpotent_classes
     if len(nil) ** height > _ENUM_CAP:
         raise ModpFormsError(
             f"{len(nil)}^{height} nilpotent tuples exceed the enumeration cap"
@@ -350,7 +348,7 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
 def squarefull_sum(module, f_target, s_bound=DEFAULT_SFULL_BOUND, prime_bound=DEFAULT_PRIME_BOUND):
     """Sum of C(U,s)/s over square-full s with T_s f = f_target, plus the tail bound."""
     module.require_conductor()
-    report = classify_classes(module)
+    report = module.report
     if not report.pure:
         raise ValueError("square-full sums require a pure module")
     alpha = class_density(report.nilpotent_classes, report.modulus)
@@ -428,7 +426,7 @@ def _pure_profile(
     value one np.bincount.  Each value takes the highest height attaining it.
     """
     p = module.p
-    report = classify_classes(module)
+    report = module.report
     if not report.pure:
         raise InternalInvariantError("component is not pure")
     if not report.nilpotent_classes:

@@ -19,11 +19,12 @@ matrix.  Two layers of congruence structure are then detected:
   just the nilpotent / invertible / mixed status is constant.  This is
   determined by the semisimplified eigen-system, hence always a
   congruence datum for the reducible representations in scope, and it is
-  what the density exponent needs.
+  what the density exponent needs.  It divides any conductor, and the
+  module's class report is this layer lifted to the conductor.
 
 Classification, purity, the strict order of nilpotence, the canonical
 pure decomposition and the group of invertible actions sit on top.  The
-status of each distinct matrix is found once, with one batched
+status of each distinct sampled matrix is found once, with one batched
 nilpotency test by repeated squaring and one batched elimination for the
 rest.  The same batched elimination finds the eigenvalues behind the
 decomposition: on each block, the lambda in F_p for which the restricted
@@ -145,6 +146,19 @@ def _statuses(mats, p):
     return [status[mat.tobytes()] for mat in mats]
 
 
+@dataclass(frozen=True)
+class ClassReport:
+    """The status of each unit class mod the conductor (mod the status modulus without
+    one), in increasing order: the status of its residue mod the status modulus."""
+
+    modulus: int
+    statuses: dict
+    nilpotent_classes: tuple
+    invertible_classes: tuple
+    mixed_classes: tuple
+    pure: bool
+
+
 @dataclass(eq=False, repr=False)
 class HeckeModule:
     """The finite module generated by a form under the prime-index operators.
@@ -153,11 +167,12 @@ class HeckeModule:
     of the basis vectors provide exact coefficient functionals.  The
     conductor and class_matrix (unit class -> read-only T_l) exist only when
     the sampled action is class-determined, and conductor_failure says why
-    they do not; the status structure is always present.
+    they do not; the status structure is always present, and report is
+    the status layer lifted to the conductor, built with the module.
     Modules are built by build_module and submodule, which both end in
     _assemble.  Only prime_power_matrix reads the lookup: callers group
     primes with class_of and take T_{l^e} from prime_power_matrix, which
-    computes each matrix once, as classify_classes does the class report.
+    computes each matrix once.
     """
 
     p: int
@@ -172,8 +187,18 @@ class HeckeModule:
     status_modulus: int
     status_by_class: dict
     f_coords: np.ndarray
-    _report: object = field(default=None, init=False)  # classify_classes memo
+    report: ClassReport = field(init=False)
     _powers: dict = field(default_factory=dict, init=False)  # (class, e) -> read-only T_{l^e}
+
+    def __post_init__(self):
+        modulus = self.conductor or self.status_modulus
+        statuses = {
+            u: self.status_by_class[u % self.status_modulus] for u in range(1, modulus) if u % self.p
+        }
+        nil, inv, mixed = (
+            tuple(u for u in statuses if statuses[u] == s) for s in (NILPOTENT, INVERTIBLE, MIXED)
+        )
+        self.report = ClassReport(modulus, statuses, nil, inv, mixed, pure=not mixed)
 
     @property
     def dim(self):
@@ -182,11 +207,6 @@ class HeckeModule:
     def require_conductor(self):
         if self.conductor is None:
             raise ConductorNotFoundError(self.conductor_failure)
-
-    @property
-    def classes(self):
-        self.require_conductor()
-        return [u for u in range(1, self.conductor) if u % self.p]
 
     def class_of(self, ell):
         """Class of a prime, or the int64 array of classes of an int64 array of primes."""
@@ -233,16 +253,6 @@ class HeckeModule:
             return QSeries(self.p, kernels.combine(vec, self.vector_series[:, :prec], self.p))
         amb = linalg.matvec(vec, self.ambient_coords, self.p)
         return from_coordinates(amb, self.ambient, prec)
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    modulus: int
-    statuses: dict
-    nilpotent_classes: tuple
-    invertible_classes: tuple
-    mixed_classes: tuple
-    pure: bool
 
 
 @dataclass(frozen=True)
@@ -497,30 +507,6 @@ def _detect_status(per_prime, p, r):
     )
 
 
-def classify_classes(module):
-    """Per-class statuses and the purity flag, computed once per module.
-
-    Classes refer to the full conductor when it was detected, and to the
-    status modulus otherwise.
-    """
-    if module._report is not None:
-        return module._report
-    p = module.p
-    if module.conductor is not None:
-        classes = module.classes
-        mats = [module.prime_power_matrix(u, 1) for u in classes]
-        statuses = dict(zip(classes, _statuses(mats, p)))
-        modulus = module.conductor
-    else:
-        statuses = dict(module.status_by_class)
-        modulus = module.status_modulus
-    nil = tuple(sorted(u for u, s in statuses.items() if s == NILPOTENT))
-    inv = tuple(sorted(u for u, s in statuses.items() if s == INVERTIBLE))
-    mixed = tuple(sorted(u for u, s in statuses.items() if s == MIXED))
-    module._report = ClassReport(modulus, statuses, nil, inv, mixed, pure=not mixed)
-    return module._report
-
-
 def strict_nilpotence_order(module):
     """Longest chain of nilpotent-prime actions that keeps the seed nonzero.
 
@@ -533,7 +519,7 @@ def strict_nilpotence_order(module):
     step until it is zero: h < dim, and a chain still nonzero after dim
     steps is an invariant failure.  The work is at most dim row reductions.
     """
-    if not classify_classes(module).pure:
+    if not module.report.pure:
         raise ValueError("module is not pure; decompose into pure parts first")
     p, r = module.p, module.dim
     vec = module.f_coords
@@ -553,7 +539,7 @@ def gamma_group(module):
     module.require_conductor()
     p = module.p
     r = module.dim
-    mats = [module.prime_power_matrix(u, 1) for u in classify_classes(module).invertible_classes]
+    mats = [module.prime_power_matrix(u, 1) for u in module.report.invertible_classes]
     gens = list({mat.tobytes(): mat for mat in mats}.values())  # distinct, first seen first
     elements = {linalg.identity(r, p).tobytes(): linalg.identity(r, p)}
     frontier = list(elements.values())
@@ -626,7 +612,7 @@ def decompose(module):
     nilpotently-acting status classes.  Raises SplittingFieldNeededError
     when an eigen-system is not rational over F_p.
     """
-    if classify_classes(module).pure:
+    if module.report.pure:
         nil_status = frozenset(
             u for u, st in module.status_by_class.items() if st == NILPOTENT
         )
@@ -718,7 +704,7 @@ def equidistribution_report(module):
     converse = False
     scalar_values = ()
     if module.dim == 1:
-        invertible = classify_classes(module).invertible_classes
+        invertible = module.report.invertible_classes
         scalar_values = tuple(
             sorted({int(module.prime_power_matrix(u, 1)[0, 0]) for u in invertible})
         )

@@ -39,7 +39,6 @@ from modpforms.module import (
     MAX_CONDUCTOR_EXPONENT,
     MIXED,
     NILPOTENT,
-    classify_classes,
 )
 from modpforms.series import QSeries, delta_power, eisenstein, mul, one, power, zero
 
@@ -541,7 +540,7 @@ def decomposition_oracle_per_index(components, X, p):
 
 
 def _component_prediction(module, fac, cache):
-    report = classify_classes(module)
+    report = module.report
     p = module.p
     v = module.f_coords
     m = m_prime = m_dfull = 1
@@ -665,7 +664,7 @@ def status_of(mat, p):
 def nilpotent_matrices_per_matrix(module):
     """module.nilpotent_matrices, each candidate tested by status_of."""
     if module.conductor:
-        source = [module.prime_power_matrix(u, 1) for u in module.classes]
+        source = [module.prime_power_matrix(u, 1) for u in module.report.statuses]
     else:
         source = module.per_prime.values()
     distinct = {mat.tobytes(): mat for mat in source}
@@ -755,7 +754,7 @@ def nilpotent_images_by_multisets(module, source, height):
     order, weighted by the multinomial count of its orderings (which
     assumes the class matrices commute); a chain that turns zero drops out.
     """
-    nil = classify_classes(module).nilpotent_classes
+    nil = module.report.nilpotent_classes
     out = {}
     for multiset in combinations_with_replacement(nil, height):
         v = np.asarray(source, dtype=np.int64) % module.p

@@ -38,7 +38,6 @@ from modpforms.densities import (
 from modpforms.hecke import apply_T_ell, apply_T_m, apply_W, ell_s_ell
 from modpforms.module import (
     build_module,
-    classify_classes,
     equidistribution_report,
     gamma_group,
     strict_nilpotence_order,
@@ -131,7 +130,7 @@ def test_criterion_3_densities(delta2_mod3_module):
         mod = _h_modules.get(k) or build_module(_delta_form(3, k))
         if mod.conductor is None:
             continue
-        rep = classify_classes(mod)
+        rep = mod.report
         targets = {}
         if h == 0:
             targets[mod.f_coords.tobytes()] = mod.f_coords
@@ -154,7 +153,7 @@ def test_criterion_3_densities(delta2_mod3_module):
 def test_criterion_4_alpha():
     ok = True
     for k, m in sorted(_h_modules.items()):
-        rep = classify_classes(m)
+        rep = m.report
         ok = ok and class_density(rep.nilpotent_classes, rep.modulus) == Fraction(1, 2)
     ok = ok and alpha_of_form(_delta_form(3, 2)) == Fraction(1, 2)
     ok = ok and alpha_of_form(_delta_form(7, 2)) == Fraction(1, 6)

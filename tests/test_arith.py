@@ -18,6 +18,7 @@ from modpforms.arith import (
     multiplicative_order,
     primes_upto,
     squarefree_mask,
+    totient,
 )
 
 from oracles import factor_with_spf, primes_full_sieve, spf_sieve
@@ -93,6 +94,11 @@ def test_factor_with_spf(size):
         fac = brute_factorization(n)
         assert spf[n] == min(fac)
         assert factor_with_spf(n, spf) == fac
+
+
+def test_totient():
+    for n in range(1, N + 1):
+        assert totient(n) == sum(math.gcd(u, n) == 1 for u in range(n))
 
 
 def test_is_odd_prime_power():

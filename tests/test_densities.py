@@ -30,7 +30,7 @@ from modpforms.densities import (
     squarefull_sum,
 )
 from modpforms.errors import BudgetExceededError, InternalInvariantError, ModpFormsError
-from modpforms.module import HeckeModule, build_module, classify_classes, strict_nilpotence_order
+from modpforms.module import HeckeModule, build_module, strict_nilpotence_order
 from modpforms.series import delta_power
 
 
@@ -78,6 +78,15 @@ class TestClassDensity:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             class_density({3}, 9)
+
+    def test_checks_only_the_given_classes(self, monkeypatch):
+        # one gcd per given class, and phi from the factorization: no walk
+        # through the 3^12 residues below the modulus
+        gcds = []
+        gcd = math.gcd
+        monkeypatch.setattr(math, "gcd", lambda *a: gcds.append(a) or gcd(*a))
+        assert class_density({2, 5, 3**12 + 8}, 3**12) == Fraction(3, 2 * 3**11)
+        assert len([args for args in gcds if 3**12 in args]) <= 3
 
 
 class TestAlphaOfGroup:
@@ -184,7 +193,7 @@ class TestMultiFrobenianDensity:
         inv = _invertible_only(delta_mod3_module)
         cases += [(inv, inv.f_coords, inv.f_coords, h, int(h == 0)) for h in range(3)]
         for mod, source, target, h, want in cases:
-            phi = len(classify_classes(mod).statuses)
+            phi = len(mod.report.statuses)
             ref = nilpotent_images_by_multisets(mod, source, h).get(target.tobytes(), 0)
             got = multi_frobenian_density(mod, source, target, h)
             assert got == want == Fraction(ref, math.factorial(h) * phi**h)
@@ -194,7 +203,7 @@ class TestMultiFrobenianDensity:
         # the multiset oracle drops zero images as the walk does, so count
         # the products of every ordered tuple of nilpotent class matrices
         m = delta2_mod3_module
-        report = classify_classes(m)
+        report = m.report
         nil = [m.prime_power_matrix(u, 1) for u in report.nilpotent_classes]
         zero = np.zeros(m.dim, dtype=np.int64)
         denominator = math.factorial(h) * len(report.statuses) ** h
@@ -228,7 +237,7 @@ class TestNilpotentWalk:
         components = _profiled_components(p, k)
         assert len(components) == (2 if p > 3 else 1)
         for m in components:
-            report = classify_classes(m)
+            report = m.report
             h = strict_nilpotence_order(m)
             cu = densities._pure_profile(m, with_constants=False).euler_constant(10**4)
             _, vecs, _ = squarefull_buckets(
@@ -272,7 +281,7 @@ class TestEnumerationCap:
         """Delta^k mod 3 with the cap one below (nilpotent classes)^h and no matrix readable."""
         m = build_module(_delta_form(3, k))
         h = strict_nilpotence_order(m)
-        tuples = len(classify_classes(m).nilpotent_classes) ** h
+        tuples = len(m.report.nilpotent_classes) ** h
         monkeypatch.setattr(densities, "_ENUM_CAP", tuples - 1)
         monkeypatch.setattr(densities, "strict_nilpotence_order", lambda module: h)
         monkeypatch.setattr(m, "prime_power_matrix", _refuse_product)
@@ -380,7 +389,7 @@ def sfull_walk_inputs():
     out = {}
     for p, k in _SFULL_CASES:
         m = build_module(_delta_form(p, k))
-        report = classify_classes(m)
+        report = m.report
         alpha = class_density(report.nilpotent_classes, report.modulus)
         cu = euler_constant_C(
             report.invertible_classes, report.modulus, 1 - alpha, prime_bound=10**4

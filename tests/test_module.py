@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modpforms import basis, linalg, module
+from modpforms import arith, basis, linalg, module
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, miller_basis
 from modpforms.densities import _lift_weight
@@ -24,7 +24,6 @@ from modpforms.module import (
     _eigenspaces,
     _group_blocks,
     build_module,
-    classify_classes,
     decompose,
     equidistribution_report,
     gamma_group,
@@ -73,7 +72,7 @@ class TestBuildModule:
                  2: eps, 5: 2 * eps, 8: 0 * eps}
         for u, expect in table.items():
             assert np.array_equal(m.prime_power_matrix(u, 1) % 3, expect.astype(np.int64) % 3)
-        scalars = {u: ell_s_ell(u, m.weight, m.p) for u in m.classes}
+        scalars = {u: ell_s_ell(u, m.weight, m.p) for u in m.report.statuses}
         assert scalars == {1: 1, 4: 1, 7: 1, 2: 2, 5: 2, 8: 2}
 
     def test_delta_square_mod7(self, delta2_mod7_module):
@@ -174,7 +173,7 @@ class TestBuildModule:
 
     def test_class_matrices_commute(self, delta2_mod3_module):
         m = delta2_mod3_module
-        mats = [m.prime_power_matrix(u, 1) for u in m.classes]
+        mats = [m.prime_power_matrix(u, 1) for u in m.report.statuses]
         for a in mats:
             for b in mats:
                 assert np.array_equal((a @ b) % 3, (b @ a) % 3)
@@ -182,7 +181,7 @@ class TestBuildModule:
     def test_recurrence_square_consistency(self, delta2_mod3_module):
         # T_{l^2} built from class data is itself constant on classes mod c
         m = delta2_mod3_module
-        for u in m.classes:
+        for u in m.report.statuses:
             sq = m.prime_power_matrix(u, 2)
             a = m.prime_power_matrix(u, 1)
             direct = (a @ a - ell_s_ell(u, m.weight, m.p) * linalg.identity(2, 3)) % 3
@@ -230,6 +229,10 @@ class TestConductorDetection:
         matmul, matpow = linalg.matmul, linalg.matpow
         monkeypatch.setattr(linalg, "matmul", lambda *a: products.append(1) or matmul(*a))
         monkeypatch.setattr(linalg, "matpow", lambda *a: products.append(1) or matpow(*a))
+        # the order of each generator is factored once, not once per log
+        factorizations = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda n: factorizations.append(n) or factorize(n))
         tracemalloc.start()
         try:
             conductor, lookup, failure = module._detect_conductor(per_prime, p, 12, 1)
@@ -243,21 +246,42 @@ class TestConductorDetection:
         )
         phi = p**4 - p**3
         assert len(products) <= 8 * len(per_prime) * math.log2(phi)
+        assert len(factorizations) <= 16 * module.MAX_CONDUCTOR_EXPONENT
         assert peak < 10**6
+
+    def test_report_looks_up_only_sampled_classes(self, monkeypatch):
+        # Delta^5 mod 3 at sample bound 50: conductor 27, status modulus 3,
+        # and 5 of the 18 classes mod 27 have no sampled prime below 50
+        logs, powers = [], []
+        discrete_log, matpow = module.discrete_log, linalg.matpow
+        monkeypatch.setattr(
+            module, "discrete_log", lambda u, g, m: logs.append((u, m)) or discrete_log(u, g, m)
+        )
+        monkeypatch.setattr(linalg, "matpow", lambda *a: powers.append(1) or matpow(*a))
+        m = build_module(_delta_form(3, 5, 50), sample_bound=50)
+        report = m.report
+        assert (m.conductor, m.status_modulus, len(report.statuses)) == (27, 3, 18)
+        sampled = {q % 27 for q in m.per_prime}
+        assert len(sampled) == 13
+        assert {u for u, mod in logs if mod == 27} == sampled
+        # one power per class looked up, and one closing check per candidate 3, 9, 27
+        assert len(powers) == len(set(logs)) + 3
+        assert report.statuses == {u: m.status_by_class[u % 3] for u in range(1, 27) if u % 3}
 
 
 class TestHeckeAction:
     @pytest.mark.parametrize("p, k", [(3, 2), (7, 1)])
     def test_prime_power_matrices_follow_the_recurrence(self, p, k):
         m = build_module(_delta_form(p, k))
-        for u in m.classes:
+        for u in m.report.statuses:
             a = m.prime_power_matrix(u, 1)
             prev, cur = np.eye(m.dim, dtype=np.int64), a % p
             for e in range(7):
                 assert np.array_equal(m.prime_power_matrix(u, e), prev)
                 prev, cur = cur, (cur @ a - ell_s_ell(u, m.weight, p) * prev) % p
         # memoized: the same object on every call
-        assert m.prime_power_matrix(m.classes[0], 6) is m.prime_power_matrix(m.classes[0], 6)
+        u = next(iter(m.report.statuses))
+        assert m.prime_power_matrix(u, 6) is m.prime_power_matrix(u, 6)
 
     def test_prime_power_matrices_are_read_only(self, delta2_mod3_module):
         for e in (0, 1, 2):
@@ -266,7 +290,7 @@ class TestHeckeAction:
                 mat[0, 0] = 1
 
     def test_class_report_is_memoized(self, delta2_mod3_module):
-        assert classify_classes(delta2_mod3_module) is classify_classes(delta2_mod3_module)
+        assert delta2_mod3_module.report is delta2_mod3_module.report
 
     def test_class_of_array_matches_scalars(self, delta2_mod3_module):
         m = delta2_mod3_module
@@ -281,13 +305,13 @@ class TestHeckeAction:
 
 class TestClassify:
     def test_delta_square_mod3(self, delta2_mod3_module):
-        rep = classify_classes(delta2_mod3_module)
+        rep = delta2_mod3_module.report
         assert rep.pure
         assert rep.nilpotent_classes == (2, 5, 8)
         assert rep.invertible_classes == (1, 4, 7)
 
     def test_delta_square_mod7_mixed(self, delta2_mod7_module):
-        rep = classify_classes(delta2_mod7_module)
+        rep = delta2_mod7_module.report
         assert not rep.pure
         assert 3 in rep.mixed_classes and 5 in rep.mixed_classes
         assert rep.nilpotent_classes == (6,)
@@ -298,7 +322,7 @@ class TestClassify:
         assert left == [1] and sorted(set(roots)) == [0, 1]
 
     def test_one_dim_zero_scalar_nilpotent(self, delta_mod3_module):
-        rep = classify_classes(delta_mod3_module)
+        rep = delta_mod3_module.report
         assert rep.statuses[2] == "nilpotent"
         assert rep.statuses[1] == "invertible"
 
@@ -340,7 +364,7 @@ class TestNilpotenceOrder:
     def test_distinct_primes_realize_h(self, k):
         # constructive version: h distinct primes with nonzero product action
         m = build_module(_delta_form(3, k))
-        rep = classify_classes(m)
+        rep = m.report
         h = strict_nilpotence_order(m)
         if h == 0:
             return
@@ -390,7 +414,7 @@ class TestGammaGroup:
         # Delta^5 mod 3: the 9 invertible classes mod 27 act by 2 distinct matrices
         m = build_module(_delta_form(3, 5))
         p, r = m.p, m.dim
-        mats = [m.prime_power_matrix(u, 1) for u in classify_classes(m).invertible_classes]
+        mats = [m.prime_power_matrix(u, 1) for u in m.report.invertible_classes]
         assert (m.conductor, len(mats), len(_distinct(mats))) == (27, 9, 2)
         # the closure over every class matrix, repeats included, in class order
         elements = {linalg.identity(r, p).tobytes(): None}
@@ -637,7 +661,7 @@ class TestSubmodule:
         sub = submodule(m, line)
         assert sub.dim == 1
         assert sub.conductor == 3
-        rep = classify_classes(sub)
+        rep = sub.report
         assert rep.nilpotent_classes == (2,)
 
 

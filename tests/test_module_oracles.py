@@ -2,8 +2,10 @@
 against their former routes in tests/oracles.py.
 
 Cases: the 13 forms of the paper's h-table (Delta^7 mod 3 among them, the
-module without a conductor), Delta^2 - Delta mod 7 (two pure components)
-and a synthetic mod-3 module with four joint eigen-systems.  Every call
+module without a conductor), Delta^2 - Delta mod 7 (two pure components),
+a synthetic mod-3 module with four joint eigen-systems, and Delta^5 mod 3
+at sample bound 50, whose class report holds classes mod 27 that no
+sampled prime reaches.  Every call
 to module._closure made while building a case, by build_module or by
 submodule inside decompose, is recorded and replayed through the oracle.
 The conductor detection is replayed the same way, on these cases and on
@@ -29,7 +31,6 @@ from modpforms.module import (
     HeckeModule,
     _statuses,
     build_module,
-    classify_classes,
     decompose,
     strict_nilpotence_order,
     work_precision,
@@ -63,6 +64,9 @@ def _four_eigen_systems_module():
 BUILDERS = {f"delta^{k} mod 3": lambda k=k: _delta_module(k) for k in H_TABLE}
 BUILDERS["delta^2-delta mod 7"] = _two_component_module
 BUILDERS["four eigen-systems mod 3"] = _four_eigen_systems_module
+BUILDERS["delta^5 mod 3 at sample bound 50"] = lambda: build_module(
+    _delta_form(3, 5, 50), sample_bound=50
+)
 CASES = list(BUILDERS)
 
 
@@ -84,6 +88,10 @@ def _case(name):
     return module, parts, calls
 
 
+def _rank(mats, p):
+    return len(linalg.row_basis(np.stack([mat.reshape(-1) for mat in mats]), p))
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_nilpotence_order_matches_search(name):
     _, parts, _ = _case(name)
@@ -97,12 +105,24 @@ def test_statuses_match_per_matrix(name):
     for m in [module] + parts:
         mats = list(m.per_prime.values())
         assert _statuses(mats, m.p) == [status_of(mat, m.p) for mat in mats]
-        assert [mat.tobytes() for mat in m.nilpotent_matrices()] == [
-            mat.tobytes() for mat in nilpotent_matrices_per_matrix(m)
-        ]
+        sampled = [mat.tobytes() for mat in m.nilpotent_matrices()]
+        by_class = [mat.tobytes() for mat in nilpotent_matrices_per_matrix(m)]
+        if m.conductor is None or len({q % m.conductor for q in m.per_prime}) == len(
+            m.report.statuses
+        ):
+            assert sampled == by_class
+        else:
+            # classes no sampled prime reaches add matrices, but not to the
+            # span that the nilpotence chain multiplies by
+            assert set(sampled) <= set(by_class)
+            assert _rank(m.nilpotent_matrices(), m.p) == _rank(
+                nilpotent_matrices_per_matrix(m), m.p
+            )
         if m.conductor is not None:
-            statuses = classify_classes(m).statuses
-            assert statuses == {u: status_of(m.prime_power_matrix(u, 1), m.p) for u in m.classes}
+            units = [u for u in range(1, m.conductor) if u % m.p]
+            assert m.report.statuses == {
+                u: status_of(m.prime_power_matrix(u, 1), m.p) for u in units
+            }
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -120,6 +140,8 @@ def test_cases_cover_every_path():
     assert _case("delta^7 mod 3")[0].conductor is None
     assert len(_case("delta^2-delta mod 7")[1]) == 2
     assert len(_case("four eigen-systems mod 3")[1]) == 4
+    unsampled = _case("delta^5 mod 3 at sample bound 50")[0]
+    assert len({q % 27 for q in unsampled.per_prime}) < len(unsampled.report.statuses) == 18
     seen = set()
     for name in CASES:
         module, parts, _ = _case(name)
