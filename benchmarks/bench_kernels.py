@@ -14,15 +14,17 @@ cold, the exponents 8c (c < 20) of its Delta^c in one shared digit walk
 against one power each, the module of Delta^19 mod 3 and the batched
 status pass on its sampled matrices, the generalized eigenspaces of a
 64-dimensional split block at p = 3, 7 and 251 (decompose's step), the
-square-full sums of the
-leading constants of Delta mod 7 and Delta^5 mod 3 and the decomposition
-oracle of Delta^2 mod 3.  Times are the best of --repeat runs.
+Euler products and square-full sums of the leading constants of Delta
+mod 7 (S up to the cap 10^12) and Delta^5 mod 3, each with its
+tracemalloc peak, and the decomposition oracle of Delta^2 mod 3.  Times
+are the best of --repeat runs.
 
     python benchmarks/bench_kernels.py [--prec 1000000] [--repeat 3]
 """
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -47,6 +49,16 @@ def _time(fn, repeat):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees during one more run of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _sparse_case(p, prec):
@@ -163,21 +175,32 @@ def bench(prec, repeat):
         t = _time(lambda: _eigenspaces(rows, {}, mat, p), repeat)
         print(f"_eigenspaces 64-dim split block mod {p}: {t * 1000:.1f}ms")
 
-    # Delta^5 mod 3: conductor 27, dim 4, 16 buckets
-    for p, k, s_bounds in ((7, 1, (10**8, 10**10)), (3, 5, (10**10,))):
+    # Delta^5 mod 3: conductor 27, dim 4, 16 buckets; each time comes with the
+    # tracemalloc peak of one more run (the primes up to 10^6 are cached by then)
+    for p, k, s_bounds in ((7, 1, (10**8, 10**10, 10**12)), (3, 5, (10**10,))):
         module = build_module(GradedForm(delta_power(p, k, 10009), 12 * k))
         report = module.report
         beta = 1 - class_density(report.nilpotent_classes, report.modulus)
-        cu = euler_constant_C(report.invertible_classes, report.modulus, beta)
         name = "delta" if k == 1 else f"delta^{k}"
+
+        def euler():
+            return euler_constant_C(report.invertible_classes, report.modulus, beta)
+
+        t, peak = _time(euler, repeat), _traced_peak(euler)
+        print(f"euler_constant_C {name} mod {p}: {t * 1000:.1f}ms, peak {peak / 1e6:.1f} MB")
+        cu = euler()
         for s_bound in s_bounds:
-            t = _time(
-                lambda: squarefull_buckets(
+
+            def buckets():
+                return squarefull_buckets(
                     module, module.f_coords, cu, s_bound, report.invertible_classes
-                ),
-                repeat,
+                )
+
+            t, peak = _time(buckets, repeat), _traced_peak(buckets)
+            print(
+                f"squarefull_buckets {name} mod {p} (S = {s_bound:.0e}): {t * 1000:.1f}ms, "
+                f"peak {peak / 1e6:.1f} MB"
             )
-            print(f"squarefull_buckets {name} mod {p} (S = {s_bound:.0e}): {t * 1000:.1f}ms")
 
     components = oracle_components(GradedForm(delta_power(3, 2, 4009), 24))
     for x in (10**5, 10**6):

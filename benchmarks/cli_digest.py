@@ -71,12 +71,15 @@ EXTRA = [
     ("module", "--p", "5", "--form", "delta^6"),
     ("module", "--p", "7", "--form", "delta^8"),
     ("predict", "--p", "23", "--form", "delta"),
-    # conductor 27 at sample bound 50: 4 of the 18 classes have no sampled prime
+    # conductor 27 at sample bound 50: 5 of the 18 classes have no sampled prime
     ("module", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
     ("predict", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
     ("oracle", "--p", "3", "--form", "delta^5", "--sample-bound", "50", "--xmax", "20000"),
     ("decompose", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
     ("constants", "--p", "3", "--form", "delta^5", "--sample-bound", "50"),
+    # the square-full sum in 20 and 81 windows of s
+    ("predict", "--p", "7", "--form", "delta", "--sfull-bound", "100000000000"),
+    ("predict", "--p", "7", "--form", "delta", "--sfull-bound", "1000000000000"),
     # W(Delta^3) mod 7: two submodules of a module with no conductor, then exit 3
     ("predict", "--p", "7", "--form", "delta^3"),
     # weight lifts past the form's own weight

@@ -40,13 +40,15 @@ def primes_upto(n):
     if best is not None:
         arr = _prime_cache[best]
         return arr[: np.searchsorted(arr, n, side="right")]
-    # odd numbers only: entry i stands for 2i + 1
+    # odd numbers only: entry i stands for 2i + 1, and entry 0 (for 1) for 2
     sieve = np.ones((n + 1) // 2, dtype=bool)
-    sieve[0] = False
     for q in range(3, math.isqrt(n) + 1, 2):
         if sieve[q // 2]:
             sieve[q * q // 2 :: q] = False
-    arr = np.concatenate(([2], 2 * np.flatnonzero(sieve) + 1)).astype(np.int64)
+    arr = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    arr *= 2
+    arr += 1
+    arr[0] = 2
     arr.flags.writeable = False
     _prime_cache.clear()
     _prime_cache[n] = arr

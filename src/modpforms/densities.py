@@ -40,6 +40,9 @@ SFULL_BOUND_CAP = 10**12
 GROUP_PARAMETER_CAP = 10**12
 _CYCLE_PREC_FLOOR = 16
 _ENUM_CAP = 10**6
+# terms per window of the square-full sum: it holds the S^(1/4)-smooth terms
+# and O(SFULL_BLOCK) more, whatever the bound S
+SFULL_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +220,29 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
     _check_prime_bound(prime_bound)
     pr = primes_upto(prime_bound)
     in_u = _in_classes(pr, u_classes, modulus, r)
-    x = 1.0 / pr
     b = float(beta)
-    logw = b * np.log1p(-x)
-    logw[in_u] += np.log1p(x[in_u])
+    # log w_l in one array: the in-class log1p(1/l) first, then log1p(-1/l) in place
+    x = 1.0 / pr
+    gain = np.log1p(x[in_u])
+    logw = np.log1p(np.negative(x, out=x), out=x)
+    logw *= b
+    logw[in_u] += gain
     value = math.exp(float(np.sum(logw))) / math.gamma(b)
     x0 = float(prime_bound)
     tail_log = 1.0 / (math.sqrt(x0) * math.log(x0)) + (1.0 + b) / (x0 * math.log(x0))
     return EulerConstant(value, value * math.expm1(tail_log), beta, prime_bound)
+
+
+def _ends(keys, base, mult, bound):
+    """Per row, the index in keys past its last key k with mult * (k - base) < bound."""
+    return np.searchsorted(keys, base + (bound - 1) // mult, side="right")
+
+
+def _spans(start, end):
+    """(row, index in keys) of each key from start to end of every row, row by row."""
+    n = end - start
+    row = np.repeat(np.arange(len(n)), n)
+    return row, np.arange(len(row)) + np.repeat(start - np.cumsum(n) + n, n)
 
 
 def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
@@ -242,16 +260,28 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
     image turns zero is dropped at once.  Each prime q <= s_bound^(1/4)
     extends, for each e >= 2, every term with s <= s_bound // q^e; a term
     past s_bound // q'^2 for the next prime q' is set aside, since no
-    later prime extends it.  A larger prime occurs at most once in s, with
-    e = 2 or 3, so its terms are taken per (class, e) from the terms the
-    small primes left open.  Every s occurs once (a repeat raises
-    InternalInvariantError), so the sort by s need not be stable; the
-    terms are summed per bucket in increasing s, and the buckets kept in
-    order of first appearance.  Primes are taken in increasing order, so
-    each weight is divided by its factors (1 + 1/q) in the same order as a
-    walk over the factors of each s; with the summation order, this makes
-    the sums the floats of that walk, bit for bit.  The returned vectors
-    are copies, one array each.
+    later prime extends it.  These smooth terms are kept as runs sorted by
+    s.  A larger prime occurs at most once in s, with e = 2 or 3, so the
+    other terms are s * q^e for an open term s (one the small primes left)
+    and q^e from one (class, e) group of large primes: one row per group
+    and open term whose image stays nonzero and beside which the group's
+    smallest q^e fits.
+
+    Both kinds are taken a window of s at a time, in increasing order.
+    Run r keeps its s, and group g its q^e, after the offset r or g times
+    (s_bound + 1), in one sorted array of keys per kind, so one
+    searchsorted per kind counts, for every run or row, its terms below a
+    bound.  Each window
+    is sized from these counts before any term is built: at most
+    SFULL_BLOCK terms, or a single s.  So the smooth terms and one window
+    are held, whatever s_bound is.  Every s occurs once (a repeat raises
+    InternalInvariantError), so the sort of a window by s need not be
+    stable; np.add.at adds the window to the bucket totals in increasing
+    s, and the buckets are kept in order of first appearance.  Primes are
+    taken in increasing order, so each weight is divided by its factors
+    (1 + 1/q) in the same order as a walk over the factors of each s; with
+    the summation order, this makes the sums the floats of that walk, bit
+    for bit.  The returned vectors are copies, one array each.
     """
     _check_sfull_bound(s_bound)
     p = module.p
@@ -281,13 +311,19 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
             known = steps[u, e] = np.concatenate([known, more]).astype(np.int64)
         return known
 
+    offset = s_bound + 1
     ids = np.zeros(len(images), dtype=np.int64)
     s = np.ones(len(images), dtype=np.int64)
     adjust = np.ones(len(images))
-    # terms that no later prime can extend, set aside as each prime is done
-    terms = []
+    # runs of terms that no later prime can extend, keyed and sorted as each prime is done
+    runs = []
+
+    def set_aside(s, ids, adjust):
+        order = np.argsort(s)
+        runs.append((len(runs) * offset + s[order], ids[order], adjust[order]))
+
     # the prime after each small prime; after the last one, s_bound, whose square exceeds every s
-    later = primes[1:].tolist() + [s_bound]
+    later = primes[1 : split + 1].tolist() + [s_bound]
     for q, u, nxt in zip(primes[:split].tolist(), classes[:split].tolist(), later):
         grown = [(s, ids, adjust)]
         e, qe = 2, q * q
@@ -302,10 +338,15 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
             e, qe = e + 1, qe * q
         s, ids, adjust = (np.concatenate(parts) for parts in zip(*grown))
         keep = s <= s_bound // (nxt * nxt)
-        terms.append((s[~keep], ids[~keep], adjust[~keep]))
+        set_aside(s[~keep], ids[~keep], adjust[~keep])
         s, ids, adjust = s[keep], ids[keep], adjust[keep]
 
-    terms.append((s, ids, adjust))
+    # the open terms by decreasing s, so that every searchsorted below takes its
+    # queries in increasing order
+    order = np.argsort(s)[::-1]
+    s, ids, adjust = s[order], ids[order], adjust[order]
+    keys, divisors = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    rows = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
     large, large_classes = primes[split:], classes[split:]
     for u in np.flatnonzero(np.bincount(large_classes)).tolist():
         in_class = large[large_classes == u]
@@ -313,29 +354,56 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
         while int(in_class[0]) ** e <= s_bound:
             in_class = in_class[in_class**e <= s_bound]
             img = step(u, e)[ids]
-            # how many primes of the class fit beside each term
-            fits = np.searchsorted(in_class**e, s_bound // s, side="right")
-            live = np.flatnonzero((img >= 0) & (fits > 0))
-            fits = fits[live]
-            row = np.repeat(live, fits)
-            qs = in_class[np.arange(len(row)) - np.repeat(np.cumsum(fits) - fits, fits)]
-            weight = adjust[row]
-            if u in inv_set:
-                weight = weight / (1.0 + 1.0 / qs)
-            terms.append((s[row] * qs**e, img[row], weight))
+            live = (img >= 0) & (s <= s_bound // int(in_class[0]) ** e)
+            base = (len(keys) - 1) * offset
+            keys.append(base + in_class**e)
+            # x / 1.0 is x, so the classes without the factor divide by one
+            divisors.append(1.0 + 1.0 / in_class if u in inv_set else np.ones(len(in_class)))
+            rows.append((np.full(np.count_nonzero(live), base), s[live], img[live], adjust[live]))
             e += 1
-    s, ids, adjust = (np.concatenate(parts) for parts in zip(*terms))
-    order = np.argsort(s)
-    s = s[order]
-    if (s[1:] == s[:-1]).any():
-        raise InternalInvariantError("a square-full s occurs twice in the bucket sum")
-    values = cu.value * adjust[order] / s
-    ids = ids[order]
+    # the large groups are at most the large prime powers, so their keys fit int64
+    keys, divisors = np.concatenate(keys), np.concatenate(divisors)
+    base, mult, pids, padjust = (np.concatenate(col) for col in zip(*rows))
+    start = _ends(keys, base, mult, 1)
+
+    set_aside(s, ids, adjust)
+    sbase = np.arange(len(runs)) * offset
+    # one column at a time, so the runs are held about once while they are joined
+    smooth = [list(col) for col in zip(*runs)]
+    runs.clear()
+    skeys, sids, sadjust = (np.concatenate(smooth.pop(0)) for _ in range(3))
+    sstart = _ends(skeys, sbase, 1, 1)
+
+    total = len(skeys) + int((_ends(keys, base, mult, offset) - start).sum())
+    first = np.full(len(images), total)
+    totals = np.zeros(len(images))
+    # the terms below t grow about as sqrt(t): the first window is guessed from that
+    lo, done, width = 1, 0, max(1, s_bound * SFULL_BLOCK**2 // max(total, 1) ** 2)
+    while lo < offset:
+        hi = min(lo + width, offset)
+        while True:
+            send, end = _ends(skeys, sbase, 1, hi), _ends(keys, base, mult, hi)
+            n = int((send - sstart).sum() + (end - start).sum())
+            if n <= SFULL_BLOCK or hi == lo + 1:
+                break
+            hi = lo + (hi - lo) // 2
+        # the terms thin out as s grows, so this width scaled to SFULL_BLOCK
+        # terms fills the next window about, but rarely over, full
+        width = max(1, (hi - lo) * SFULL_BLOCK // max(n, 1))
+        srow, sat = _spans(sstart, send)
+        row, at = _spans(start, end)
+        ws = np.concatenate([skeys[sat] - sbase[srow], mult[row] * (keys[at] - base[row])])
+        order = np.argsort(ws)
+        ws = ws[order]
+        if (ws[1:] == ws[:-1]).any():
+            raise InternalInvariantError("a square-full s occurs twice in the bucket sum")
+        wids = np.concatenate([sids[sat], pids[row]])[order]
+        wadjust = np.concatenate([sadjust[sat], padjust[row] / divisors[at]])[order]
+        np.minimum.at(first, wids, np.arange(done, done + n))
+        np.add.at(totals, wids, cu.value * wadjust / ws)
+        lo, done, sstart, start = hi, done + n, send, end
     # number the buckets by first appearance, so dict order and sums follow s
-    first = np.full(len(images), len(ids))
-    np.minimum.at(first, ids, np.arange(len(ids)))
-    by_first = np.argsort(first)[: int(np.count_nonzero(first < len(ids)))]
-    totals = np.bincount(ids, weights=values, minlength=len(images))
+    by_first = np.argsort(first)[: int(np.count_nonzero(first < total))]
     sums = {}
     vecs = {}
     for b in by_first.tolist():

@@ -31,7 +31,8 @@ decomposition: on each block, the lambda in F_p for which the restricted
 action minus lambda*I is singular.  The order of nilpotence h is the
 last j at which the subspace chain W_0 = <f>, W_{j+1} = sum of W_j M
 over the distinct nilpotent action matrices M is nonzero: at most dim
-row reductions, and no need for the full conductor.  The closure behind
+row reductions, over the matrices of every nilpotent class when there is
+a conductor and over the sampled ones when there is not.  The closure behind
 every module basis keeps one reduced echelon form and reduces each new
 image against it.
 
@@ -237,7 +238,10 @@ class HeckeModule:
         return self._powers[u, e]
 
     def nilpotent_matrices(self):
-        """Distinct nilpotent sampled action matrices."""
+        """Distinct nilpotent action matrices: with a conductor, those of every
+        nilpotent class, sampled or not; without one, the sampled ones."""
+        if self.conductor is not None:
+            return _distinct(self.prime_power_matrix(u, 1) for u in self.report.nilpotent_classes)
         mats = _distinct(self.per_prime.values())
         return [mat for mat, nil in zip(mats, _nilpotent(mats, self.p)) if nil]
 
@@ -512,9 +516,10 @@ def strict_nilpotence_order(module):
 
     Follows the subspace chain W_0 = <f>, W_{j+1} = sum over the distinct
     nilpotent action matrices M of W_j M, and returns the last j with W_j
-    nonzero: the span of the vectors reached by j actions is W_j.  It uses
-    only the sampled matrices, so it works whether or not the action is
-    class-determined.  The matrices commute, so W_j lies in f I^j for the
+    nonzero: the span of the vectors reached by j actions is W_j.  With a
+    conductor the matrices are those of every nilpotent class, so a class
+    that no sampled prime reaches still counts; without one they are the
+    sampled matrices.  The matrices commute, so W_j lies in f I^j for the
     nilpotent algebra I they generate, and f I^j loses a dimension at each
     step until it is zero: h < dim, and a chain still nonzero after dim
     steps is an invariant failure.  The work is at most dim row reductions.

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
@@ -428,6 +430,41 @@ class TestSquarefullWalk:
 
     def test_matches_enumeration_at_default_bound(self, sfull_walk_inputs):
         _assert_same_buckets(3, 2, sfull_walk_inputs, 10**10)
+
+    @pytest.mark.parametrize("p,k", _SFULL_CASES)
+    @pytest.mark.parametrize("s_bound", _SPLIT_BOUNDS + [10**8])
+    def test_matches_enumeration_in_windows_of_three_terms(
+        self, sfull_walk_inputs, monkeypatch, p, k, s_bound
+    ):
+        # a window edge falls between almost every two consecutive terms
+        monkeypatch.setattr(densities, "SFULL_BLOCK", 3)
+        sizes = []
+        spans = densities._spans
+
+        def spy(start, end):
+            row, at = spans(start, end)
+            sizes.append(len(row))
+            return row, at
+
+        monkeypatch.setattr(densities, "_spans", spy)
+        _assert_same_buckets(p, k, sfull_walk_inputs, s_bound)
+        # each window takes its smooth terms, then its large-prime terms
+        assert max(a + b for a, b in zip(sizes[::2], sizes[1::2])) <= 3
+
+    def test_cap_bound_in_bounded_memory(self, sfull_walk_inputs):
+        # Delta mod 7 at the cap: 1,183,461 terms, 429,689 of them S^(1/4)-smooth;
+        # holding every term at once peaked at 89.8 MB
+        m, cu, inv = sfull_walk_inputs[7, 1]
+        t0 = time.perf_counter()
+        squarefull_buckets(m, m.f_coords, cu, densities.SFULL_BOUND_CAP, inv)
+        assert time.perf_counter() - t0 < 1.0
+        tracemalloc.start()
+        try:
+            squarefull_buckets(m, m.f_coords, cu, densities.SFULL_BOUND_CAP, inv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 10**6
 
     @pytest.mark.parametrize("p,k", _SFULL_CASES)
     def test_vectors_are_writable_and_own_their_data(self, sfull_walk_inputs, p, k):

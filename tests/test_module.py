@@ -289,8 +289,24 @@ class TestHeckeAction:
             with pytest.raises(ValueError):
                 mat[0, 0] = 1
 
-    def test_class_report_is_memoized(self, delta2_mod3_module):
-        assert delta2_mod3_module.report is delta2_mod3_module.report
+    def test_class_report_is_memoized(self, monkeypatch):
+        # exactly one ClassReport per module: built with it, and none on a read
+        reports, modules = [], []
+        report_cls, assemble = module.ClassReport, module._assemble
+        monkeypatch.setattr(
+            module, "ClassReport", lambda *a, **kw: reports.append(1) or report_cls(*a, **kw)
+        )
+        monkeypatch.setattr(module, "_assemble", lambda *a: modules.append(1) or assemble(*a))
+        m = build_module(_delta_form(7, 2))
+        assert (len(modules), len(reports)) == (1, 1)
+        report = m.report
+        parts = decompose(m)
+        assert len(parts) == 2
+        for part in parts:
+            assert part.module.report is part.module.report
+            strict_nilpotence_order(part.module)
+        assert m.report is report
+        assert len(modules) > 1 and len(reports) == len(modules)
 
     def test_class_of_array_matches_scalars(self, delta2_mod3_module):
         m = delta2_mod3_module
@@ -359,6 +375,48 @@ class TestNilpotenceOrder:
     def test_growth_bound(self, k):
         m = build_module(_delta_form(3, k))
         assert strict_nilpotence_order(m) < 4 * k ** (math.log(2) / math.log(3))
+
+    def test_chain_takes_the_unsampled_classes(self, monkeypatch):
+        # Delta^5 mod 3 at sample bound 50: conductor 27, and 5 of its 18 classes
+        # have no sampled prime; the sampled matrices span the same space here
+        m = build_module(_delta_form(3, 5, 50), sample_bound=50)
+        nil = set(m.report.nilpotent_classes)
+        sampled = _distinct([mat for q, mat in m.per_prime.items() if q % 27 in nil])
+        by_class = m.nilpotent_matrices()
+        assert (len(sampled), len(by_class)) == (7, 9)
+        assert {mat.tobytes() for mat in sampled} < {mat.tobytes() for mat in by_class}
+        assert strict_nilpotence_order(m) == 3
+        monkeypatch.setattr(HeckeModule, "nilpotent_matrices", lambda self: sampled)
+        assert strict_nilpotence_order(m) == 3
+
+    def test_unsampled_class_lengthens_the_chain(self, monkeypatch):
+        # a stub mod 9 with status modulus 3: the classes 2, 5, 8 are nilpotent; the
+        # sampled primes reach 2 and 5, which act by N^2 for the shift N, and no
+        # sampled prime reaches 8, which acts by N itself
+        p, shift, eye = 3, np.eye(3, k=1, dtype=np.int64), np.eye(3, dtype=np.int64)
+        action = {1: eye, 2: shift @ shift, 4: eye, 5: shift @ shift, 7: eye, 8: shift}
+        per_prime = {ell: action[ell % 9] for ell in (2, 5, 7, 13, 19, 23)}
+        m = HeckeModule(
+            p,
+            12,
+            None,
+            eye,
+            eye.astype(np.uint8),
+            per_prime,
+            9,
+            action.__getitem__,
+            None,
+            3,
+            {1: "invertible", 2: NILPOTENT},
+            np.array([1, 0, 0], dtype=np.int64),
+        )
+        assert m.report.nilpotent_classes == (2, 5, 8)
+        assert {q % 9 for q in per_prime} == {1, 2, 4, 5, 7}
+        # f = e_0: N^2 alone reaches e_2 and stops; with N the chain is e_0, e_1, e_2
+        assert strict_nilpotence_order(m) == 2
+        sampled = _distinct([mat for q, mat in per_prime.items() if q % 9 in (2, 5)])
+        monkeypatch.setattr(HeckeModule, "nilpotent_matrices", lambda self: sampled)
+        assert strict_nilpotence_order(m) == 1
 
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_distinct_primes_realize_h(self, k):

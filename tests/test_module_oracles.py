@@ -88,10 +88,6 @@ def _case(name):
     return module, parts, calls
 
 
-def _rank(mats, p):
-    return len(linalg.row_basis(np.stack([mat.reshape(-1) for mat in mats]), p))
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_nilpotence_order_matches_search(name):
     _, parts, _ = _case(name)
@@ -105,19 +101,10 @@ def test_statuses_match_per_matrix(name):
     for m in [module] + parts:
         mats = list(m.per_prime.values())
         assert _statuses(mats, m.p) == [status_of(mat, m.p) for mat in mats]
-        sampled = [mat.tobytes() for mat in m.nilpotent_matrices()]
-        by_class = [mat.tobytes() for mat in nilpotent_matrices_per_matrix(m)]
-        if m.conductor is None or len({q % m.conductor for q in m.per_prime}) == len(
-            m.report.statuses
-        ):
-            assert sampled == by_class
-        else:
-            # classes no sampled prime reaches add matrices, but not to the
-            # span that the nilpotence chain multiplies by
-            assert set(sampled) <= set(by_class)
-            assert _rank(m.nilpotent_matrices(), m.p) == _rank(
-                nilpotent_matrices_per_matrix(m), m.p
-            )
+        # with a conductor, the classes no sampled prime reaches count too
+        assert [mat.tobytes() for mat in m.nilpotent_matrices()] == [
+            mat.tobytes() for mat in nilpotent_matrices_per_matrix(m)
+        ]
         if m.conductor is not None:
             units = [u for u in range(1, m.conductor) if u % m.p]
             assert m.report.statuses == {
