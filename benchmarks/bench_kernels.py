@@ -4,10 +4,12 @@
 Covers the hot loops: sparse series multiplication (cusp-form
 generation) on both of its routes, pair sums for a sparse dense operand
 and shifted adds otherwise, at p = 3 and at p = 251 (250 distinct
-coefficients), table counting with per-value tallies (alone and with
-the square-free counts in the same pass), the square-free mask, the
+coefficients), the pair-sum products behind Delta mod 3 and mod 7 at
+--prec and ten times it with their tracemalloc peaks, table counting
+with per-value tallies (alone and with the square-free counts in the
+same pass), the square-free mask, the
 divisor-sum sieve (Eisenstein series) at p = 7 and p = 251, truncated dense multiplication (basis
-expansion) and row combinations mod p (the weight-228 echelon basis mod
+expansion; a product and a square of the same sizes) and row combinations mod p (the weight-228 echelon basis mod
 3 at 38,009 coefficients, and 20 x 20,000 at p = 251); then the cusp
 form itself, built by Frobenius digits, the weight-228 basis mod 3 built
 cold, the exponents 8c (c < 20) of its Delta^c in one shared digit walk
@@ -68,6 +70,20 @@ def _sparse_case(p, prec):
     return eta3.coeffs, mul(eta3, eta3).coeffs, exps, eta3.coeffs[exps]
 
 
+def _delta_pair_products(prec):
+    """(p, label, mul_sparse arguments) of the first sparse product of Delta mod 3 and mod 7."""
+    eta3 = eta_cubed(3, prec).coeffs[::3]
+    exps3 = np.flatnonzero(eta3)
+    eta7 = eta_cubed(7, prec).coeffs
+    dilated = np.zeros(prec, dtype=np.uint8)
+    dilated[::7] = eta7[: -(-prec // 7)]
+    exps7 = np.flatnonzero(dilated)
+    return [
+        (3, "eta^3 * eta^3 (square)", (eta3, exps3, eta3[exps3], 3, len(eta3))),
+        (7, "eta^3 * eta^3(q^7)", (eta7, exps7, dilated[exps7], 7, prec)),
+    ]
+
+
 def _split_block(p, dim=64):
     """A dim x dim matrix mod p with eigenvalues 0, 1 and 2 and Jordan blocks, in a random basis."""
     rng = np.random.default_rng(p)
@@ -126,6 +142,11 @@ def bench(prec, repeat):
             lambda: kernels.mul_dense(dense_small_a, dense_small_b, 7, 20000),
         ),
         (
+            # the same sizes as the row above; a square takes one spectrum
+            "mul_dense square (20k x 20k)",
+            lambda: kernels.mul_dense(dense_small_a, dense_small_a, 7, 20000),
+        ),
+        (
             f"combine weight-228 echelon mod 3 (20 x 20 by 20 x {len(mono[0])})",
             lambda: kernels.combine(echelon, mono, 3),
         ),
@@ -136,6 +157,17 @@ def bench(prec, repeat):
     ]
     for label, fn in cases:
         print(f"{label}: {_time(fn, repeat) * 1000:.1f}ms")
+
+    # the pair-sum products behind Delta mod 3 (eta^3 squared, on the lattice
+    # 3Z) and Delta mod 7 (eta^3 times eta^3(q^7)), each with its tracemalloc peak
+    for n in (prec, 10 * prec):
+        for p, label, args in _delta_pair_products(n):
+
+            def product():
+                return kernels.mul_sparse(*args)
+
+            t, peak = _time(product, repeat), _traced_peak(product)
+            print(f"mul_sparse {label} mod {p} ({n} coeffs): {t * 1000:.1f}ms, peak {peak / 1e6:.1f} MB")
 
     # scan throughput, the counting engineering target
     t = _time(lambda: kernels.count_segments(table, bounds[-1:], 3), repeat)

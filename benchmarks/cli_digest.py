@@ -43,6 +43,8 @@ EXTRA = [
     ),
     ("oracle", "--p", "3", "--form", "delta", "--xmax", "1000", "--sample-bound", "600", "--out", "json"),
     ("count", "--p", "7", "--form", "delta", "--xmax", "20000", "--out", "csv"),
+    # pair sums across 31 output windows
+    ("count", "--p", "7", "--form", "delta", "--xmax", "2000000"),
     # repeated and zero checkpoints, per-value columns for p = 7
     (
         "count", "--p", "7", "--form", "delta^2-delta", "--xmax", "100000",

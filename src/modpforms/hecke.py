@@ -37,11 +37,28 @@ def ell_s_ell(ell, weight, p):
     return pow(ell, weight - 1, p)
 
 
-def t_ell_coefficients(a, ell, weight, prec, p):
-    """The first prec coefficients a_{ln} + l^{k-1} a_{n/l} of T_l along the last axis of a."""
-    out = a[..., : ell * prec : ell].astype(np.int64)
-    out[..., ::ell] += ell_s_ell(ell, weight, p) * a[..., : (prec - 1) // ell + 1].astype(np.int64)
-    return out % p
+def t_ell_stack(a, ells, weight, prec, p):
+    """T_l along the last axis of a for every l of ells, stacked on a new first axis.
+
+    Entry n < prec of the image under T_l is a_{ln} + l^{k-1} a_{n/l}.
+    A prime l < prec reads a_{ln} by one strided slice and adds a_{n/l}
+    at its multiples 0 < n < prec by a second; the primes past prec (most
+    of them at the sample bound, whose rows are short) read theirs by one
+    fancy index, and l^{k-1} a_0 is added at n = 0 for every l at once.
+    """
+    ells = np.asarray(ells, dtype=np.int64)
+    scalars = np.array([ell_s_ell(ell, weight, p) for ell in ells.tolist()], dtype=np.int64)
+    out = np.empty(a.shape[:-1] + (len(ells), prec), dtype=np.int64)
+    past = ells >= prec
+    if past.any():
+        out[..., past, :] = a[..., ells[past, None] * np.arange(prec)]
+    for i in np.flatnonzero(~past).tolist():
+        ell = int(ells[i])
+        out[..., i, :] = a[..., : ell * prec : ell]
+        out[..., i, ell::ell] += scalars[i] * a[..., 1 : (prec - 1) // ell + 1]
+    out[..., 0] += scalars * a[..., :1]
+    out %= p
+    return np.moveaxis(out, -2, 0)
 
 
 def apply_T_ell(f, ell):
@@ -54,7 +71,7 @@ def apply_T_ell(f, ell):
     out_prec = f.prec // ell
     if out_prec < 1:
         raise ValueError(f"precision {f.prec} too small for T_{ell}")
-    coeffs = t_ell_coefficients(f.series.coeffs, ell, f.weight, out_prec, p)
+    coeffs = t_ell_stack(f.series.coeffs, [ell], f.weight, out_prec, p)[0]
     return GradedForm(QSeries(p, coeffs), f.weight)
 
 

@@ -7,10 +7,13 @@ stay exact integers.
 
 Dense products are exact floating-point FFT convolutions of the centred
 residues, guarded by Percival's rounding-error bound: O(n log n) instead of
-schoolbook O(n m).  The divisor-sum sieve walks divisor pairs (d, m) with
-d <= m: one strided add per d adds d^e + m^e to every n = d*m at once, so
-it takes about sqrt(N) vectorised steps instead of N, in a uint16
-accumulator.
+schoolbook O(n m); a square takes one transform.  Sparse products by a
+sparse operand sum their index pairs one cache-sized output window at a
+time, so the sums never take an array of the product's length, and a
+square takes each unordered pair once.  The divisor-sum sieve walks
+divisor pairs (d, m) with d <= m: one strided add per d adds d^e + m^e to
+every n = d*m at once, so it takes about sqrt(N) vectorised steps instead
+of N, in a uint16 accumulator.
 
 The checkpoint counts tally each block of the table with one np.bincount
 over the value plus p times a 0/1 mask bit, so the counts over all indices
@@ -41,9 +44,14 @@ BACKEND = "numpy"
 # at 8, 149.4 ms at 256; scan 337.7 ms, 1221 ms at 8).
 _PAIR_RATIO = 64
 
-# (term, nonzero entry) pairs per np.bincount call: the block's int64 indices
-# and float64 weights take 4 MB whatever the operand sizes
-_PAIR_BLOCK = 1 << 18
+# output indices per pair-sum window: its float64 bins take 512 KB, which
+# stay in a 2 MB L2 cache (2^15 and 2^17 were no faster on the Delta mod 3
+# and mod 7 products at 10^6 and 10^7)
+_PAIR_WINDOW = 1 << 16
+
+# (term, nonzero entry) pairs per np.bincount call: the chunk's int64 entry
+# and output indices and float64 weights take 2 MB whatever the operand sizes
+_PAIR_BLOCK = 1 << 16
 
 # float64 unit roundoff; also taken as the error of the FFT's precomputed
 # roots of unity (Percival's beta)
@@ -70,11 +78,15 @@ def mul_dense(a, b, p, out_len):
     The residues are centred into (-p/2, p/2) and convolved exactly by a
     float64 real FFT of power-of-two length >= n + m - 1, then rounded and
     reduced.  The rounding error is checked against Percival's bound first.
+    When a and b hold the same residues (compared by value, as _pair_sums
+    compares its operands), the product is a square: one rfft, whose
+    spectrum is squared.
     """
     n = min(len(a), out_len)
     m = min(len(b), out_len)
+    square = np.array_equal(a[:n], b[:m])
     x = _centred(a[:n], p)
-    y = _centred(b[:m], p)
+    y = x if square else _centred(b[:m], p)
     size = 1 << (n + m - 2).bit_length()
     # einsum rather than a BLAS dot, whose thread start-up costs milliseconds
     bound = fft_error_bound(
@@ -86,7 +98,7 @@ def mul_dense(a, b, p, out_len):
         )
     # np.fft is loaded on first use, so importing the package does not pay for it
     spectrum = np.fft.rfft(x, size)
-    spectrum *= np.fft.rfft(y, size)
+    spectrum *= spectrum if square else np.fft.rfft(y, size)
     k = min(out_len, n + m - 1)
     prod = np.fft.irfft(spectrum, size)[:k]
     out = np.zeros(out_len, dtype=np.uint8)
@@ -105,10 +117,12 @@ def mul_sparse(dense, exps, coefs, p, out_len):
     """Truncated product of a dense array by a sparse one (exponent/coef lists) mod p.
 
     When the dense operand is itself sparse (at most out_len / _PAIR_RATIO
-    nonzero entries), every (term, nonzero entry) pair is summed into its
-    output index by np.bincount; otherwise each term adds a shifted,
-    scaled copy of the dense operand.  Either way at most three arrays of
-    out_len entries are live, whatever the number of distinct coefficients.
+    nonzero entries), the (term, nonzero entry) pairs are summed into their
+    output indices one window at a time (_pair_sums): the exact sums and
+    the uint8 result are the only arrays of out_len entries.  Otherwise each
+    term adds a shifted, scaled copy of the dense operand, with at most
+    three arrays of out_len entries live, whatever the number of distinct
+    coefficients.
     """
     exps = np.asarray(exps, dtype=np.int64)
     keep = exps < out_len
@@ -125,46 +139,80 @@ def mul_sparse(dense, exps, coefs, p, out_len):
 
 
 def _pair_sums(dense, exps, coefs, p, out_len):
-    """The product's exact integer coefficients, as a bincount over index pairs.
+    """The product's exact integer coefficients, summed over index pairs one window at a time.
 
-    Each (term, nonzero entry) pair adds at most (p-1)^2 and an output
-    index receives at most one pair per term, so the float64 sums are exact
-    integers, returned in uint16 when that holds them and in int64 otherwise.
+    The output is filled _PAIR_WINDOW indices at a time.  For each window,
+    two searchsorted calls on the sorted nonzero positions give every
+    term the run of entries whose pairs land in it; the pairs are built
+    at most _PAIR_BLOCK at a time and summed by np.bincount into float64
+    bins of the window's size.  When the terms are the nonzero entries of
+    dense (a square), term i pairs only with the entries past it, at twice
+    the weight, and with itself once, so every unordered pair is taken
+    once.  Each (term, nonzero entry) pair adds at most (p-1)^2 and an
+    output index receives at most one pair per term, so the sums are exact
+    integers, returned in uint16 when that holds them and in int64
+    otherwise.  Nothing but the output has out_len entries.
     """
     # np.flatnonzero scans a bool mask several times faster than uint8
     nonzero = np.flatnonzero(dense != 0)
     values = dense[nonzero].astype(np.float64)
     order = np.argsort(exps, kind="stable")
     exps, weights = exps[order], coefs[order].astype(np.float64)
-    # term i pairs with the first widths[i] nonzero entries below out_len;
-    # exponents ascend, so widths descend
-    widths = np.searchsorted(nonzero, out_len - exps)
-    exact = np.uint16 if len(exps) * (p - 1) ** 2 < 2**16 else np.int64
-    acc = None
-    start = 0
-    while start < len(exps) and widths[start]:
-        width = int(widths[start])
-        stop = start + max(1, _PAIR_BLOCK // width)
-        block = (exps[start:stop], weights[start:stop], nonzero[:width], values[:width], out_len)
-        if acc is None:
-            acc = _pair_block_sums(*block)
-        else:
-            acc += _pair_block_sums(*block)
-        start = stop
-    if acc is None:
-        return np.zeros(out_len, dtype=exact)
-    return acc[:out_len].astype(exact)
+    out = np.zeros(out_len, dtype=np.uint16 if len(exps) * (p - 1) ** 2 < 2**16 else np.int64)
+    square = np.array_equal(exps, nonzero) and np.array_equal(weights, values)
+    if square:
+        past_diagonal = np.arange(1, len(exps) + 1)
+        diagonal, diagonal_weights = 2 * exps, weights * weights
+        weights = 2 * weights
+    for lo in range(0, out_len, _PAIR_WINDOW):
+        hi = min(lo + _PAIR_WINDOW, out_len)
+        # only the terms below hi reach the window; exponents ascend
+        terms = exps[: np.searchsorted(exps, hi)]
+        starts = np.searchsorted(nonzero, lo - terms)
+        stops = np.searchsorted(nonzero, hi - terms)
+        if square:
+            np.maximum(starts, past_diagonal[: len(terms)], out=starts)
+            np.maximum(stops, starts, out=stops)
+        bins = _window_sums(terms - lo, weights, starts, stops, nonzero, values, hi - lo)
+        if square:
+            first, last = np.searchsorted(diagonal, (lo, hi))
+            bins[diagonal[first:last] - lo] += diagonal_weights[first:last]
+        out[lo:hi] = bins
+    return out
 
 
-def _pair_block_sums(exps, weights, nonzero, values, out_len):
-    """Sums over the pairs of the given terms and nonzero entries, in out_len + 1 bins.
+def _window_sums(offsets, weights, starts, stops, nonzero, values, width):
+    """Sums over the pairs (term i, entry j) with starts[i] <= j < stops[i], in width bins.
 
-    The last bin collects the pairs past out_len.
+    offsets[i] + nonzero[j] is the pair's bin.  Consecutive terms are
+    taken together while their pairs number at most _PAIR_BLOCK (a term
+    with more is taken alone; it has at most width).
     """
-    idx = exps[:, None] + nonzero[None, :]
-    np.minimum(idx, out_len, out=idx)
-    w = weights[:, None] * values[None, :]
-    return np.bincount(idx.ravel(), weights=w.ravel(), minlength=out_len + 1)
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    bins = None
+    first = 0
+    while first < len(counts):
+        base = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")))
+        run = counts[first:last]
+        total = int(ends[last - 1]) - base
+        if total:
+            # the entry of each pair: its run's start plus its place in the run
+            j = np.repeat(starts[first:last] - (ends[first:last] - run - base), run)
+            j += np.arange(total)
+            idx = nonzero[j]
+            idx += np.repeat(offsets[first:last], run)
+            w = values[j]
+            del j
+            w *= np.repeat(weights[first:last], run)
+            sums = np.bincount(idx, weights=w, minlength=width)
+            if bins is None:
+                bins = sums
+            else:
+                bins += sums
+        first = last
+    return np.zeros(width) if bins is None else bins
 
 
 def _shifted_adds(dense, exps, coefs, p, out_len):

@@ -65,7 +65,7 @@ from .errors import (
     SpanNotClosedError,
     SplittingFieldNeededError,
 )
-from .hecke import ell_s_ell, t_ell_coefficients
+from .hecke import ell_s_ell, t_ell_stack
 from .series import QSeries
 
 GENERATOR_BOUND = 50  # the closure runs over the T_l with l at most this
@@ -380,11 +380,11 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
     sampled = [ell for ell in primes_upto(sample_bound).tolist() if ell != p]
     gens = [ell for ell in sampled if ell <= GENERATOR_BOUND]
 
-    gen_mats = [t_ell_coefficients(B, ell, k, dim, p) for ell in gens]
+    gen_mats = t_ell_stack(B, gens, k, dim, p)
     V = _closure(f_amb, gen_mats, p, DIMENSION_CAP)  # r x dim, in ambient coordinates
     S = kernels.combine(V, B, p)
 
-    images = np.concatenate([t_ell_coefficients(S, ell, k, dim, p) for ell in sampled])
+    images = t_ell_stack(S, sampled, k, dim, p).reshape(-1, dim)
     x = linalg.solve_rows(V, images, p)
     if x is None:
         raise InternalInvariantError("a sampled image left the module span")

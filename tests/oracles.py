@@ -5,9 +5,10 @@ package: integer convolutions term by term, direct divisor sums, Fraction
 Gaussian elimination.  Slow but unarguable.  The package's former routes
 for dense products, divisor sums, the two-add divisor-pair sieve, the
 two-pass square-free count, powers, cusp-form powers, square-full sums,
-the prime sieve over all integers, sparse products, products at full
-length without the support-lattice step, row combinations in int64,
-weight bases one monomial at a time, restriction to a submodule, the
+the prime sieve over all integers, sparse products, pair sums in bins
+of the product's length, T_l one prime at a time, products at full length without the
+support-lattice step, row combinations in int64, weight bases one
+monomial at a time, restriction to a submodule, the
 decomposition oracle, row reduction one row at a time, the module
 closure, the per-matrix status and determinant, the int64 batched
 elimination, the nilpotence-order search, the multiset enumeration of
@@ -228,6 +229,49 @@ def mul_sparse_shifted_adds(dense, exps, coefs, p, out_len):
         if start + chunk < len(exps):
             acc %= p
     return (acc % p).astype(np.uint8)
+
+
+def pair_sums_full_length(dense, exps, coefs, p, out_len, block=1 << 18):
+    """The exact integer coefficients of a sparse product, in bins the product's length.
+
+    The pair-sum route before the output windows: the (term, nonzero entry)
+    pairs of `block` at a time are summed by np.bincount into out_len + 1
+    float64 bins (the last collects the pairs past out_len), added into an
+    accumulator of the same length and returned in uint16 when
+    len(exps) * (p-1)^2 < 2^16 and in int64 otherwise.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    keep = exps < out_len
+    exps, coefs = exps[keep], np.asarray(coefs)[keep]
+    dense = dense[:out_len]
+    nonzero = np.flatnonzero(dense != 0)
+    values = dense[nonzero].astype(np.float64)
+    order = np.argsort(exps, kind="stable")
+    exps, weights = exps[order], coefs[order].astype(np.float64)
+    widths = np.searchsorted(nonzero, out_len - exps)
+    exact = np.uint16 if len(exps) * (p - 1) ** 2 < 2**16 else np.int64
+    acc = np.zeros(out_len + 1)
+    start = 0
+    while start < len(exps) and widths[start]:
+        width = int(widths[start])
+        stop = start + max(1, block // width)
+        idx = exps[start:stop, None] + nonzero[None, :width]
+        np.minimum(idx, out_len, out=idx)
+        w = weights[start:stop, None] * values[None, :width]
+        acc += np.bincount(idx.ravel(), weights=w.ravel(), minlength=out_len + 1)
+        start = stop
+    return acc[:out_len].astype(exact)
+
+
+def t_ell_coefficients(a, ell, weight, prec, p):
+    """The first prec coefficients a_{ln} + l^{k-1} a_{n/l} of T_l along the last axis of a.
+
+    One prime at a time, by two strided slices: the rule before the
+    images of every sampled prime were taken in one gather.
+    """
+    out = a[..., : ell * prec : ell].astype(np.int64)
+    out[..., ::ell] += ell_s_ell(ell, weight, p) * a[..., : (prec - 1) // ell + 1].astype(np.int64)
+    return out % p
 
 
 def combine_int64(coefs, rows, p):

@@ -13,8 +13,13 @@ from modpforms.hecke import (
     apply_W,
     apply_operator,
     ell_s_ell,
+    t_ell_stack,
 )
+from modpforms.arith import primes_upto
+from modpforms.module import DEFAULT_SAMPLE_BOUND, ambient_precision
 from modpforms.series import QSeries, delta_power, one
+
+from oracles import t_ell_coefficients
 
 
 def _random_form(rng, p, k, prec):
@@ -48,12 +53,55 @@ class TestTEll:
         f = GradedForm(delta_power(3, 1, 100), 12)
         assert apply_T_ell(f, 7).prec == 100 // 7
 
+    @pytest.mark.parametrize("p,k", [(3, 36), (7, 24)])
+    def test_against_strided_rule(self, p, k):
+        # one prime at a time from the stack, against the two strided slices,
+        # down to out_prec = 1 and 2
+        f = _random_form(np.random.default_rng(k), p, k, 1000)
+        for ell in primes_upto(997).tolist():
+            if ell == p:
+                continue
+            got = apply_T_ell(f, ell)
+            expect = t_ell_coefficients(f.series.coeffs, ell, k, 1000 // ell, p)
+            assert got.weight == k and np.array_equal(got.series.coeffs, expect), ell
+
     def test_rejects_p_and_composites(self):
         f = GradedForm(delta_power(3, 1, 40), 12)
         with pytest.raises(ValueError):
             apply_T_ell(f, 3)
         with pytest.raises(ValueError):
             apply_T_ell(f, 6)
+
+
+class TestTEllStack:
+    """The one-gather stack of T_l images against t_ell_coefficients, one prime at a time."""
+
+    @pytest.mark.parametrize("p,k", [(3, 228), (7, 24), (251, 60)])
+    def test_every_sampled_prime(self, p, k):
+        # the build_module shapes: the ambient basis at its work precision,
+        # read to dim coefficients for every sampled prime (those below dim too)
+        dim = dim_level_one(k)
+        B = miller_basis(p, k, ambient_precision(k)).matrix()
+        sampled = [ell for ell in primes_upto(DEFAULT_SAMPLE_BOUND).tolist() if ell != p]
+        assert sampled[0] < dim
+        stack = t_ell_stack(B, sampled, k, dim, p)
+        assert stack.shape == (len(sampled), dim, dim) and stack.dtype == np.int64
+        for ell, got in zip(sampled, stack):
+            assert np.array_equal(got, t_ell_coefficients(B, ell, k, dim, p)), ell
+        # a single row, as the series of a vector
+        rows = t_ell_stack(B[0], sampled, k, dim, p)
+        for ell, got in zip(sampled, rows):
+            assert np.array_equal(got, t_ell_coefficients(B[0], ell, k, dim, p)), ell
+
+    @pytest.mark.parametrize("prec", [1, 2, 7, 30])
+    def test_random_rows_and_precisions(self, prec):
+        p, k = 5, 16
+        rng = np.random.default_rng(prec)
+        ells = [2, 3, 7, 11, 29, 31]
+        a = rng.integers(0, p, size=(4, 31 * prec + 1)).astype(np.uint8)
+        stack = t_ell_stack(a, ells, k, prec, p)
+        for ell, got in zip(ells, stack):
+            assert np.array_equal(got, t_ell_coefficients(a, ell, k, prec, p))
 
 
 class TestTComposite:

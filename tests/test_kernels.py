@@ -6,13 +6,16 @@ import pytest
 
 from modpforms import kernels, series
 from modpforms.errors import InternalInvariantError
+from modpforms.series import QSeries, eta_cubed, mul
 
 from oracles import (
     combine_int64,
     count_segments_two_pass,
     counts_per_index,
     mul_dense_convolve,
+    mul_full_length,
     mul_sparse_shifted_adds,
+    pair_sums_full_length,
     sigma_sieve_divisor_pairs,
     sigma_sieve_walk,
 )
@@ -229,6 +232,130 @@ class TestMulSparseAgainstConvolution:
         assert np.array_equal(got, mul_sparse_shifted_adds(dense, exps, coefs, p, out_len))
 
 
+WINDOW = kernels._PAIR_WINDOW
+
+
+def _pair_case(rng, p, out_len, square):
+    """A pair-route operand (at most out_len / 64 nonzero entries, some past out_len) and terms.
+
+    For a square the terms are the operand's own nonzero entries below
+    out_len; otherwise two thirds of them, shuffled, lie at or past out_len.
+    """
+    dense = _with_nonzeros(rng, p, out_len + 40, max(1, out_len // kernels._PAIR_RATIO))
+    if square:
+        exps = np.flatnonzero(dense[:out_len])
+        return dense, exps, dense[exps]
+    exps = rng.permutation(np.arange(0, 3 * out_len, max(1, 3 * out_len // 700)))
+    return dense, exps, rng.integers(1, p, size=len(exps), dtype=np.uint8)
+
+
+def _exact_pair_sums(dense, exps, coefs, p, out_len):
+    """kernels._pair_sums on the operands as mul_sparse hands them over."""
+    keep = exps < out_len
+    return kernels._pair_sums(dense[:out_len], exps[keep], coefs[keep], p, out_len)
+
+
+class TestPairSumsAgainstFullLength:
+    """The windowed pair sums against the bins of the product's length, bit for bit."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    @pytest.mark.parametrize(
+        "out_len", [1, 2, 1000, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW - 1, 2 * WINDOW, 2 * WINDOW + 1]
+    )
+    @pytest.mark.parametrize("square", [False, True])
+    def test_exact_sums(self, p, out_len, square, routes):
+        rng = np.random.default_rng(out_len + p + square)
+        dense, exps, coefs = _pair_case(rng, p, out_len, square)
+        got = _exact_pair_sums(dense, exps, coefs, p, out_len)
+        expect = pair_sums_full_length(dense, exps, coefs, p, out_len)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        product = kernels.mul_sparse(dense, exps, coefs, p, out_len)
+        assert np.array_equal(product, expect % p)
+        assert routes[-1] == "_pair_sums"
+
+    def test_int64_sums_at_251(self):
+        # 700 terms of up to 250^2 overflow uint16, so the sums come in int64
+        p, out_len = 251, 2 * WINDOW + 1
+        dense, exps, coefs = _pair_case(np.random.default_rng(251), p, out_len, False)
+        got = _exact_pair_sums(dense, exps, coefs, p, out_len)
+        assert got.dtype == np.int64 and got.max() >= 2**16
+        assert np.array_equal(got, pair_sums_full_length(dense, exps, coefs, p, out_len))
+
+    @pytest.mark.parametrize("p", [3, 251])
+    def test_empty_operands(self, p, routes):
+        out_len = WINDOW + 1
+        rng = np.random.default_rng(p)
+        dense, exps, coefs = _pair_case(rng, p, out_len, False)
+        none = np.zeros(0, dtype=np.int64)
+        zero = np.zeros(out_len, dtype=np.uint8)
+        for d, e, c in (
+            (zero, exps, coefs),
+            (dense, none, none.astype(np.uint8)),
+            (zero, none, none.astype(np.uint8)),
+            # every term at or past out_len
+            (dense, exps[exps >= out_len], coefs[exps >= out_len]),
+        ):
+            got = _exact_pair_sums(d, e, c, p, out_len)
+            assert len(got) == out_len and not got.any()
+            assert np.array_equal(got, pair_sums_full_length(d, e, c, p, out_len))
+            assert not kernels.mul_sparse(d, e, c, p, out_len).any()
+        assert set(routes) == {"_pair_sums"}
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_small_pair_blocks(self, monkeypatch, block):
+        # a window's pairs split across many chunks, and terms with more
+        # pairs than a chunk taken alone
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+        p, out_len = 7, WINDOW + 1
+        for square in (False, True):
+            dense, exps, coefs = _pair_case(np.random.default_rng(block), p, out_len, square)
+            got = _exact_pair_sums(dense, exps, coefs, p, out_len)
+            assert np.array_equal(got, pair_sums_full_length(dense, exps, coefs, p, out_len))
+
+    @pytest.mark.parametrize("p,step", [(3, 3), (7, 7)])
+    def test_delta_products_against_full_length(self, p, step, routes):
+        # the products behind Delta mod 3 and mod 7 across three windows:
+        # eta^3 squared (on the lattice 3Z mod 3) and eta^3 times eta^3(q^7)
+        prec = 3 * WINDOW + 2
+        eta3 = eta_cubed(p, prec)
+        other = eta3
+        if p == 7:
+            dilated = np.zeros(prec, dtype=np.uint8)
+            dilated[::step] = eta3.coeffs[: -(-prec // step)]
+            other = QSeries(p, dilated)
+        got = mul(eta3, other)
+        assert got == mul_full_length(eta3, other)
+        idx = np.flatnonzero(other.coeffs)
+        exact = pair_sums_full_length(eta3.coeffs, idx, other.coeffs[idx], p, prec)
+        assert np.array_equal(got.coeffs, exact % p)
+        assert set(routes) == {"_pair_sums"}
+
+    def test_memory_apart_from_the_output_is_bounded(self):
+        # about 10^5 pairs below out_len = 10^7: bins the product's length
+        # would take 80 MB; windows and chunks take a fixed size
+        p, out_len = 7, 10**7
+        rng = np.random.default_rng(7)
+        dense = _with_nonzeros(rng, p, out_len, 450)
+        exps = np.sort(rng.choice(out_len, size=450, replace=False)).astype(np.int64)
+        coefs = rng.integers(1, p, size=450, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            got = kernels._pair_sums(dense, exps, coefs, p, out_len)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - got.nbytes < 64 * kernels._PAIR_BLOCK + 16 * WINDOW
+        # every pair summed where it lands, and nothing anywhere else
+        nonzero = np.flatnonzero(dense)
+        idx = (exps[:, None] + nonzero[None, :]).ravel()
+        w = (coefs[:, None].astype(np.int64) * dense[nonzero][None, :]).ravel()
+        keep = idx < out_len
+        assert 0.8e5 < np.count_nonzero(keep) < 1.2e5
+        where, which = np.unique(idx[keep], return_inverse=True)
+        assert np.array_equal(got[where], np.bincount(which, weights=w[keep]))
+        assert np.count_nonzero(got) == np.count_nonzero(got[where])
+
+
 class TestMulDenseAgainstConvolution:
     """The FFT product against np.convolve-then-mod, bit for bit."""
 
@@ -257,6 +384,26 @@ class TestMulDenseAgainstConvolution:
         got = kernels.mul_dense(a, b, p, out_len)
         assert got.dtype == np.uint8 and len(got) == out_len
         assert np.array_equal(got, mul_dense_convolve(a, b, p, out_len))
+
+    @pytest.mark.parametrize("p", [3, 7, 251])
+    @pytest.mark.parametrize("n,out_len", [(1, 1), (1, 3), (300, 100), (300, 599), (300, 1000), (4097, 8193)])
+    def test_square_takes_one_spectrum(self, monkeypatch, p, n, out_len):
+        # equal residues are squared from one rfft, whether one array or an
+        # equal copy; operands differing in one entry (or in length below
+        # out_len) take two
+        rng = np.random.default_rng(10 * p + n)
+        a = _random_case(rng, p, n)
+        other = a.copy()
+        other[-1] = (other[-1] + 1) % p
+        longer = np.append(a, (int(a[0]) + 1) % p).astype(np.uint8)
+        transforms = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *args: transforms.append(1) or rfft(*args))
+        for b, square in ((a, True), (a.copy(), True), (other, n > out_len), (longer, n >= out_len)):
+            transforms.clear()
+            got = kernels.mul_dense(a, b, p, out_len)
+            assert len(transforms) == (1 if square else 2)
+            assert np.array_equal(got, mul_dense_convolve(a, b, p, out_len))
 
     def test_adversarial_extreme_residues(self):
         # every entry +-(p-1)/2 after centring: the largest norms and outputs.

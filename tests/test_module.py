@@ -15,7 +15,7 @@ from modpforms.errors import (
     SplittingFieldNeededError,
 )
 from modpforms.expr import evaluate, parse_form_expression
-from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell, t_ell_coefficients
+from modpforms.hecke import apply_T_ell, apply_W, ell_s_ell
 from modpforms.module import (
     NILPOTENT,
     HeckeModule,
@@ -40,6 +40,7 @@ from oracles import (
     restrict_per_row,
     solve_in_rowspan,
     strip_linear_factors,
+    t_ell_coefficients,
     tau,
 )
 
