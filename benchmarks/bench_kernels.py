@@ -5,9 +5,9 @@ Covers the hot loops: sparse series multiplication (cusp-form
 generation) on both of its routes, pair sums for a sparse dense operand
 and shifted adds otherwise, at p = 3 and at p = 251 (250 distinct
 coefficients), the pair-sum products behind Delta mod 3 and mod 7 at
---prec and ten times it with their tracemalloc peaks, table counting
-with per-value tallies (alone and with the square-free counts in the
-same pass), the square-free mask, the
+--prec and ten times it with their tracemalloc peaks, counting with
+per-value tallies and the square-free counts in one pass, the
+square-free mask, the
 divisor-sum sieve (Eisenstein series) at p = 7 and p = 251, truncated dense multiplication (basis
 expansion; a product and a square of the same sizes) and row combinations mod p (the weight-228 echelon basis mod
 3 at 38,009 coefficients, and 20 x 20,000 at p = 251); then the cusp
@@ -128,7 +128,6 @@ def bench(prec, repeat):
             f"mul_sparse eta^6 * eta^3 mod 251, shifted adds ({prec} coeffs)",
             lambda: kernels.mul_sparse(eta6_251, exps_251, coefs_251, 251, prec),
         ),
-        (f"count_segments ({prec})", lambda: kernels.count_segments(table, bounds, 3)),
         (
             f"count_segments with the square-free mask ({prec})",
             lambda: kernels.count_segments(table, bounds, 3, sf_mask),
@@ -170,7 +169,7 @@ def bench(prec, repeat):
             print(f"mul_sparse {label} mod {p} ({n} coeffs): {t * 1000:.1f}ms, peak {peak / 1e6:.1f} MB")
 
     # scan throughput, the counting engineering target
-    t = _time(lambda: kernels.count_segments(table, bounds[-1:], 3), repeat)
+    t = _time(lambda: kernels.count_segments(table, bounds[-1:], 3, sf_mask), repeat)
     print(f"scan throughput: {prec / t / 1e6:.0f}M coefficients/s")
 
     for p in (3, 7):
@@ -224,9 +223,7 @@ def bench(prec, repeat):
         for s_bound in s_bounds:
 
             def buckets():
-                return squarefull_buckets(
-                    module, module.f_coords, cu, s_bound, report.invertible_classes
-                )
+                return squarefull_buckets(module, module.f_coords, cu, s_bound)
 
             t, peak = _time(buckets, repeat), _traced_peak(buckets)
             print(

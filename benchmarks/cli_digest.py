@@ -113,6 +113,23 @@ EXTRA = [
         "--checkpoints", "0,5,5,30000",
     ),
     ("count", "--p", "7", "--form", "E4", "--xmax", "1000", "--checkpoints", "0,5,5"),
+    # count edges: one- and two-coefficient series, checkpoints past --xmax dropped
+    ("count", "--p", "3", "--form", "delta", "--xmax", "1"),
+    ("count", "--p", "3", "--form", "delta", "--xmax", "2", "--checkpoints", "0"),
+    ("count", "--p", "3", "--form", "delta", "--xmax", "100", "--checkpoints", "10,1000"),
+    ("count", "--p", "3", "--form", "delta", "--xmax", "100", "--checkpoints", "1000"),
+    (
+        "compare", "--p", "7", "--form", "delta", "--xmax", "20000", "--squarefree",
+        "--prime-bound", "100000", "--sample-bound", "600", "--out", "csv",
+    ),
+    ("oracle", "--p", "3", "--form", "delta", "--xmax", "2", "--sample-bound", "600"),
+    # every Hecke-type operator at an index above 1 prints --prec coefficients
+    ("hecke", "--p", "3", "--form", "delta", "--op", "U", "--index", "3", "--prec", "8"),
+    ("hecke", "--p", "3", "--form", "delta", "--op", "V", "--index", "3", "--prec", "8"),
+    ("hecke", "--p", "3", "--form", "delta", "--op", "V", "--index", "9", "--prec", "20"),
+    ("hecke", "--p", "3", "--form", "delta", "--op", "W", "--index", "5", "--prec", "8"),
+    ("hecke", "--p", "5", "--form", "delta", "--op", "S", "--index", "2", "--prec", "8"),
+    ("hecke", "--p", "5", "--form", "delta", "--op", "T", "--index", "6", "--prec", "8"),
     # argparse's own exits: help, an unknown command, a flag the command does not take
     ("--help",),
     ("count", "--help"),

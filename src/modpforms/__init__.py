@@ -10,7 +10,6 @@ every coefficient at an index coprime to p by a prime-power sieve.
 
 from .basis import GradedForm, WeightBasis, from_coordinates, miller_basis, to_coordinates
 from .counting import (
-    CoeffTable,
     CountReport,
     coefficient_table,
     count_pi,

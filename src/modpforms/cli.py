@@ -125,12 +125,15 @@ def _evaluate_form(args, prec=None, own_module=True):
     return evaluate(ast, args.p, prec or _module_prec(args, ast, own_module=own_module))
 
 
-def _evaluate_with_table(args, xmax, own_module=True):
-    """One evaluation to max(x_max, module precision): the module's form and the x_max table."""
+def _evaluate_with_series(args, xmax, own_module=True):
+    """One evaluation to max(x_max, module precision): the module's form and the x_max series.
+
+    When x_max is the longer, the x_max series is the evaluated one itself.
+    """
     ast = parse_form_expression(args.form, args.p)
     prec = _module_prec(args, ast, xmax, own_module)
     f = evaluate(ast, args.p, max(xmax, prec))
-    return GradedForm(f.series.truncate(prec), f.weight), counting.table_of_series(f.series, xmax)
+    return GradedForm(f.series.truncate(prec), f.weight), f.series.truncate(xmax)
 
 
 def _leading_constants(args, f):
@@ -164,10 +167,14 @@ def cmd_expand(args):
 
 
 def cmd_hecke(args):
-    need = args.prec * args.index
+    n, m = args.prec, args.index
+    # the input precision that gives n coefficients: T_m and U_m read a_{mn},
+    # V_m reads a_{n/m}; V's output, not its input, must stay under the cap
+    need = {"T": n * m, "U": n * m, "V": -(-n // m)}.get(args.op, n)
+    check_prec(n)
     f = _evaluate_form(args, prec=need)
-    spec = hecke.HeckeOpSpec(args.op, args.index)
-    series = hecke.apply_operator(spec, f)
+    spec = hecke.HeckeOpSpec(args.op, m)
+    series = hecke.apply_operator(spec, f).truncate(n)
     coeffs = [int(c) for c in series.coeffs]
     payload = {
         "p": args.p,
@@ -291,8 +298,8 @@ def _checkpoints(args, xmax):
     return marks if xmax in marks else marks + [xmax]
 
 
-def _count_report(args, table):
-    return counting.count_pi(table, _checkpoints(args, table.x_max), with_pi_sf=True)
+def _count_report(args, qs):
+    return counting.count_pi(qs, _checkpoints(args, qs.prec))
 
 
 def _emit_counts(args, report, prof=None):
@@ -322,23 +329,22 @@ def _emit_counts(args, report, prof=None):
 
 
 def cmd_count(args):
-    table = counting.table_of_series(_evaluate_form(args, prec=args.xmax).series)
-    _emit_counts(args, _count_report(args, table))
+    _emit_counts(args, _count_report(args, _evaluate_form(args, prec=args.xmax).series))
     return 0
 
 
 def cmd_compare(args):
-    f, table = _evaluate_with_table(args, args.xmax, own_module=False)
-    report = _count_report(args, table)
+    f, qs = _evaluate_with_series(args, args.xmax, own_module=False)
+    report = _count_report(args, qs)
     prof = _leading_constants(args, f)
     _emit_counts(args, counting.compare_report(report, prof, args.squarefree), prof)
     return 0
 
 
 def cmd_oracle(args):
-    f, table = _evaluate_with_table(args, args.xmax)
+    f, qs = _evaluate_with_series(args, args.xmax)
     comps = counting.oracle_components(f, sample_bound=args.sample_bound)
-    matches, total, mismatches = counting.oracle_check(table, comps, args.xmax)
+    matches, total, mismatches = counting.oracle_check(qs, comps, args.xmax)
     if args.out == "json":
         _emit_json(
             {

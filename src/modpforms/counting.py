@@ -1,14 +1,17 @@
 """Empirical coefficient statistics and the exact decomposition oracle.
 
-Tables are byte-packed; counting runs through the NumPy kernels in one
-pass over the table.  The oracle re-derives every coefficient at
-an index coprime to p from pure-component class data alone (square-full
-part, nilpotent part, unit part) and compares against the table; when
-those agree for every index, the module machinery, the conductor, the
-recurrences and the invertible-class group have all been validated at
-once.  It runs as a prime-power sieve over blocks of indices: one batched
-matrix product per prime power and per class of the primes above the
-square root of the range, instead of a factorization per index.
+Counts and the oracle read the evaluated q-series itself: a QSeries of
+precision X stands for the coefficients a_n, n < X, and counting runs
+through the NumPy kernels in one pass over them, which gives the counts
+over all indices and over the square-free ones together.  The oracle
+re-derives every coefficient at an index coprime to p from pure-component
+class data alone (square-full part, nilpotent part, unit part) and
+compares against the series; when those agree for every index, the module
+machinery, the conductor, the recurrences and the invertible-class group
+have all been validated at once.  It runs as a prime-power sieve over
+blocks of indices: one batched matrix product per prime power and per
+class of the primes above the square root of the range, instead of a
+factorization per index.
 """
 
 import math
@@ -21,17 +24,9 @@ from .arith import primes_upto, squarefree_mask
 from .errors import InternalInvariantError
 from .module import build_module, decompose
 
-DEFAULT_XMAX_CAP = 10**6
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 # indices per oracle block: the sieve holds O(ORACLE_BLOCK * dim) integers whatever X is
 ORACLE_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    p: int
-    x_max: int
-    coeffs: np.ndarray
 
 
 @dataclass
@@ -45,42 +40,29 @@ class CountReport:
 
 
 def coefficient_table(expr_text, p, x_max):
-    """Evaluate a form expression into a dense coefficient table of at most DEFAULT_XMAX_CAP."""
+    """The series of a form expression to x_max coefficients, at most series.MAX_PREC."""
     from .expr import evaluate, parse_form_expression
 
-    if x_max > DEFAULT_XMAX_CAP:
-        raise ValueError(f"x_max {x_max} exceeds the configured cap {DEFAULT_XMAX_CAP}")
-    form = evaluate(parse_form_expression(expr_text, p), p, x_max)
-    return CoeffTable(p, x_max, form.series.coeffs)
+    return evaluate(parse_form_expression(expr_text, p), p, x_max).series
 
 
-def table_of_series(qs, x_max=None):
-    x_max = x_max or qs.prec
-    if x_max > qs.prec:
-        raise ValueError(f"x_max {x_max} beyond the series precision {qs.prec}")
-    return CoeffTable(qs.p, x_max, qs.coeffs[:x_max])
+def count_pi(qs, checkpoints):
+    """Nonzero-coefficient counts of a series at each checkpoint, in total and per value.
 
-
-def count_pi(table, checkpoints, with_pi_sf=False):
-    """Nonzero-coefficient counts at each checkpoint, in total and per value.
-
-    With with_pi_sf, the same pass over the table also gives pi_sf, the
-    counts over square-free indices.
+    The same pass over the coefficients also gives pi_sf, the counts over
+    square-free indices.  Checkpoints may not pass the series precision.
     """
-    bounds = _checked_bounds(checkpoints, table.x_max)
-    if not with_pi_sf:
-        totals, vals = kernels.count_segments(table.coeffs, bounds, table.p)
-        return CountReport(bounds.tolist(), totals.tolist(), per_value=_per_value(vals))
+    bounds = _checked_bounds(checkpoints, qs.prec)
     mask = squarefree_mask(int(bounds[-1]))
-    totals, vals, sf_totals, _ = kernels.count_segments(table.coeffs, bounds, table.p, mask)
+    totals, vals, sf_totals, _ = kernels.count_segments(qs.coeffs, bounds, qs.p, mask)
     return CountReport(bounds.tolist(), totals.tolist(), sf_totals.tolist(), _per_value(vals))
 
 
-def count_pi_sf(table, checkpoints):
+def count_pi_sf(qs, checkpoints):
     """Counts restricted to square-free indices."""
-    bounds = _checked_bounds(checkpoints, table.x_max)
+    bounds = _checked_bounds(checkpoints, qs.prec)
     mask = squarefree_mask(int(bounds[-1]))
-    totals, vals = kernels.count_segments_masked(table.coeffs, mask, bounds, table.p)
+    totals, vals = kernels.count_segments_masked(qs.coeffs, mask, bounds, qs.p)
     return CountReport(bounds.tolist(), pi=None, pi_sf=totals.tolist(), per_value=_per_value(vals))
 
 
@@ -89,14 +71,14 @@ def _per_value(by_value):
     return {a: by_value[:, a].tolist() for a in range(1, by_value.shape[1])}
 
 
-def _checked_bounds(checkpoints, x_max):
+def _checked_bounds(checkpoints, prec):
     bounds = np.array(sorted(int(c) for c in checkpoints), dtype=np.int64)
     if len(bounds) == 0:
         raise ValueError("need at least one checkpoint")
     if bounds[0] < 0:
         raise ValueError(f"checkpoint {bounds[0]} is negative")
-    if bounds[-1] > x_max:
-        raise ValueError("checkpoint beyond the table range")
+    if bounds[-1] > prec:
+        raise ValueError("checkpoint beyond the series precision")
     return bounds
 
 
@@ -196,18 +178,18 @@ def _component_block(module, lo, size, small, large):
     return rows @ module.vector_series[:, 1].astype(np.int64) % p
 
 
-def oracle_check(table, components, X):
-    """Compare oracle predictions against a coefficient table.
+def oracle_check(qs, components, X):
+    """Compare oracle predictions against the coefficients of a series below X.
 
     Returns (matches, total, mismatches) where mismatches lists at most
     the first 20 offending (n, predicted, actual) triples, in increasing n.
     """
-    if X > table.x_max:
-        raise ValueError("oracle range beyond the table")
+    if X > qs.prec:
+        raise ValueError("oracle range beyond the series precision")
     n = np.arange(1, X, dtype=np.int64)
-    n = n[n % table.p != 0]
-    predicted = decomposition_oracle(components, X, table.p)
-    actual = table.coeffs[n]
+    n = n[n % qs.p != 0]
+    predicted = decomposition_oracle(components, X, qs.p)
+    actual = qs.coeffs[n]
     bad = np.flatnonzero(predicted != actual)
     mismatches = [(int(n[i]), int(predicted[i]), int(actual[i])) for i in bad[:20]]
     return len(n) - len(bad), len(n), mismatches

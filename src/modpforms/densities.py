@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .arith import factorize, is_odd_prime_power, primes_upto, totient
+from .arith import is_odd_prime_power, primes_upto, totient
 from .basis import GradedForm, dim_level_one, miller_basis, to_coordinates
 from .errors import BudgetExceededError, InternalInvariantError, ModpFormsError, NotInSpanError
 from .hecke import apply_U_m, apply_W
@@ -196,20 +196,17 @@ def _check_sfull_bound(s_bound):
         )
 
 
-def _in_classes(pr, u_classes, modulus, r):
-    """Mask of the sorted primes pr that lie in the given classes and do not divide r."""
+def _in_classes(pr, u_classes, modulus):
+    """Mask of the primes pr that lie in the given classes."""
     # kind="sort" compares against the few classes; "table" would span the modulus
-    in_u = np.isin(pr % modulus, [int(u) % modulus for u in u_classes], kind="sort")
-    r_primes = [q for q in factorize(r) if q <= pr[-1]]
-    in_u[np.searchsorted(pr, r_primes)] = False
-    return in_u
+    return np.isin(pr % modulus, [int(u) % modulus for u in u_classes], kind="sort")
 
 
-def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BOUND):
+def euler_constant_C(u_classes, modulus, beta, prime_bound=DEFAULT_PRIME_BOUND):
     """Truncated Euler product (1/Gamma(beta)) prod w_l with its tail estimate.
 
-    w_l = (1 + 1/l)(1 - 1/l)^beta for primes in the given classes not
-    dividing r, and (1 - 1/l)^beta otherwise.  The tail assumes exact
+    w_l = (1 + 1/l)(1 - 1/l)^beta for primes in the given classes, and
+    (1 - 1/l)^beta otherwise.  The tail assumes exact
     class equidistribution beyond the bound (a square-root cancellation
     allowance plus the smooth 1/l^2 integral); it is heuristic, and is
     validated empirically against doubled bounds in the test suite.
@@ -219,7 +216,7 @@ def euler_constant_C(u_classes, modulus, beta, r=1, prime_bound=DEFAULT_PRIME_BO
         raise ValueError("beta must lie strictly between 0 and 1")
     _check_prime_bound(prime_bound)
     pr = primes_upto(prime_bound)
-    in_u = _in_classes(pr, u_classes, modulus, r)
+    in_u = _in_classes(pr, u_classes, modulus)
     b = float(beta)
     # log w_l in one array: the in-class log1p(1/l) first, then log1p(-1/l) in place
     x = 1.0 / pr
@@ -245,11 +242,13 @@ def _spans(start, end):
     return row, np.arange(len(row)) + np.repeat(start - np.cumsum(n) + n, n)
 
 
-def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
+def squarefull_buckets(module, seed, cu, s_bound):
     """Accumulate C(U,s)/s over square-full s <= s_bound, bucketed by the image vector T_s(seed).
 
-    Skips s divisible by p.  Returns (dict image-bytes -> partial sum,
-    dict image-bytes -> vector, tail bound 2.2 * max C(U,s) / sqrt(s_bound)).
+    U is the module's invertible classes (module.report), and cu its
+    Euler constant C(U).  Skips s divisible by p.  Returns (dict
+    image-bytes -> partial sum, dict image-bytes -> vector, tail bound
+    2.2 * max C(U,s) / sqrt(s_bound)).
 
     Each term carries s, its weight C(U,s)/C(U) and the id of its image
     T_s(seed): ids number the distinct nonzero images in the order they
@@ -285,7 +284,7 @@ def squarefull_buckets(module, seed, cu, s_bound, inv_classes):
     """
     _check_sfull_bound(s_bound)
     p = module.p
-    inv_set = set(inv_classes)
+    inv_set = set(module.report.invertible_classes)
     primes = primes_upto(math.isqrt(s_bound))
     primes = primes[primes != p]
     classes = module.class_of(primes)
@@ -423,9 +422,7 @@ def squarefull_sum(module, f_target, s_bound=DEFAULT_SFULL_BOUND, prime_bound=DE
     cu = euler_constant_C(
         report.invertible_classes, report.modulus, 1 - alpha, prime_bound=prime_bound
     )
-    sums, _, tail = squarefull_buckets(
-        module, module.f_coords, cu, s_bound, report.invertible_classes
-    )
+    sums, _, tail = squarefull_buckets(module, module.f_coords, cu, s_bound)
     target = (np.asarray(f_target, dtype=np.int64) % module.p).tobytes()
     return sums.get(target, 0.0), tail
 
@@ -517,9 +514,7 @@ def _pure_profile(
         vecs = {module.f_coords.tobytes(): module.f_coords}
         sum_tail = 0.0
     else:
-        sums, vecs, sum_tail = squarefull_buckets(
-            module, module.f_coords, cu, sfull_bound, report.invertible_classes
-        )
+        sums, vecs, sum_tail = squarefull_buckets(module, module.f_coords, cu, sfull_bound)
     gamma = gamma_group(module)
     rel_err = cu.tail / cu.value
     phi = len(report.statuses)

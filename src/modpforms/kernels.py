@@ -15,9 +15,10 @@ divisor pairs (d, m) with d <= m: one strided add per d adds d^e + m^e to
 every n = d*m at once, so it takes about sqrt(N) vectorised steps instead
 of N, in a uint16 accumulator.
 
-The checkpoint counts tally each block of the table with one np.bincount
-over the value plus p times a 0/1 mask bit, so the counts over all indices
-and over the masked ones (the square-free indices) come from one pass.
+The checkpoint counts tally each block of coefficients with one
+np.bincount over the value plus p times a 0/1 mask bit, so the counts over
+all indices and over the masked ones (the square-free indices) always come
+from one pass.
 
 Linear combinations of coefficient rows mod p (weight bases, module
 series) go through combine, which sums scaled uint8 rows in the same
@@ -348,41 +349,33 @@ def _reduce(acc, p, out):
     return out
 
 
-def count_segments(table, bounds, p, mask=None):
-    """Cumulative nonzero counts and per-value counts at each bound.
+def count_segments(table, bounds, p, mask):
+    """Cumulative counts at each bound, over all indices and over the masked ones.
 
-    ``bounds`` must be increasing.  Returns (totals, by_value) with
-    totals[i] = #{n < bounds[i] : table[n] != 0} and
-    by_value[i, v] = #{n < bounds[i] : table[n] == v}.
-
-    Given a 0/1 byte ``mask`` at least bounds[-1] long, the same pass also
-    counts over the indices where it is 1 and returns (totals, by_value,
-    kept_totals, kept_by_value).  Each block of at most _INDEX_BLOCK
-    indices is one np.bincount of the key table[n] + p * mask[n] (uint8
-    for p < 128, uint16 above): bins below p count the indices outside the
-    mask and bins from p those inside.
+    ``bounds`` must be increasing and ``mask`` a 0/1 byte array at least
+    bounds[-1] long.  Returns (totals, by_value, kept_totals, kept_by_value)
+    with totals[i] = #{n < bounds[i] : table[n] != 0} and
+    by_value[i, v] = #{n < bounds[i] : table[n] == v}, and the kept ones
+    the same over the n with mask[n] = 1.  Each block of at most
+    _INDEX_BLOCK indices is one np.bincount of the key table[n] + p * mask[n]
+    (uint8 for p < 128, uint16 above): bins below p count the indices
+    outside the mask and bins from p those inside.
     """
-    width = p if mask is None else 2 * p
-    if mask is not None:
-        key_dtype = np.uint8 if width <= 256 else np.uint16
-        key = np.empty(min(_INDEX_BLOCK, int(bounds[-1])), dtype=key_dtype)
+    width = 2 * p
+    key_dtype = np.uint8 if width <= 256 else np.uint16
+    key = np.empty(min(_INDEX_BLOCK, int(bounds[-1])), dtype=key_dtype)
     tallies = np.empty((len(bounds), width), dtype=np.int64)
     cum = np.zeros(width, dtype=np.int64)
     prev = 0
     for i, b in enumerate(int(b) for b in bounds):
         for lo in range(prev, b, _INDEX_BLOCK):
             hi = min(lo + _INDEX_BLOCK, b)
-            if mask is None:
-                block = table[lo:hi]
-            else:
-                block = key[: hi - lo]
-                np.multiply(mask[lo:hi], p, out=block)
-                block += table[lo:hi]
+            block = key[: hi - lo]
+            np.multiply(mask[lo:hi], p, out=block)
+            block += table[lo:hi]
             cum += np.bincount(block, minlength=width)
         tallies[i] = cum
         prev = b
-    if mask is None:
-        return tallies[:, 1:].sum(axis=1), tallies
     kept = tallies[:, p:]
     by_value = tallies[:, :p] + kept
     return by_value[:, 1:].sum(axis=1), by_value, kept[:, 1:].sum(axis=1), kept

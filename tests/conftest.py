@@ -6,18 +6,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from modpforms.basis import GradedForm
-from modpforms.counting import table_of_series
 from modpforms.series import delta_power
 
 
 @pytest.fixture(scope="session")
 def delta3_table_1e6():
-    return table_of_series(delta_power(3, 1, 10**6))
+    return delta_power(3, 1, 10**6)
 
 
 @pytest.fixture(scope="session")
 def delta7_table_1e6():
-    return table_of_series(delta_power(7, 1, 10**6))
+    return delta_power(7, 1, 10**6)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from modpforms.counting import (
     count_pi_sf,
     oracle_check,
     oracle_components,
-    table_of_series,
 )
 from modpforms.densities import (
     GroupDescriptor,

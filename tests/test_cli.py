@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from modpforms import kernels, series
+from modpforms import hecke, kernels, series
 from modpforms.cli import build_parser, canonical_json, main
 from modpforms.errors import BudgetExceededError
+from modpforms.expr import evaluate, parse_form_expression
 
 
 def run_cli(capsys, *args):
@@ -146,6 +147,23 @@ class TestExpandAndHecke:
         data = json.loads(out)
         assert data["coeffs"] == [0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize(
+        "p,op,index",
+        [(3, "T", 1), (3, "U", 1), (3, "V", 1), (3, "W", 1), (5, "S", 1)]
+        + [(5, "T", 6), (3, "U", 3), (3, "V", 3), (3, "V", 9), (3, "W", 5), (5, "S", 2)],
+    )
+    def test_hecke_prints_prec_coefficients(self, capsys, p, op, index):
+        n = 20
+        code, out, _ = run_cli(
+            capsys, "hecke", "--p", str(p), "--form", "delta", "--op", op,
+            "--index", str(index), "--prec", str(n),
+        )
+        f = evaluate(parse_form_expression("delta", p), p, 4 * n * index)
+        expect = hecke.apply_operator(hecke.HeckeOpSpec(op, index), f).coeffs[:n]
+        data = json.loads(out)
+        assert code == 0
+        assert data["prec"] == n and data["coeffs"] == expect.tolist()
+
 
 class TestCountsAndOracle:
     def test_count_json(self, capsys):
@@ -236,28 +254,63 @@ class TestCountsAndOracle:
         assert data["mismatches"] == []
 
     def test_oracle_json_reports_mismatches_and_exits_1(self, capsys, monkeypatch):
-        # flip 31 table entries, all at n = 1 mod 3; the first 20 are listed
-        from modpforms import cli, counting
+        # flip 31 coefficients handed to the oracle, all at n = 1 mod 3; the first 20 are listed
+        from modpforms import counting
 
         flipped = list(range(1, 1000, 33))
-        clean = counting.table_of_series
+        check = counting.oracle_check
 
-        def corrupted(qs, x_max=None):
-            table = clean(qs, x_max)
-            coeffs = table.coeffs.copy()
+        def corrupted(qs, components, X):
+            coeffs = qs.coeffs.copy()
             coeffs[flipped] = (coeffs[flipped] + 1) % 3
-            return counting.CoeffTable(table.p, table.x_max, coeffs)
+            return check(series.QSeries(qs.p, coeffs), components, X)
 
-        monkeypatch.setattr(cli.counting, "table_of_series", corrupted)
+        monkeypatch.setattr(counting, "oracle_check", corrupted)
         argv = ("oracle", "--p", "3", "--form", "delta", "--xmax", "1000", "--sample-bound", "600")
         code, out, _ = run_cli(capsys, *argv, "--out", "json")
-        truth = clean(series.delta_power(3, 1, 1000)).coeffs
+        truth = series.delta_power(3, 1, 1000).coeffs
         data = json.loads(out)
         assert code == 1
         assert (data["matches"], data["checked"]) == (666 - 31, 666)
         assert data["mismatches"] == [[n, int(truth[n]), (int(truth[n]) + 1) % 3] for n in flipped[:20]]
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (1, "match: 635/666\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--p", "3", "--form", "delta", "--xmax", "10000"),
+            (
+                "compare", "--p", "3", "--form", "delta", "--xmax", "10000", "--squarefree",
+                "--prime-bound", "100000", "--sample-bound", "600",
+            ),
+            ("oracle", "--p", "3", "--form", "delta", "--xmax", "10000", "--sample-bound", "600"),
+        ],
+    )
+    def test_counts_read_the_evaluated_series(self, capsys, monkeypatch, argv):
+        # past the module precision, counts and the oracle get the evaluated series, not a copy
+        from modpforms import cli, counting
+
+        evaluated, handed = [], []
+        evaluate_form = cli.evaluate
+
+        def spy_evaluate(*args):
+            form = evaluate_form(*args)
+            evaluated.append(form.series)
+            return form
+
+        monkeypatch.setattr(cli, "evaluate", spy_evaluate)
+        for name in ("count_pi", "oracle_check"):
+
+            def spy(qs, *args, original=getattr(counting, name)):
+                handed.append(qs)
+                return original(qs, *args)
+
+            monkeypatch.setattr(counting, name, spy)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(handed) == 1 and handed[0] is evaluated[-1]
+        assert handed[0].prec == 10000
 
 
 class TestWorkPerCommand:

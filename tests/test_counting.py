@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,7 @@ from modpforms.arith import squarefree_mask
 from modpforms.basis import GradedForm, dim_level_one
 from modpforms.counting import (
     ORACLE_BLOCK,
-    CoeffTable,
+    CountReport,
     coefficient_table,
     compare_report,
     count_pi,
@@ -17,12 +18,12 @@ from modpforms.counting import (
     decomposition_oracle,
     oracle_check,
     oracle_components,
-    table_of_series,
 )
 from modpforms.densities import leading_constants_sf
+from modpforms.errors import BudgetExceededError
 from modpforms.expr import evaluate, parse_form_expression
 from modpforms.module import work_precision
-from modpforms.series import delta_power
+from modpforms.series import MAX_PREC, QSeries, delta_power
 
 from oracles import counts_per_index, decomposition_oracle_per_index, integer_delta_power
 
@@ -72,8 +73,10 @@ class TestCoefficientTable:
         assert not t.coeffs.any()
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            coefficient_table("delta", 3, 2 * 10**6)
+        # the series cap is the only one: 10^6 + 1 coefficients are a series like any other
+        assert coefficient_table("delta", 3, 10**6 + 1).prec == 10**6 + 1
+        with pytest.raises(BudgetExceededError):
+            coefficient_table("delta", 3, MAX_PREC + 1)
 
 
 class TestCounts:
@@ -127,22 +130,30 @@ class TestCounts:
             count_pi(t, [1000])
 
     def test_table_beyond_series_rejected(self):
-        # 10 coefficients cannot stand for a table to 20
+        # 10 coefficients cannot stand for counts or an oracle range to 20
+        qs = delta_power(3, 1, 10)
         with pytest.raises(ValueError, match="precision"):
-            table_of_series(delta_power(3, 1, 10), 20)
-        assert table_of_series(delta_power(3, 1, 10), 5).coeffs.tolist() == [0, 1, 0, 0, 1]
+            count_pi(qs, [20])
+        with pytest.raises(ValueError, match="precision"):
+            oracle_check(qs, [], 20)
+        assert count_pi(qs, [10]).pi == [3]
+
+    def test_peak_memory_is_the_mask_and_a_block(self, delta3_table_1e6):
+        # the 1 MB square-free mask and one key block; a copy of the series would add 1 MB
+        tracemalloc.start()
+        count_pi(delta3_table_1e6, [10**3, 10**6])
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 2 * 10**6
 
 
 class TestOnePassCounts:
     def test_squarefree_counts_ride_along(self):
         t = coefficient_table("delta^2", 3, 10**4)
         marks = [0, 5, 5, 10**3, 10**4]
-        both = count_pi(t, marks, with_pi_sf=True)
-        plain = count_pi(t, marks)
-        assert plain.pi_sf is None
-        assert (both.checkpoints, both.pi, both.per_value) == (
-            plain.checkpoints, plain.pi, plain.per_value
-        )
+        both = count_pi(t, marks)
+        assert both.checkpoints == marks
+        assert both.pi == [np.count_nonzero(t.coeffs[:x]) for x in marks]
         assert both.pi_sf == count_pi_sf(t, marks).pi_sf
 
     @pytest.mark.parametrize("form,p", [("E4*delta", 7), ("E6", 131), ("E6", 251)])
@@ -154,7 +165,7 @@ class TestOnePassCounts:
             n > 0 and all(n % (q * q) for q in range(2, math.isqrt(n) + 1)) for n in range(size)
         ]
         expect = counts_per_index(t.coeffs, mask, marks, p)
-        both = count_pi(t, marks, with_pi_sf=True)
+        both = count_pi(t, marks)
         sf = count_pi_sf(t, marks)
         assert both.pi == [sum(row[1:]) for row in expect["all"]]
         assert both.pi_sf == sf.pi_sf == [sum(row[1:]) for row in expect["kept"]]
@@ -235,7 +246,7 @@ class TestOracle:
         flipped = [n for n in range(1, X, 37) if n % p] + [7, 14, 700]
         for n in flipped:
             coeffs[n] = (coeffs[n] + 1) % p
-        bad = CoeffTable(p, X, coeffs)
+        bad = QSeries(p, coeffs)
         per_index = [(r.n, r.predicted) for r in decomposition_oracle_per_index(comps, X, p)]
         expect = [(n, pred, int(coeffs[n])) for n, pred in per_index if pred != coeffs[n]]
         matches, total, mismatches = oracle_check(bad, comps, X)
@@ -272,8 +283,7 @@ class TestCompare:
             assert 0.3 < ratio < 3.0
 
     def test_squarefree_needs_squarefree_counts(self):
-        t = coefficient_table("delta", 3, 10**4)
-        rep = count_pi(t, [10**3, 10**4])
+        rep = CountReport([10**3, 10**4], [100, 1000])
         prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
         with pytest.raises(ValueError, match="square-free"):
             compare_report(rep, prof, squarefree=True)

@@ -239,12 +239,9 @@ class TestNilpotentWalk:
         components = _profiled_components(p, k)
         assert len(components) == (2 if p > 3 else 1)
         for m in components:
-            report = m.report
             h = strict_nilpotence_order(m)
             cu = densities._pure_profile(m, with_constants=False).euler_constant(10**4)
-            _, vecs, _ = squarefull_buckets(
-                m, m.f_coords, cu, densities.DEFAULT_SFULL_BOUND, report.invertible_classes
-            )
+            _, vecs, _ = squarefull_buckets(m, m.f_coords, cu, densities.DEFAULT_SFULL_BOUND)
             if (p, k) == (3, 10):
                 assert (len(vecs), h) == (34, 4)
             stack = densities._nilpotent_stack(m, h)
@@ -321,16 +318,6 @@ class TestEulerConstant:
         assert abs(cu.value - 0.2913) < 5e-4
         assert cu.tail < 5e-4
 
-    def test_r_with_prime_outside_u(self):
-        a = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**5)
-        b = euler_constant_C({1}, 3, Fraction(1, 2), r=2, prime_bound=10**5)
-        assert a.value == b.value
-
-    def test_r_with_prime_inside_u(self):
-        a = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**5)
-        b = euler_constant_C({1}, 3, Fraction(1, 2), r=7, prime_bound=10**5)
-        assert abs(b.value - a.value / (1 + 1 / 7)) < 1e-12
-
     @pytest.mark.parametrize("modulus", [3, 7, 9, 27])
     def test_class_mask_matches_isin(self, modulus):
         pr = primes_upto(10**5)
@@ -338,11 +325,8 @@ class TestEulerConstant:
         class_sets = [units[:n] for n in range(len(units) + 1)]
         class_sets += [units[::2], units[1::2], [u + modulus for u in units[::3]]]
         for classes in class_sets:
-            for r in (1, 2, 7, 2 * 7 * 13, 3**4 * 99991, 100003):
-                r_primes = [q for q in arith.factorize(r) if q <= pr[-1]]
-                expect = np.isin(pr % modulus, [u % modulus for u in classes])
-                expect &= ~np.isin(pr, r_primes)
-                assert np.array_equal(densities._in_classes(pr, classes, modulus, r), expect)
+            expect = np.isin(pr % modulus, [u % modulus for u in classes])
+            assert np.array_equal(densities._in_classes(pr, classes, modulus), expect)
 
     def test_closed_form_cross_check(self):
         # (3^{1/4} / (pi sqrt 2)) * prod_{l = 1 mod 3} (1 - l^-2)^{1/2}
@@ -402,7 +386,7 @@ def sfull_walk_inputs():
 
 def _assert_same_buckets(p, k, inputs, s_bound):
     m, cu, inv = inputs[p, k]
-    sums, vecs, tail = squarefull_buckets(m, m.f_coords, cu, s_bound, inv)
+    sums, vecs, tail = squarefull_buckets(m, m.f_coords, cu, s_bound)
     ref_sums, ref_vecs, ref_tail = squarefull_buckets_walk(m, m.f_coords, cu, s_bound, inv)
     assert list(sums) == list(ref_sums)
     for key, ref in ref_sums.items():
@@ -454,13 +438,13 @@ class TestSquarefullWalk:
     def test_cap_bound_in_bounded_memory(self, sfull_walk_inputs):
         # Delta mod 7 at the cap: 1,183,461 terms, 429,689 of them S^(1/4)-smooth;
         # holding every term at once peaked at 89.8 MB
-        m, cu, inv = sfull_walk_inputs[7, 1]
+        m, cu, _ = sfull_walk_inputs[7, 1]
         t0 = time.perf_counter()
-        squarefull_buckets(m, m.f_coords, cu, densities.SFULL_BOUND_CAP, inv)
+        squarefull_buckets(m, m.f_coords, cu, densities.SFULL_BOUND_CAP)
         assert time.perf_counter() - t0 < 1.0
         tracemalloc.start()
         try:
-            squarefull_buckets(m, m.f_coords, cu, densities.SFULL_BOUND_CAP, inv)
+            squarefull_buckets(m, m.f_coords, cu, densities.SFULL_BOUND_CAP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -468,8 +452,8 @@ class TestSquarefullWalk:
 
     @pytest.mark.parametrize("p,k", _SFULL_CASES)
     def test_vectors_are_writable_and_own_their_data(self, sfull_walk_inputs, p, k):
-        m, cu, inv = sfull_walk_inputs[p, k]
-        _, vecs, _ = squarefull_buckets(m, m.f_coords, cu, 10**6, inv)
+        m, cu, _ = sfull_walk_inputs[p, k]
+        _, vecs, _ = squarefull_buckets(m, m.f_coords, cu, 10**6)
         vs = list(vecs.values())
         assert vs
         for i, v in enumerate(vs):
@@ -479,25 +463,25 @@ class TestSquarefullWalk:
 
     def test_repeated_s_raises(self, sfull_walk_inputs, monkeypatch):
         # a prime listed twice makes every s it divides occur twice
-        m, cu, inv = sfull_walk_inputs[3, 2]
+        m, cu, _ = sfull_walk_inputs[3, 2]
         monkeypatch.setattr(
             densities, "primes_upto", lambda n: np.insert(primes_upto(n), 3, 7)
         )
         with pytest.raises(InternalInvariantError, match="occurs twice"):
-            squarefull_buckets(m, m.f_coords, cu, 10**6, inv)
+            squarefull_buckets(m, m.f_coords, cu, 10**6)
 
     def test_zero_seed_has_no_buckets(self, sfull_walk_inputs):
-        m, cu, inv = sfull_walk_inputs[3, 2]
-        sums, vecs, _ = squarefull_buckets(m, np.zeros(m.dim, dtype=np.int64), cu, 10**6, inv)
+        m, cu, _ = sfull_walk_inputs[3, 2]
+        sums, vecs, _ = squarefull_buckets(m, np.zeros(m.dim, dtype=np.int64), cu, 10**6)
         assert sums == {} and vecs == {}
 
     def test_cap_checked_before_sieving(self, sfull_walk_inputs, monkeypatch):
-        m, cu, inv = sfull_walk_inputs[3, 1]
+        m, cu, _ = sfull_walk_inputs[3, 1]
         monkeypatch.setattr(densities, "SFULL_BOUND_CAP", 10**4)
-        squarefull_buckets(m, m.f_coords, cu, 10**4, inv)
+        squarefull_buckets(m, m.f_coords, cu, 10**4)
         monkeypatch.setattr(densities, "primes_upto", _refuse)
         with pytest.raises(BudgetExceededError, match="sfull_bound 10001 .* cap 10000"):
-            squarefull_buckets(m, m.f_coords, cu, 10**4 + 1, inv)
+            squarefull_buckets(m, m.f_coords, cu, 10**4 + 1)
 
 
 class TestSquarefullSum:

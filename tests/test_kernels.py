@@ -67,9 +67,13 @@ class TestKernelContracts:
 
     def test_count_segments_cumulative(self):
         table = np.array([0, 1, 2, 0, 1], dtype=np.uint8)
-        totals, by_value = kernels.count_segments(table, np.array([2, 5]), 3)
-        assert list(totals) == [1, 3]
+        mask = np.array([0, 1, 1, 1, 0], dtype=np.uint8)
+        totals, by_value, kept_totals, kept_by_value = kernels.count_segments(
+            table, np.array([2, 5]), 3, mask
+        )
+        assert list(totals) == [1, 3] and list(kept_totals) == [1, 2]
         assert by_value[1][1] == 2 and by_value[1][2] == 1
+        assert kept_by_value[1].tolist() == [1, 1, 1]
 
         # a random table and mask, against np.bincount over each prefix
         p = 7
@@ -82,14 +86,14 @@ class TestKernelContracts:
         ]
         for bounds in ([1, 100, 2500, 5000], [0, 0, 1, 4999]):
             bounds = np.array(bounds, dtype=np.int64)
-            cases = [(kernels.count_segments(table, bounds, p), np.ones(5000, dtype=bool))]
-            cases += [(kernels.count_segments_masked(table, m, bounds, p), m != 0) for m in masks]
-            for got, keep in cases:
-                expect = np.array(
-                    [np.bincount(table[:b][keep[:b]], minlength=p) for b in bounds]
-                )
-                assert np.array_equal(got[1], expect)
-                assert np.array_equal(got[0], expect[:, 1:].sum(axis=1))
+            for m in masks:
+                got = kernels.count_segments(table, bounds, p, m)
+                for counts, keep in ((got[:2], np.ones(5000, dtype=bool)), (got[2:], m != 0)):
+                    expect = np.array(
+                        [np.bincount(table[:b][keep[:b]], minlength=p) for b in bounds]
+                    )
+                    assert np.array_equal(counts[1], expect)
+                    assert np.array_equal(counts[0], expect[:, 1:].sum(axis=1))
 
     def test_chunked_reduction_exactness(self):
         # at p = 251 the uint32 accumulator is reduced mid-loop every 68,719
@@ -503,15 +507,12 @@ class TestCountSegments:
         block = kernels._INDEX_BLOCK
         for bounds in ([n], [0, 5, 5, n], [1, block, block + 1, n - 1]):
             bounds = np.array(bounds, dtype=np.int64)
-            plain = kernels.count_segments(table, bounds, p)
             for mask in masks:
                 got = kernels.count_segments(table, bounds, p, mask)
                 (totals, by_value), (kept_totals, kept_by_value) = count_segments_two_pass(
                     table, mask, bounds, p
                 )
                 for a, b in zip(got, (totals, by_value, kept_totals, kept_by_value)):
-                    assert np.array_equal(a, b)
-                for a, b in zip(plain, got[:2]):
                     assert np.array_equal(a, b)
                 masked = kernels.count_segments_masked(table, mask, bounds, p)
                 for a, b in zip(masked, got[2:]):
