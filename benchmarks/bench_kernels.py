@@ -21,12 +21,24 @@ mod 7 (S up to the cap 10^12) and Delta^5 mod 3, each with its
 tracemalloc peak, and the decomposition oracle of Delta^2 mod 3.  Times
 are the best of --repeat runs.
 
+The first row is the start-up cost: a cold ``python -c "from modpforms
+import cli, kernels"`` with the benchmark's environment (one thread per
+numeric library, no bytecode written), as the median of --repeat
+processes, both from launch to exit and for the package import alone
+after numpy; then the modules with the largest ``-X importtime`` self
+times in one more such process.
+
     python benchmarks/bench_kernels.py [--prec 1000000] [--repeat 3]
 """
 
 import argparse
+import os
+import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -95,7 +107,49 @@ def _split_block(p, dim=64):
     return (linalg.inverse(basis, p) @ action @ basis) % p
 
 
+# perfbench/run.py pins these to one thread in every job
+THREAD_VARIABLES = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+_IMPORT = "from modpforms import cli, kernels"
+_PROBE = f"import time, numpy; t = time.perf_counter(); {_IMPORT}; print(time.perf_counter() - t)"
+
+
+def import_cost(src, runs, top=8):
+    """Median process and package-import seconds of a cold import from src, and the
+    top (self microseconds, module) rows of -X importtime."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    env.update(dict.fromkeys(THREAD_VARIABLES, "1"))
+    process, package = [], []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        process.append(time.perf_counter() - t0)
+        package.append(float(out.stdout))
+    argv = [sys.executable, "-X", "importtime", "-c", _IMPORT]
+    trace = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stderr
+    # lines read "import time: self [us] | cumulative | imported package"
+    rows = [line.split(":", 1)[1].split("|") for line in trace.splitlines()[1:]]
+    selfs = sorted(((int(r[0]), r[2].strip()) for r in rows), reverse=True)
+    return statistics.median(process), statistics.median(package), selfs[:top]
+
+
 def bench(prec, repeat):
+    src = Path(basis.__file__).resolve().parent.parent
+    process_s, package_s, selfs = import_cost(src, repeat)
+    print(
+        f"cold import ({_IMPORT}), median of {repeat}: process {process_s * 1000:.1f}ms, "
+        f"package after numpy {package_s * 1000:.1f}ms"
+    )
+    largest = ", ".join(f"{name} {us / 1000:.1f}ms" for us, name in selfs)
+    print(f"  largest -X importtime self times: {largest}")
+
     eta3, eta6, exps, coefs = _sparse_case(3, prec)
     eta3_251, eta6_251, exps_251, coefs_251 = _sparse_case(251, prec)
     dense_small_a = np.random.default_rng(0).integers(0, 7, size=20000, dtype=np.uint8)

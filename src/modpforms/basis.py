@@ -9,7 +9,7 @@ precision.  Coordinates of a form are read off its first dim coefficients;
 a full round-trip check guards against wrong weight lifts.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,16 +18,20 @@ from .errors import InternalInvariantError, NotInSpanError
 from .series import QSeries, delta_powers, eisenstein, mul, powers
 
 
-@dataclass(frozen=True)
-class GradedForm:
-    """A q-expansion together with an integral weight lift."""
-
+class _GradedForm(NamedTuple):
     series: QSeries
     weight: int
 
-    def __post_init__(self):
-        if self.weight < 0 or self.weight % 2:
+
+class GradedForm(_GradedForm):
+    """A q-expansion together with an integral weight lift."""
+
+    __slots__ = ()
+
+    def __new__(cls, series, weight):
+        if weight < 0 or weight % 2:
             raise ValueError("weight lift must be a non-negative even integer")
+        return super().__new__(cls, series, weight)
 
     @property
     def p(self):
@@ -38,14 +42,13 @@ class GradedForm:
         return self.series.prec
 
 
-@dataclass(frozen=True, eq=False)
 class WeightBasis:
     """The echelon basis of a weight space: one read-only dim x prec uint8 matrix of rows."""
 
-    p: int
-    weight: int
-    dim: int
-    rows: np.ndarray
+    __slots__ = ("p", "weight", "dim", "rows")
+
+    def __init__(self, p, weight, dim, rows):
+        self.p, self.weight, self.dim, self.rows = p, weight, dim, rows
 
     @property
     def prec(self):

@@ -10,7 +10,7 @@ module, and formats what the library's report builders return.
 """
 
 import argparse
-import csv
+import gc
 import io
 import json
 import sys
@@ -80,6 +80,8 @@ def _emit_json(payload):
 
 
 def _emit_csv(header, rows):
+    import csv  # only csv output needs it: the other commands never load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -172,8 +174,8 @@ def cmd_hecke(args):
     # V_m reads a_{n/m}; V's output, not its input, must stay under the cap
     need = {"T": n * m, "U": n * m, "V": -(-n // m)}.get(args.op, n)
     check_prec(n)
-    f = _evaluate_form(args, prec=need)
     spec = hecke.HeckeOpSpec(args.op, m)
+    f = _evaluate_form(args, prec=need)
     series = hecke.apply_operator(spec, f).truncate(n)
     coeffs = [int(c) for c in series.coeffs]
     payload = {
@@ -469,8 +471,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # build the invoked command's flags only; help and unknown commands get the full parser
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # what the imports built lives as long as the process: frozen, it is not rescanned
+    # by the command's collections (unfrozen on return, for in-process callers)
+    gc.freeze()
     try:
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except (ConductorNotFoundError, SplittingFieldNeededError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
@@ -484,6 +489,8 @@ def main(argv=None):
     except ModpFormsError as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

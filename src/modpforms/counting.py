@@ -15,7 +15,6 @@ factorization per index.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +28,13 @@ DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 ORACLE_BLOCK = 1 << 16
 
 
-@dataclass
 class CountReport:
-    checkpoints: list
-    pi: list
-    pi_sf: list = None
-    per_value: dict = None  # a -> list of counts per checkpoint
-    predicted: list = None
-    ratios: list = None
+    __slots__ = ("checkpoints", "pi", "pi_sf", "per_value", "predicted", "ratios")
+
+    def __init__(self, checkpoints, pi, pi_sf=None, per_value=None, predicted=None, ratios=None):
+        self.checkpoints, self.pi, self.pi_sf = checkpoints, pi, pi_sf
+        self.per_value = per_value  # a -> list of counts per checkpoint
+        self.predicted, self.ratios = predicted, ratios
 
 
 def coefficient_table(expr_text, p, x_max):
@@ -199,10 +197,11 @@ def compare_report(empirical, profile, squarefree=False):
     """Attach predictions and empirical/predicted ratios to a count report."""
     from .densities import predict
 
-    if squarefree and empirical.pi_sf is None:
-        raise ValueError("a square-free comparison needs square-free counts")
-    points = predict(profile, empirical.checkpoints)
     counts = empirical.pi_sf if squarefree else empirical.pi
+    if counts is None:
+        kind = "square-free" if squarefree else "all-index"
+        raise ValueError(f"a comparison of {kind} counts needs a report with {kind} counts")
+    points = predict(profile, empirical.checkpoints)
     empirical.predicted = [pt.value for pt in points]
     empirical.ratios = [
         (c / pt.value if pt.value else float("nan")) for c, pt in zip(counts, points)

@@ -12,8 +12,8 @@ class tuples (_nilpotent_walk).
 """
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,27 +58,30 @@ def class_density(classes, modulus):
     return Fraction(len(classes), totient(modulus))
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class _GroupDescriptor(NamedTuple):
+    kind: str  # reducible | dihedral | A4 | S4 | A5 | PGL2 | PSL2
+    parameter: int
+
+
+class GroupDescriptor(_GroupDescriptor):
     """Projective image type for the trace-zero proportion calculator."""
 
-    kind: str  # reducible | dihedral | A4 | S4 | A5 | PGL2 | PSL2
-    parameter: int = 0
-
+    __slots__ = ()
     KINDS = ("reducible", "dihedral", "A4", "S4", "A5", "PGL2", "PSL2")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind in ("reducible", "dihedral") and self.parameter < 1:
-            raise ValueError(f"{self.kind} needs a positive order parameter")
-        if self.kind in ("PGL2", "PSL2"):
-            if self.parameter > GROUP_PARAMETER_CAP:
+    def __new__(cls, kind, parameter=0):
+        if kind not in cls.KINDS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        if kind in ("reducible", "dihedral") and parameter < 1:
+            raise ValueError(f"{kind} needs a positive order parameter")
+        if kind in ("PGL2", "PSL2"):
+            if parameter > GROUP_PARAMETER_CAP:
                 raise BudgetExceededError(
-                    f"{self.kind} parameter {self.parameter} exceeds the cap {GROUP_PARAMETER_CAP}"
+                    f"{kind} parameter {parameter} exceeds the cap {GROUP_PARAMETER_CAP}"
                 )
-            if not is_odd_prime_power(self.parameter):
-                raise ValueError(f"{self.kind} needs an odd prime power, got {self.parameter}")
+            if not is_odd_prime_power(parameter):
+                raise ValueError(f"{kind} needs an odd prime power, got {parameter}")
+        return super().__new__(cls, kind, parameter)
 
 
 def alpha_of_group(d):
@@ -170,8 +173,7 @@ def _nilpotent_walk(stack, source, height, p):
 # ---------------------------------------------------------------------------
 # Euler products and square-full sums
 
-@dataclass(frozen=True)
-class EulerConstant:
+class EulerConstant(NamedTuple):
     value: float
     tail: float
     beta: Fraction
@@ -431,20 +433,18 @@ def squarefull_sum(module, f_target, s_bound=DEFAULT_SFULL_BOUND, prime_bound=DE
 # asymptotic profiles
 
 
-@dataclass(frozen=True)
-class ValueProfile:
+class ValueProfile(NamedTuple):
     h: int
     c: float
     err: float
 
 
-@dataclass(frozen=True)
-class AsymptoticProfile:
+class AsymptoticProfile(NamedTuple):
     alpha: Fraction
     h: int
     c: float
     c_err: float
-    per_value: dict = field(default_factory=dict)
+    per_value: dict = None  # a -> ValueProfile, or None where a is not attained
     degenerate: bool = False
 
 
@@ -453,8 +453,7 @@ _DEGENERATE = AsymptoticProfile(
 )
 
 
-@dataclass(frozen=True)
-class ComponentProfile:
+class ComponentProfile(NamedTuple):
     """Alpha, h and (when computed) the leading constants of one pure component."""
 
     alpha: Fraction
@@ -543,7 +542,7 @@ def _pure_profile(
         )
     c_total = sum(v.c for v in tops if v.h == h)
     c_err = sum(v.err for v in tops if v.h == h)
-    return replace(part, c=c_total, c_err=c_err, per_value=per_value)
+    return part._replace(c=c_total, c_err=c_err, per_value=per_value)
 
 
 def _combine_parts(parts_with_weights, p):
@@ -726,8 +725,7 @@ def h_of_form(f, **kwargs):
     return profile(f, with_constants=False, **kwargs).h
 
 
-@dataclass(frozen=True)
-class PredictedPoint:
+class PredictedPoint(NamedTuple):
     x: float
     value: float
     low: float

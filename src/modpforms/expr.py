@@ -14,7 +14,7 @@ of the distinguished cusp form stay symbolic so that delta^k is generated
 through the sparse fast path rather than by dense squaring.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .basis import GradedForm
 from .errors import FormSyntaxError
@@ -23,25 +23,21 @@ from .series import delta_power, eisenstein, linear_combine, mul, power
 ATOM_WEIGHTS = {"delta": 12, "E4": 4, "E6": 6}
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # + - *
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
@@ -161,8 +157,7 @@ def pretty(ast):
     return f"{left} * {right}"
 
 
-@dataclass(frozen=True)
-class _DeltaPower:
+class _DeltaPower(NamedTuple):
     """c * delta^k kept symbolic so powers take the sparse generator path."""
 
     coef: int

@@ -8,7 +8,7 @@ and multiplicativity.  Every operator records its exact output precision:
 T_l divides the known coefficient range by l.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,18 +18,24 @@ from .basis import GradedForm
 from .series import QSeries
 
 
-@dataclass(frozen=True)
-class HeckeOpSpec:
-    """Symbolic operator name: kind in {T, U, V, W, S} plus an index."""
-
+class _HeckeOpSpec(NamedTuple):
     kind: str
-    index: int = 1
+    index: int
 
-    def __post_init__(self):
-        if self.kind not in ("T", "U", "V", "W", "S"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.index < 1:
+
+class HeckeOpSpec(_HeckeOpSpec):
+    """Symbolic operator name: kind in {T, U, V, W, S} plus an index (W takes only 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, index=1):
+        if kind not in ("T", "U", "V", "W", "S"):
+            raise ValueError(f"unknown operator kind {kind!r}")
+        if index < 1:
             raise ValueError("operator index must be positive")
+        if kind == "W" and index != 1:
+            raise ValueError(f"W takes index 1 only, got {index}")
+        return super().__new__(cls, kind, index)
 
 
 def ell_s_ell(ell, weight, p):

@@ -45,7 +45,7 @@ through prime_power_matrix, and only it reads the detection's lookup.
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +147,7 @@ def _statuses(mats, p):
     return [status[mat.tobytes()] for mat in mats]
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """The status of each unit class mod the conductor (mod the status modulus without
     one), in increasing order: the status of its residue mod the status modulus."""
 
@@ -160,7 +159,6 @@ class ClassReport:
     pure: bool
 
 
-@dataclass(eq=False, repr=False)
 class HeckeModule:
     """The finite module generated by a form under the prime-index operators.
 
@@ -176,26 +174,20 @@ class HeckeModule:
     computes each matrix once.
     """
 
-    p: int
-    weight: int
-    ambient: object
-    ambient_coords: np.ndarray  # r x dim, rows = module basis
-    vector_series: np.ndarray  # r x prec uint8
-    per_prime: dict  # sampled prime -> r x r action matrix
-    conductor: object  # None when the action is not class-determined
-    class_matrix: object
-    conductor_failure: object  # the detection's reason, None with a conductor
-    status_modulus: int
-    status_by_class: dict
-    f_coords: np.ndarray
-    report: ClassReport = field(init=False)
-    _powers: dict = field(default_factory=dict, init=False)  # (class, e) -> read-only T_{l^e}
-
-    def __post_init__(self):
-        modulus = self.conductor or self.status_modulus
-        statuses = {
-            u: self.status_by_class[u % self.status_modulus] for u in range(1, modulus) if u % self.p
-        }
+    def __init__(
+        self, p, weight, ambient, ambient_coords, vector_series, per_prime, conductor,
+        class_matrix, conductor_failure, status_modulus, status_by_class, f_coords,
+    ):
+        # ambient_coords is r x dim (rows = module basis), vector_series r x prec uint8, and
+        # per_prime maps each sampled prime to its r x r action matrix
+        self.p, self.weight, self.ambient = p, weight, ambient
+        self.ambient_coords, self.vector_series = ambient_coords, vector_series
+        self.per_prime, self.conductor, self.class_matrix = per_prime, conductor, class_matrix
+        self.conductor_failure, self.status_modulus = conductor_failure, status_modulus
+        self.status_by_class, self.f_coords = status_by_class, f_coords
+        self._powers = {}  # (class, e) -> read-only T_{l^e}
+        modulus = conductor or status_modulus
+        statuses = {u: status_by_class[u % status_modulus] for u in range(1, modulus) if u % p}
         nil, inv, mixed = (
             tuple(u for u in statuses if statuses[u] == s) for s in (NILPOTENT, INVERTIBLE, MIXED)
         )
@@ -259,8 +251,7 @@ class HeckeModule:
         return from_coordinates(amb, self.ambient, prec)
 
 
-@dataclass(frozen=True)
-class GammaGroup:
+class GammaGroup(NamedTuple):
     """Multiplicative closure of the invertible class actions."""
 
     elements: tuple  # int64 matrices
@@ -271,8 +262,7 @@ class GammaGroup:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class PureComponent:
+class PureComponent(NamedTuple):
     """One pure summand of the canonical decomposition."""
 
     module: HeckeModule
@@ -280,8 +270,7 @@ class PureComponent:
     coords_in_parent: np.ndarray
 
 
-@dataclass(frozen=True)
-class EquidistributionReport:
+class EquidistributionReport(NamedTuple):
     criterion_holds: bool
     eigenform_converse_applies: bool
     primitive_root_shortcut: bool

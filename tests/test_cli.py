@@ -150,7 +150,7 @@ class TestExpandAndHecke:
     @pytest.mark.parametrize(
         "p,op,index",
         [(3, "T", 1), (3, "U", 1), (3, "V", 1), (3, "W", 1), (5, "S", 1)]
-        + [(5, "T", 6), (3, "U", 3), (3, "V", 3), (3, "V", 9), (3, "W", 5), (5, "S", 2)],
+        + [(5, "T", 6), (3, "U", 3), (3, "V", 3), (3, "V", 9), (5, "S", 2)],
     )
     def test_hecke_prints_prec_coefficients(self, capsys, p, op, index):
         n = 20
@@ -163,6 +163,16 @@ class TestExpandAndHecke:
         data = json.loads(out)
         assert code == 0
         assert data["prec"] == n and data["coeffs"] == expect.tolist()
+
+    def test_hecke_w_index_other_than_1_is_an_input_error(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "expr", "evaluate")
+        code, out, err = run_cli(
+            capsys, "hecke", "--p", "3", "--form", "delta", "--op", "W", "--index", "5",
+            "--prec", "8",
+        )
+        assert (code, out) == (2, "")
+        assert err == "input error: W takes index 1 only, got 5\n"
+        assert calls == []  # rejected before the form is evaluated
 
 
 class TestCountsAndOracle:

@@ -287,3 +287,10 @@ class TestCompare:
         prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
         with pytest.raises(ValueError, match="square-free"):
             compare_report(rep, prof, squarefree=True)
+
+    def test_all_index_comparison_needs_all_index_counts(self):
+        rep = count_pi_sf(coefficient_table("delta", 3, 10**4), [10**3, 10**4])
+        prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
+        with pytest.raises(ValueError, match="all-index"):
+            compare_report(rep, prof, squarefree=False)
+        assert rep.predicted is None and rep.ratios is None
