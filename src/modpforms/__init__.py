@@ -21,15 +21,12 @@ from .counting import (
 from .densities import (
     AsymptoticProfile,
     GroupDescriptor,
-    alpha_of_form,
     alpha_of_group,
     class_density,
     euler_constant_C,
-    leading_constants,
-    leading_constants_sf,
     multi_frobenian_density,
     predict,
-    squarefull_sum,
+    profile,
 )
 from .errors import (
     ConductorNotFoundError,
@@ -55,7 +52,6 @@ from .module import (
     decompose,
     equidistribution_report,
     gamma_group,
-    pure_decomposition,
     strict_nilpotence_order,
     submodule,
 )

@@ -5,10 +5,12 @@ tail estimates (equidistribution of classes is assumed beyond the prime
 bound, with a square-root cancellation allowance).  The profile of a form
 is assembled bottom-up: reduce to the coprime-support subspace through
 the W and U_p operators, split into pure components, and combine each
-component's class densities, Euler products and square-full sums.  The
-h-fold products of nilpotent-class primes behind the per-value constants
-and multi_frobenian_density are counted by one level walk over ordered
-class tuples (_nilpotent_walk).
+component's class densities, Euler products and square-full sums.  That
+is one function, profile: with_constants=False stops at alpha and h, and
+squarefree=True takes C(U) for the square-full sum.  The h-fold
+products of nilpotent-class primes behind the per-value constants and
+multi_frobenian_density are counted by one level walk over ordered class
+tuples (_nilpotent_walk).
 """
 
 import math
@@ -102,16 +104,6 @@ def alpha_of_group(d):
         return Fraction(q, (q - 1) * (q + 1))
     # PSL2: depends on whether -1 is a square in F_q, i.e. q mod 4
     return Fraction(1, q - 1) if q % 4 == 1 else Fraction(1, q + 1)
-
-
-def multi_frobenian_class_density(classes, modulus, height):
-    """Density of products of `height` distinct primes drawn from fixed classes.
-
-    The tuple set is all of classes^height, so the density is
-    |classes|^h / (h! phi(modulus)^h).
-    """
-    base = class_density(classes, modulus)
-    return base**height / Fraction(math.factorial(height))
 
 
 def multi_frobenian_density(module, source, target, height):
@@ -414,21 +406,6 @@ def squarefull_buckets(module, seed, cu, s_bound):
     return sums, vecs, 2.2 * cu.value / math.sqrt(s_bound)
 
 
-def squarefull_sum(module, f_target, s_bound=DEFAULT_SFULL_BOUND, prime_bound=DEFAULT_PRIME_BOUND):
-    """Sum of C(U,s)/s over square-full s with T_s f = f_target, plus the tail bound."""
-    module.require_conductor()
-    report = module.report
-    if not report.pure:
-        raise ValueError("square-full sums require a pure module")
-    alpha = class_density(report.nilpotent_classes, report.modulus)
-    cu = euler_constant_C(
-        report.invertible_classes, report.modulus, 1 - alpha, prime_bound=prime_bound
-    )
-    sums, _, tail = squarefull_buckets(module, module.f_coords, cu, s_bound)
-    target = (np.asarray(f_target, dtype=np.int64) % module.p).tobytes()
-    return sums.get(target, 0.0), tail
-
-
 # ---------------------------------------------------------------------------
 # asymptotic profiles
 
@@ -703,26 +680,6 @@ def profile(
     if not live:
         raise ValueError("form is constant away from index 0; no profile")
     return _combine_parts(live, p)
-
-
-def leading_constants(f, **kwargs):
-    """Alpha, h, and the leading constant (total and per nonzero value)."""
-    return profile(f, squarefree=False, with_constants=True, **kwargs)
-
-
-def leading_constants_sf(f, **kwargs):
-    """Square-free variant of the leading constants (degenerate verdict possible)."""
-    return profile(f, squarefree=True, with_constants=True, **kwargs)
-
-
-def alpha_of_form(f, **kwargs):
-    """The exponent of log x alone (skips all constant evaluation)."""
-    return profile(f, with_constants=False, **kwargs).alpha
-
-
-def h_of_form(f, **kwargs):
-    """The log log x exponent alone (skips all constant evaluation)."""
-    return profile(f, with_constants=False, **kwargs).h
 
 
 class PredictedPoint(NamedTuple):

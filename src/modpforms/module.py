@@ -36,11 +36,12 @@ a conductor and over the sampled ones when there is not.  The closure behind
 every module basis keeps one reduced echelon form and reduces each new
 image against it.
 
-One function, _assemble, turns basis rows and per-prime matrices into a
-module, for build_module and submodule alike; both put images into module
-coordinates through one batched solve, linalg.solve_rows, which also
-splits the seed over the decomposition's blocks.  Every class read goes
-through prime_power_matrix, and only it reads the detection's lookup.
+One function, _assemble, turns the q-expansions of the basis vectors and
+the per-prime matrices into a module, for build_module and submodule
+alike; both put images into module coordinates through one batched solve,
+linalg.solve_rows, which also splits the seed over the decomposition's
+blocks.  Every class read goes through prime_power_matrix, and only it
+reads the detection's lookup.
 """
 
 import functools
@@ -54,7 +55,6 @@ from .arith import discrete_log, multiplicative_order, primes_upto
 from .basis import (
     GradedForm,
     dim_level_one,
-    from_coordinates,
     miller_basis,
     to_coordinates,
 )
@@ -162,8 +162,11 @@ class ClassReport(NamedTuple):
 class HeckeModule:
     """The finite module generated by a form under the prime-index operators.
 
-    Vectors are rows over F_p in the module basis; the stored q-expansions
-    of the basis vectors provide exact coefficient functionals.  The
+    Vectors are rows over F_p in the module basis; the q-expansions of the
+    basis vectors, stored at build_module's work precision, are the only
+    record of that basis (the Miller basis is echelon, so their first
+    dim_level_one(weight) columns are the ambient coordinates), and
+    vector_to_series reads no further than they reach.  The
     conductor and class_matrix (unit class -> read-only T_l) exist only when
     the sampled action is class-determined, and conductor_failure says why
     they do not; the status structure is always present, and report is
@@ -175,13 +178,12 @@ class HeckeModule:
     """
 
     def __init__(
-        self, p, weight, ambient, ambient_coords, vector_series, per_prime, conductor,
-        class_matrix, conductor_failure, status_modulus, status_by_class, f_coords,
+        self, p, weight, vector_series, per_prime, conductor, class_matrix,
+        conductor_failure, status_modulus, status_by_class, f_coords,
     ):
-        # ambient_coords is r x dim (rows = module basis), vector_series r x prec uint8, and
-        # per_prime maps each sampled prime to its r x r action matrix
-        self.p, self.weight, self.ambient = p, weight, ambient
-        self.ambient_coords, self.vector_series = ambient_coords, vector_series
+        # vector_series is r x prec uint8 (rows = module basis), and per_prime maps each
+        # sampled prime to its r x r action matrix
+        self.p, self.weight, self.vector_series = p, weight, vector_series
         self.per_prime, self.conductor, self.class_matrix = per_prime, conductor, class_matrix
         self.conductor_failure, self.status_modulus = conductor_failure, status_modulus
         self.status_by_class, self.f_coords = status_by_class, f_coords
@@ -195,7 +197,7 @@ class HeckeModule:
 
     @property
     def dim(self):
-        return self.ambient_coords.shape[0]
+        return self.vector_series.shape[0]
 
     def require_conductor(self):
         if self.conductor is None:
@@ -237,18 +239,13 @@ class HeckeModule:
         mats = _distinct(self.per_prime.values())
         return [mat for mat, nil in zip(mats, _nilpotent(mats, self.p)) if nil]
 
-    def coefficient(self, vec, n):
-        """a_n of the form with the given module coordinates."""
-        if n >= self.vector_series.shape[1]:
-            raise ValueError("coefficient index beyond stored precision")
-        return int(vec.astype(np.int64) @ self.vector_series[:, n].astype(np.int64)) % self.p
-
     def vector_to_series(self, vec, prec=None):
-        prec = prec or self.vector_series.shape[1]
-        if prec <= self.vector_series.shape[1]:
-            return QSeries(self.p, kernels.combine(vec, self.vector_series[:, :prec], self.p))
-        amb = linalg.matvec(vec, self.ambient_coords, self.p)
-        return from_coordinates(amb, self.ambient, prec)
+        """The q-expansion to prec (default: all stored) of the form with coordinates vec."""
+        stored = self.vector_series.shape[1]
+        prec = stored if prec is None else prec
+        if not 1 <= prec <= stored:
+            raise ValueError(f"precision {prec} outside the stored precision {stored}")
+        return QSeries(self.p, kernels.combine(vec, self.vector_series[:, :prec], self.p))
 
 
 class GammaGroup(NamedTuple):
@@ -378,16 +375,16 @@ def build_module(f, sample_bound=DEFAULT_SAMPLE_BOUND):
     if x is None:
         raise InternalInvariantError("a sampled image left the module span")
     per_prime = dict(zip(sampled, _blocks(x, len(sampled))))
-    return _assemble(p, k, ambient, V, S, per_prime)
+    return _assemble(p, k, S, per_prime)
 
 
-def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime):
+def _assemble(p, weight, vector_series, per_prime):
     """The module on the given basis rows, with the first row as its seed.
 
     Detects the conductor (keeping the reason when there is none) and then
     the status modulus.
     """
-    r = ambient_coords.shape[0]
+    r = vector_series.shape[0]
     conductor, class_matrix, conductor_failure = _detect_conductor(per_prime, p, weight, r)
     status_modulus, status_by_class = _detect_status(per_prime, p, r)
     f_coords = np.zeros(r, dtype=np.int64)
@@ -395,8 +392,6 @@ def _assemble(p, weight, ambient, ambient_coords, vector_series, per_prime):
     return HeckeModule(
         p,
         weight,
-        ambient,
-        ambient_coords,
         vector_series,
         per_prime,
         conductor,
@@ -584,8 +579,7 @@ def submodule(parent, vec):
     W = _closure(vec, _distinct(parent.per_prime.values()), p, parent.dim)  # the cap never binds
     restricted = dict(zip(parent.per_prime, _restrict(W, parent.per_prime.values(), p)))
     series = kernels.combine(W, parent.vector_series, p)
-    amb = (W @ parent.ambient_coords) % p
-    return _assemble(p, parent.weight, parent.ambient, amb, series, restricted)
+    return _assemble(p, parent.weight, series, restricted)
 
 
 def _distinct(mats):
@@ -675,19 +669,6 @@ def _group_blocks(module, blocks):
         comp = submodule(module, part)
         out.append(PureComponent(comp, key, part))
     return out
-
-
-def pure_decomposition(f, **build_kwargs):
-    """Split a form into its canonical pure summands, as graded forms.
-
-    Purity only needs the action matrices, so the class-determined
-    conductor is not required here.
-    """
-    module = build_module(f, **build_kwargs)
-    return [
-        GradedForm(module.vector_to_series(part.coords_in_parent, f.prec), f.weight)
-        for part in decompose(module)
-    ]
 
 
 def equidistribution_report(module):

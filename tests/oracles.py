@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from modpforms import kernels, linalg
-from modpforms.basis import _monomials
+from modpforms.basis import GradedForm, _monomials, dim_level_one
 from modpforms.errors import (
     InternalInvariantError,
     SpanNotClosedError,
@@ -42,6 +42,12 @@ from modpforms.module import (
     NILPOTENT,
 )
 from modpforms.series import QSeries, delta_power, eisenstein, mul, one, power, zero
+
+
+def delta_form(p, k, sample_bound=2000):
+    """Delta^k mod p as a weight-12k form, at build_module's work precision for sample_bound."""
+    prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
+    return GradedForm(delta_power(p, k, prec), 12 * k)
 
 
 @lru_cache(maxsize=None)
@@ -610,7 +616,7 @@ def _component_prediction(module, fac, cache):
             if e == 1 and q % module.conductor in report.invertible_classes:
                 m *= q
                 v = linalg.matvec(v, module.prime_power_matrix(q % module.conductor, 1), p)
-    value = module.coefficient(v, 1) if v.any() else 0
+    value = int(v @ module.vector_series[:, 1].astype(np.int64)) % p if v.any() else 0
     return value, (m, m_prime, m_dfull)
 
 

@@ -24,15 +24,11 @@ from modpforms.counting import (
 )
 from modpforms.densities import (
     GroupDescriptor,
-    alpha_of_form,
     alpha_of_group,
     class_density,
     euler_constant_C,
-    h_of_form,
-    leading_constants,
-    leading_constants_sf,
-    multi_frobenian_class_density,
     multi_frobenian_density,
+    profile,
 )
 from modpforms.hecke import apply_T_ell, apply_T_m, apply_W, ell_s_ell
 from modpforms.module import (
@@ -42,6 +38,7 @@ from modpforms.module import (
     strict_nilpotence_order,
 )
 from modpforms.series import QSeries, delta_power, linear_combine
+from oracles import delta_form
 
 H_TABLE = {1: 0, 2: 1, 4: 2, 5: 3, 7: 4, 8: 5, 10: 4, 11: 5, 13: 4, 14: 5, 16: 4, 17: 5, 19: 6}
 
@@ -53,22 +50,17 @@ def _line(num, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _delta_form(p, k, sample_bound=2000):
-    prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
-    return GradedForm(delta_power(p, k, prec), 12 * k)
-
-
 def test_criterion_1_h_table():
     start = time.monotonic()
     got = {}
     for k in H_TABLE:
-        m = build_module(_delta_form(3, k))
+        m = build_module(delta_form(3, k))
         _h_modules[k] = m
         got[k] = strict_nilpotence_order(m)
     triple_rule = {}
     for k in range(1, 7):
         f3k = GradedForm(delta_power(3, 3 * k, 2000 * 3 * k + 9), 36 * k)
-        triple_rule[k] = h_of_form(f3k)
+        triple_rule[k] = profile(f3k, with_constants=False).h
     elapsed = time.monotonic() - start
     table_ok = got == H_TABLE
     triple_ok = all(
@@ -77,7 +69,9 @@ def test_criterion_1_h_table():
             (1, None), (2, None), (4, None), (5, None),
         )
     )
-    triple_ok = all(triple_rule[k] == h_of_form(_delta_form(3, k)) for k in range(1, 7))
+    triple_ok = all(
+        triple_rule[k] == profile(delta_form(3, k), with_constants=False).h for k in range(1, 7)
+    )
     ok = table_ok and triple_ok and elapsed < 60
     _line(
         1,
@@ -120,13 +114,13 @@ def test_criterion_3_densities(delta2_mod3_module):
     d1 = multi_frobenian_density(m, m.f_coords, delta_vec, 1)
     ok = d1 == Fraction(1, 6)
     heights_ok = all(
-        multi_frobenian_class_density({2, 5}, 9, h) == Fraction(1, math.factorial(h) * 3**h)
+        class_density({2, 5}, 9) ** h / math.factorial(h) == Fraction(1, math.factorial(h) * 3**h)
         for h in range(5)
     )
     # cross-check through modules wherever the class structure exists
     module_ok = True
     for k, h in [(1, 0), (2, 1), (4, 2), (5, 3)]:
-        mod = _h_modules.get(k) or build_module(_delta_form(3, k))
+        mod = _h_modules.get(k) or build_module(delta_form(3, k))
         if mod.conductor is None:
             continue
         rep = mod.report
@@ -154,8 +148,8 @@ def test_criterion_4_alpha():
     for k, m in sorted(_h_modules.items()):
         rep = m.report
         ok = ok and class_density(rep.nilpotent_classes, rep.modulus) == Fraction(1, 2)
-    ok = ok and alpha_of_form(_delta_form(3, 2)) == Fraction(1, 2)
-    ok = ok and alpha_of_form(_delta_form(7, 2)) == Fraction(1, 6)
+    ok = ok and profile(delta_form(3, 2), with_constants=False).alpha == Fraction(1, 2)
+    ok = ok and profile(delta_form(7, 2), with_constants=False).alpha == Fraction(1, 6)
     groups = [
         (GroupDescriptor("dihedral", 2), Fraction(3, 4)),
         (GroupDescriptor("A4"), Fraction(1, 4)),
@@ -176,7 +170,7 @@ def test_criterion_5_constants():
     ok_cu = abs(cu.value - 0.2913) <= 5e-4 and cu.tail < 5e-4 and t_cu < 120
 
     t0 = time.monotonic()
-    prof = leading_constants_sf(_delta_form(7, 2), prime_bound=10**6)
+    prof = profile(delta_form(7, 2), squarefree=True, prime_bound=10**6)
     t_sf = time.monotonic() - t0
     ok_sf = abs(prof.c - 0.5976) <= 5e-4 and prof.c_err < 5e-4 and t_sf < 120
     _line(
@@ -188,7 +182,7 @@ def test_criterion_5_constants():
 
 
 def test_criterion_6_full_constant_cross_check():
-    prof = leading_constants(_delta_form(3, 2), prime_bound=10**6, sfull_bound=10**10)
+    prof = profile(delta_form(3, 2), prime_bound=10**6, sfull_bound=10**10)
     cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**6)
     pr = primes_upto(10**6).astype(np.float64)
     p1, p2 = pr[pr % 3 == 1], pr[pr % 3 == 2]
@@ -212,7 +206,7 @@ def test_criterion_7_oracle_equivalence():
         from modpforms.expr import evaluate, parse_form_expression
 
         if k is not None:
-            f = _delta_form(p, k)
+            f = delta_form(p, k)
         else:
             f = evaluate(parse_form_expression(expr, p), p, 2000 * 2 + 9)
         comps = oracle_components(f)
@@ -315,15 +309,15 @@ def test_criterion_9_squarefree_support():
 
 
 def test_criterion_10_equidistribution(delta7_table_1e6):
-    rep7 = equidistribution_report(build_module(_delta_form(7, 1)))
+    rep7 = equidistribution_report(build_module(delta_form(7, 1)))
     ok = rep7.eigenform_converse_applies and not rep7.criterion_holds
     ok = ok and rep7.scalar_values == (1, 2, 4)
 
     for expr, k in [("delta", 1), ("delta^2", 2), ("delta^4", 4), ("delta^5", 5)]:
-        rep3 = equidistribution_report(build_module(_delta_form(3, k)))
+        rep3 = equidistribution_report(build_module(delta_form(3, k)))
         ok = ok and rep3.criterion_holds
 
-    rep5 = equidistribution_report(build_module(_delta_form(5, 1)))
+    rep5 = equidistribution_report(build_module(delta_form(5, 1)))
     ok = ok and rep5.primitive_root_shortcut and rep5.criterion_holds
 
     counts = count_pi(delta7_table_1e6, [10**6])

@@ -7,7 +7,7 @@ import pytest
 
 from modpforms import counting
 from modpforms.arith import squarefree_mask
-from modpforms.basis import GradedForm, dim_level_one
+from modpforms.basis import GradedForm
 from modpforms.counting import (
     ORACLE_BLOCK,
     CountReport,
@@ -19,23 +19,23 @@ from modpforms.counting import (
     oracle_check,
     oracle_components,
 )
-from modpforms.densities import leading_constants_sf
+from modpforms.densities import profile
 from modpforms.errors import BudgetExceededError
 from modpforms.expr import evaluate, parse_form_expression
 from modpforms.module import work_precision
 from modpforms.series import MAX_PREC, QSeries, delta_power
 
-from oracles import counts_per_index, decomposition_oracle_per_index, integer_delta_power
+from oracles import (
+    counts_per_index,
+    decomposition_oracle_per_index,
+    delta_form,
+    integer_delta_power,
+)
 
 # the forms of acceptance criterion 7
 CRITERION_7_FORMS = [
     ("delta", 3), ("delta^2", 3), ("delta^5", 3), ("delta", 7), ("delta^2", 7), ("delta^2-delta", 7),
 ]
-
-
-def _delta_form(p, k, sample_bound=2000):
-    prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
-    return GradedForm(delta_power(p, k, prec), 12 * k)
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +183,7 @@ class TestSquarefreeMask:
 
 class TestOracle:
     def test_spot_predictions_delta_square_mod3(self):
-        comps = oracle_components(_delta_form(3, 2))
+        comps = oracle_components(delta_form(3, 2))
         records = {r.n: r for r in decomposition_oracle_per_index(comps, 5, 3)}
         ref = integer_delta_power(2, 5)
         # n = 2: unit part empty, nilpotent part 2, square-full part 1
@@ -199,7 +199,7 @@ class TestOracle:
     @pytest.mark.parametrize("expr,p", [("delta", 3), ("delta^2", 7)])
     def test_exact_match_small(self, expr, p):
         k = 2 if "2" in expr else 1
-        f = _delta_form(p, k)
+        f = delta_form(p, k)
         comps = oracle_components(f)
         table = coefficient_table(expr, p, 2000)
         matches, total, mismatches = oracle_check(table, comps, 2000)
@@ -208,7 +208,7 @@ class TestOracle:
 
     def test_nonpure_sum_of_components(self):
         # the square mod 7 splits into two components whose predictions add up
-        f = _delta_form(7, 2)
+        f = delta_form(7, 2)
         comps = oracle_components(f)
         assert len(comps) == 2
         table = coefficient_table("delta^2", 7, 3000)
@@ -272,25 +272,27 @@ class TestLacunarity:
         assert densities == sorted(densities, reverse=True)
 
 
+@pytest.fixture(scope="module")
+def delta3_sf_profile():
+    return profile(delta_form(3, 1), squarefree=True, prime_bound=10**5)
+
+
 class TestCompare:
-    def test_ratio_columns(self):
+    def test_ratio_columns(self, delta3_sf_profile):
         t = coefficient_table("delta", 3, 10**4)
         rep = count_pi_sf(t, [10**3, 10**4])
-        prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
-        merged = compare_report(rep, prof, squarefree=True)
+        merged = compare_report(rep, delta3_sf_profile, squarefree=True)
         assert len(merged.predicted) == 2
         for ratio in merged.ratios:
             assert 0.3 < ratio < 3.0
 
-    def test_squarefree_needs_squarefree_counts(self):
+    def test_squarefree_needs_squarefree_counts(self, delta3_sf_profile):
         rep = CountReport([10**3, 10**4], [100, 1000])
-        prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
         with pytest.raises(ValueError, match="square-free"):
-            compare_report(rep, prof, squarefree=True)
+            compare_report(rep, delta3_sf_profile, squarefree=True)
 
-    def test_all_index_comparison_needs_all_index_counts(self):
+    def test_all_index_comparison_needs_all_index_counts(self, delta3_sf_profile):
         rep = count_pi_sf(coefficient_table("delta", 3, 10**4), [10**3, 10**4])
-        prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
         with pytest.raises(ValueError, match="all-index"):
-            compare_report(rep, prof, squarefree=False)
+            compare_report(rep, delta3_sf_profile, squarefree=False)
         assert rep.predicted is None and rep.ratios is None

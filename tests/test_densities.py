@@ -9,27 +9,23 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import nilpotent_images_by_multisets, squarefull_buckets_walk
+from oracles import delta_form, nilpotent_images_by_multisets, squarefull_buckets_walk
 
 from modpforms import arith, cli, densities, linalg
 from modpforms.arith import primes_upto
-from modpforms.basis import GradedForm, dim_level_one
+from modpforms.basis import GradedForm
 from modpforms.densities import (
     GROUP_PARAMETER_CAP,
     PRIME_BOUND_CAP,
     AsymptoticProfile,
     GroupDescriptor,
-    alpha_of_form,
     alpha_of_group,
     class_density,
     euler_constant_C,
-    leading_constants,
-    leading_constants_sf,
-    multi_frobenian_class_density,
     multi_frobenian_density,
     predict,
+    profile,
     squarefull_buckets,
-    squarefull_sum,
 )
 from modpforms.errors import BudgetExceededError, InternalInvariantError, ModpFormsError
 from modpforms.module import HeckeModule, build_module, strict_nilpotence_order
@@ -40,18 +36,11 @@ def _refuse(n):
     raise AssertionError(f"called with {n}: the budget check must come first")
 
 
-def _delta_form(p, k, sample_bound=2000):
-    prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
-    return GradedForm(delta_power(p, k, prec), 12 * k)
-
-
 def _invertible_only(m):
     """A copy of the dimension-1 module m mod 3 whose two classes act invertibly."""
     return HeckeModule(
         m.p,
         m.weight,
-        m.ambient,
-        m.ambient_coords,
         m.vector_series,
         {ell: linalg.identity(1, 3) for ell in m.per_prime},
         3,
@@ -67,7 +56,7 @@ def _invertible_only(m):
 def _profiled_components(p, k):
     """The pure component modules whose constants densities.profile computes for Delta^k mod p."""
     with mock.patch.object(densities, "_pure_profile", wraps=densities._pure_profile) as spy:
-        densities.profile(_delta_form(p, k), prime_bound=10**4)
+        densities.profile(delta_form(p, k), prime_bound=10**4)
     return [call.args[0] for call in spy.call_args_list]
 
 
@@ -136,13 +125,13 @@ class TestAlphaOfGroup:
 class TestAlphaOfForm:
     @pytest.mark.parametrize("k", [1, 2, 4, 5])
     def test_mod3_powers(self, k):
-        assert alpha_of_form(_delta_form(3, k)) == Fraction(1, 2)
+        assert profile(delta_form(3, k), with_constants=False).alpha == Fraction(1, 2)
 
     def test_mod7_square_is_min(self):
-        assert alpha_of_form(_delta_form(7, 2)) == Fraction(1, 6)
+        assert profile(delta_form(7, 2), with_constants=False).alpha == Fraction(1, 6)
 
     def test_mod7_delta(self):
-        assert alpha_of_form(_delta_form(7, 1)) == Fraction(1, 2)
+        assert profile(delta_form(7, 1), with_constants=False).alpha == Fraction(1, 2)
 
 
 class TestMultiFrobenianDensity:
@@ -161,14 +150,14 @@ class TestMultiFrobenianDensity:
     def test_class_set_density_formula(self):
         # products of h distinct primes from the two onzero nilpotent classes mod 9
         for h in range(5):
-            assert multi_frobenian_class_density({2, 5}, 9, h) == Fraction(
+            assert class_density({2, 5}, 9) ** h / math.factorial(h) == Fraction(
                 1, math.factorial(h) * 3**h
             )
 
     @pytest.mark.parametrize("k,h", [(1, 0), (2, 1), (4, 2), (5, 3)])
     def test_module_route_matches_closed_form(self, k, h):
         # summed over the reachable targets the density is 1/(h! 3^h)
-        m = build_module(_delta_form(3, k))
+        m = build_module(delta_form(3, k))
         targets = nilpotent_images_by_multisets(m, m.f_coords, h)
         total = sum(
             (
@@ -278,7 +267,7 @@ class TestNilpotentWalk:
 class TestEnumerationCap:
     def _capped(self, monkeypatch, k):
         """Delta^k mod 3 with the cap one below (nilpotent classes)^h and no matrix readable."""
-        m = build_module(_delta_form(3, k))
+        m = build_module(delta_form(3, k))
         h = strict_nilpotence_order(m)
         tuples = len(m.report.nilpotent_classes) ** h
         monkeypatch.setattr(densities, "_ENUM_CAP", tuples - 1)
@@ -299,7 +288,7 @@ class TestEnumerationCap:
             multi_frobenian_density(m, m.f_coords, m.f_coords, h)
 
     def test_cap_itself_is_allowed(self, monkeypatch):
-        m = build_module(_delta_form(3, 4))  # 3 nilpotent classes mod 9, h = 2
+        m = build_module(delta_form(3, 4))  # 3 nilpotent classes mod 9, h = 2
         monkeypatch.setattr(densities, "_ENUM_CAP", 9)
         assert multi_frobenian_density(m, m.f_coords, m.f_coords, 2) == 0
         monkeypatch.setattr(densities, "_ENUM_CAP", 8)
@@ -374,7 +363,7 @@ def sfull_walk_inputs():
     """
     out = {}
     for p, k in _SFULL_CASES:
-        m = build_module(_delta_form(p, k))
+        m = build_module(delta_form(p, k))
         report = m.report
         alpha = class_density(report.nilpotent_classes, report.modulus)
         cu = euler_constant_C(
@@ -484,11 +473,18 @@ class TestSquarefullWalk:
             squarefull_buckets(m, m.f_coords, cu, 10**4 + 1)
 
 
+def _seed_bucket(m, s_bound, prime_bound):
+    """The square-full sum over T_s f = f and its tail bound, C(U) from the module's report."""
+    report = m.report
+    alpha = class_density(report.nilpotent_classes, report.modulus)
+    cu = euler_constant_C(report.invertible_classes, report.modulus, 1 - alpha, prime_bound)
+    sums, _, tail = squarefull_buckets(m, m.f_coords, cu, s_bound)
+    return sums.get(m.f_coords.tobytes(), 0.0), tail
+
+
 class TestSquarefullSum:
     def test_s_equals_one_always_counts(self, delta_mod3_module):
-        value, tail = squarefull_sum(
-            delta_mod3_module, delta_mod3_module.f_coords, s_bound=10**4, prime_bound=10**5
-        )
+        value, tail = _seed_bucket(delta_mod3_module, 10**4, 10**5)
         cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**5)
         assert value >= cu.value  # the s=1 term alone contributes C(U)
         assert tail > 0
@@ -505,7 +501,7 @@ class TestSquarefullSum:
         m = delta2_mod3_module
         prev, prev_tail = 0.0, None
         for bound in (10**4, 10**6, 10**8):
-            val, tail = squarefull_sum(m, m.f_coords, s_bound=bound, prime_bound=10**5)
+            val, tail = _seed_bucket(m, bound, 10**5)
             assert val >= prev - 1e-15
             if prev_tail is not None:
                 assert val - prev <= prev_tail
@@ -514,7 +510,7 @@ class TestSquarefullSum:
 
 class TestLeadingConstants:
     def test_delta_mod3_squarefree(self):
-        prof = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
+        prof = profile(delta_form(3, 1), squarefree=True, prime_bound=10**5)
         assert prof.alpha == Fraction(1, 2)
         assert prof.h == 0
         cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**5)
@@ -522,19 +518,19 @@ class TestLeadingConstants:
 
     @pytest.mark.parametrize("k,h", [(1, 0), (2, 1), (4, 2), (5, 3)])
     def test_sf_constant_family(self, k, h):
-        prof = leading_constants_sf(_delta_form(3, k), prime_bound=10**5)
+        prof = profile(delta_form(3, k), squarefree=True, prime_bound=10**5)
         cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**5)
         assert prof.alpha == Fraction(1, 2) and prof.h == h
         assert abs(prof.c - cu.value / (math.factorial(h) * 3**h)) < 1e-10
 
     def test_mod7_square_sf(self):
-        prof = leading_constants_sf(_delta_form(7, 2), prime_bound=10**6)
+        prof = profile(delta_form(7, 2), squarefree=True, prime_bound=10**6)
         assert prof.alpha == Fraction(1, 6)
         assert prof.h == 0
         assert abs(prof.c - 0.5976) < 5e-4
 
     def test_full_constant_against_closed_form(self):
-        prof = leading_constants(_delta_form(3, 2), prime_bound=10**6, sfull_bound=10**8)
+        prof = profile(delta_form(3, 2), prime_bound=10**6, sfull_bound=10**8)
         cu = euler_constant_C({1}, 3, Fraction(1, 2), prime_bound=10**6)
         pr = primes_upto(10**6).astype(np.float64)
         p1, p2 = pr[pr % 3 == 1], pr[pr % 3 == 2]
@@ -547,7 +543,7 @@ class TestLeadingConstants:
         assert abs(prof.c - closed) / closed < 1e-3
 
     def test_per_value_equidistribution_mod3(self):
-        prof = leading_constants_sf(_delta_form(3, 2), prime_bound=10**5)
+        prof = profile(delta_form(3, 2), squarefree=True, prime_bound=10**5)
         assert prof.per_value[1].c == pytest.approx(prof.per_value[2].c)
         assert prof.per_value[1].h == prof.per_value[2].h == 1
 
@@ -555,19 +551,19 @@ class TestLeadingConstants:
         # indices of the cube are 3m with m square-free coprime to 3, so the
         # square-free profile is the cusp form's scaled by 1/3
         f3 = GradedForm(delta_power(3, 3, 20000), 36)
-        prof = leading_constants_sf(f3, prime_bound=10**5)
-        base = leading_constants_sf(_delta_form(3, 1), prime_bound=10**5)
+        prof = profile(f3, squarefree=True, prime_bound=10**5)
+        base = profile(delta_form(3, 1), squarefree=True, prime_bound=10**5)
         assert not prof.degenerate
         assert prof.alpha == base.alpha and prof.h == base.h
         assert abs(prof.c - base.c / 3) < 1e-12
 
     def test_degenerate_square_support(self):
         f9 = GradedForm(delta_power(3, 9, 20000), 108)
-        prof = leading_constants_sf(f9, prime_bound=10**4)
+        prof = profile(f9, squarefree=True, prime_bound=10**4)
         assert prof.degenerate
 
     def test_nonpure_full_constants_mod7(self):
-        prof = leading_constants(_delta_form(7, 2), prime_bound=10**5, sfull_bound=10**6)
+        prof = profile(delta_form(7, 2), prime_bound=10**5, sfull_bound=10**6)
         assert prof.alpha == Fraction(1, 6)
         assert prof.h == 0
         assert prof.c > 0
@@ -627,7 +623,7 @@ class TestLiftWeight:
 
 class TestComponentProfiles:
     def test_components_combine_to_the_module_profile(self):
-        m = build_module(_delta_form(7, 2))
+        m = build_module(delta_form(7, 2))
         parts = densities.component_profiles(m, with_constants=False)
         assert len(parts) == 2
         prof = densities.module_profile(m, with_constants=False)

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modpforms.basis import GradedForm, dim_level_one
 from modpforms.densities import (
-    leading_constants,
+    class_density,
+    euler_constant_C,
     multi_frobenian_density,
-    squarefull_sum,
+    profile,
+    squarefull_buckets,
 )
 from modpforms.errors import ConductorNotFoundError, SplittingFieldNeededError
 from modpforms.module import (
@@ -17,21 +18,15 @@ from modpforms.module import (
     build_module,
     decompose,
     gamma_group,
-    pure_decomposition,
     strict_nilpotence_order,
 )
-from modpforms.series import delta_power
-
-
-def _delta_form(p, k, sample_bound=2000):
-    prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
-    return GradedForm(delta_power(p, k, prec), 12 * k)
+from oracles import delta_form
 
 
 @pytest.fixture(scope="module")
 def classless_module():
     # the weight-84 module's sampled action is not class-determined
-    return build_module(_delta_form(3, 7))
+    return build_module(delta_form(3, 7))
 
 
 class TestClasslessModule:
@@ -53,16 +48,18 @@ class TestClasslessModule:
             m.prime_power_matrix(2, 2)
         with pytest.raises(ConductorNotFoundError):
             multi_frobenian_density(m, m.f_coords, m.f_coords, 1)
+        alpha = class_density(m.report.nilpotent_classes, m.report.modulus)
+        cu = euler_constant_C(m.report.invertible_classes, m.report.modulus, 1 - alpha, 10**4)
         with pytest.raises(ConductorNotFoundError):
-            squarefull_sum(m, m.f_coords, s_bound=10**4, prime_bound=10**4)
+            squarefull_buckets(m, m.f_coords, cu, 10**4)
 
-    def test_constants_raise_but_pure_decomposition_succeeds(self):
-        f = _delta_form(3, 7)
+    def test_constants_raise_but_pure_decomposition_succeeds(self, classless_module):
+        f = delta_form(3, 7)
         with pytest.raises(ConductorNotFoundError):
-            leading_constants(f, prime_bound=10**4, sfull_bound=10**4)
-        parts = pure_decomposition(f)
+            profile(f, prime_bound=10**4, sfull_bound=10**4)
+        parts = decompose(classless_module)
         assert len(parts) == 1
-        assert parts[0].series == f.series
+        assert classless_module.vector_to_series(parts[0].coords_in_parent) == f.series
 
 
 def _synthetic_module(action, p, dim, f_coords=None):
@@ -77,8 +74,6 @@ def _synthetic_module(action, p, dim, f_coords=None):
     return HeckeModule(
         p=p,
         weight=12,
-        ambient=None,
-        ambient_coords=np.eye(dim, dtype=np.int64),
         vector_series=np.eye(dim, dtype=np.uint8),
         per_prime=per_prime,
         conductor=None,
@@ -131,7 +126,7 @@ class TestNonEquidistributedConstants:
         # classes is {1,2,4}, but square-full twists (e.g. T_4 = 5) reach the
         # other coset, so every value has a positive constant, with the
         # {1,2,4} side strictly dominating
-        prof = leading_constants(_delta_form(7, 1), prime_bound=10**5, sfull_bound=10**7)
+        prof = profile(delta_form(7, 1), prime_bound=10**5, sfull_bound=10**7)
         assert prof.alpha == Fraction(1, 2) and prof.h == 0
         for a in range(1, 7):
             assert prof.per_value[a] is not None and prof.per_value[a].c > 0
@@ -145,6 +140,6 @@ class TestNonEquidistributedConstants:
         assert prof.per_value[3].c == pytest.approx(prof.per_value[6].c)
 
     def test_t4_scalar_escapes_gamma(self):
-        m = build_module(_delta_form(7, 1))
+        m = build_module(delta_form(7, 1))
         t4 = m.prime_power_matrix(2, 2)
         assert int(t4[0, 0]) == 5  # 4^2 - 2^11 = 16 - 4 = 12 = 5 mod 7

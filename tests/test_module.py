@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modpforms import arith, basis, linalg, module
+from modpforms import arith, basis, kernels, linalg, module
 from modpforms.arith import primes_upto
 from modpforms.basis import GradedForm, dim_level_one, miller_basis
 from modpforms.densities import _lift_weight
@@ -27,7 +27,6 @@ from modpforms.module import (
     decompose,
     equidistribution_report,
     gamma_group,
-    pure_decomposition,
     strict_nilpotence_order,
     submodule,
     work_precision,
@@ -35,6 +34,7 @@ from modpforms.module import (
 from modpforms.series import delta_power, linear_combine
 
 from oracles import (
+    delta_form,
     eigenspaces_by_min_poly,
     min_poly,
     restrict_per_row,
@@ -43,11 +43,6 @@ from oracles import (
     t_ell_coefficients,
     tau,
 )
-
-
-def _delta_form(p, k, sample_bound=2000):
-    prec = sample_bound * max(dim_level_one(12 * k) - 1, 1) + 9
-    return GradedForm(delta_power(p, k, prec), 12 * k)
 
 
 class TestBuildModule:
@@ -92,7 +87,7 @@ class TestBuildModule:
             build_module(f)
 
     def test_span_cap(self, monkeypatch):
-        f = _delta_form(3, 2)
+        f = delta_form(3, 2)
         monkeypatch.setattr(module, "DIMENSION_CAP", 1)
         with pytest.raises(SpanNotClosedError):
             build_module(f)
@@ -105,17 +100,17 @@ class TestBuildModule:
         monkeypatch.setattr(module, "miller_basis", no_basis)
         monkeypatch.setattr(module, "AMBIENT_CAP", 3 * 4009 - 1)
         with pytest.raises(BudgetExceededError, match="has 12027 entries, above the cap 12026"):
-            build_module(_delta_form(3, 2))
+            build_module(delta_form(3, 2))
 
     def test_ambient_cap_admits_its_bound(self, monkeypatch):
         monkeypatch.setattr(module, "AMBIENT_CAP", 3 * 4009)
-        assert build_module(_delta_form(3, 2)).dim == 2
+        assert build_module(delta_form(3, 2)).dim == 2
 
     def test_peak_memory_delta19_mod3(self, monkeypatch):
         # weight 228: 20 basis rows of 38,009 coefficients, 760 kB as uint8.
         # The basis is rebuilt inside the measurement; the rows must not be
         # widened to int64 (8 bytes an entry) on the way to the module.
-        f = _delta_form(3, 19)
+        f = delta_form(3, 19)
         monkeypatch.setattr(basis, "_basis_cache", {})
         tracemalloc.start()
         try:
@@ -143,7 +138,7 @@ class TestBuildModule:
     def test_conductor_failure_reported(self):
         # the weight-84 module's action is not class-determined: the build
         # succeeds and keeps the detection's reason for require_conductor
-        m = build_module(_delta_form(3, 7))
+        m = build_module(delta_form(3, 7))
         assert m.conductor is None
         assert m.status_modulus == 3
         assert m.conductor_failure.startswith("no conductor candidate passed (modulus 81: ")
@@ -161,14 +156,16 @@ class TestBuildModule:
         prec = 10**4 * 2 + 9
         basis = miller_basis(3, 24, prec)
         B = basis.matrix()
-        S = (m.ambient_coords @ B.astype(np.int64)) % 3
-        _, pivots = linalg.rref(m.ambient_coords, 3)
+        # the Miller basis is echelon: the first dim coefficients are the ambient coordinates
+        coords = m.vector_series[:, : dim_level_one(24)].astype(np.int64)
+        S = (coords @ B.astype(np.int64)) % 3
+        _, pivots = linalg.rref(coords, 3)
         J = np.array(pivots)
         for i in picks:
             ell = int(pool[i])
             amb = t_ell_coefficients(S.astype(np.uint8), ell, 24, 3, 3)
             direct = np.stack(
-                [solve_in_rowspan(m.ambient_coords, row, 3) for row in amb]
+                [solve_in_rowspan(coords, row, 3) for row in amb]
             )
             assert np.array_equal(direct % 3, m.prime_power_matrix(ell % 9, 1) % 3)
 
@@ -259,7 +256,7 @@ class TestConductorDetection:
             module, "discrete_log", lambda u, g, m: logs.append((u, m)) or discrete_log(u, g, m)
         )
         monkeypatch.setattr(linalg, "matpow", lambda *a: powers.append(1) or matpow(*a))
-        m = build_module(_delta_form(3, 5, 50), sample_bound=50)
+        m = build_module(delta_form(3, 5, 50), sample_bound=50)
         report = m.report
         assert (m.conductor, m.status_modulus, len(report.statuses)) == (27, 3, 18)
         sampled = {q % 27 for q in m.per_prime}
@@ -273,7 +270,7 @@ class TestConductorDetection:
 class TestHeckeAction:
     @pytest.mark.parametrize("p, k", [(3, 2), (7, 1)])
     def test_prime_power_matrices_follow_the_recurrence(self, p, k):
-        m = build_module(_delta_form(p, k))
+        m = build_module(delta_form(p, k))
         for u in m.report.statuses:
             a = m.prime_power_matrix(u, 1)
             prev, cur = np.eye(m.dim, dtype=np.int64), a % p
@@ -298,7 +295,7 @@ class TestHeckeAction:
             module, "ClassReport", lambda *a, **kw: reports.append(1) or report_cls(*a, **kw)
         )
         monkeypatch.setattr(module, "_assemble", lambda *a: modules.append(1) or assemble(*a))
-        m = build_module(_delta_form(7, 2))
+        m = build_module(delta_form(7, 2))
         assert (len(modules), len(reports)) == (1, 1)
         report = m.report
         parts = decompose(m)
@@ -347,7 +344,7 @@ class TestClassify:
 class TestNilpotenceOrder:
     @pytest.mark.parametrize("k,h", [(1, 0), (2, 1), (5, 3)])
     def test_small_table(self, k, h):
-        m = build_module(_delta_form(3, k))
+        m = build_module(delta_form(3, k))
         assert strict_nilpotence_order(m) == h
 
     def test_eigenform_is_zero(self, delta_mod3_module):
@@ -360,7 +357,7 @@ class TestNilpotenceOrder:
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 7, 8, 10, 20])
     def test_matches_t2_chain(self, k):
         # for p=3 and level one, h(f) equals the largest h with T_2^h f nonzero
-        m = build_module(_delta_form(3, k))
+        m = build_module(delta_form(3, k))
         h = strict_nilpotence_order(m)
         f = GradedForm(delta_power(3, k, 2 ** (h + 2) * (k + 2) * 4), 12 * k)
         chain = 0
@@ -374,13 +371,13 @@ class TestNilpotenceOrder:
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 7, 8, 10, 11, 13])
     def test_growth_bound(self, k):
-        m = build_module(_delta_form(3, k))
+        m = build_module(delta_form(3, k))
         assert strict_nilpotence_order(m) < 4 * k ** (math.log(2) / math.log(3))
 
     def test_chain_takes_the_unsampled_classes(self, monkeypatch):
         # Delta^5 mod 3 at sample bound 50: conductor 27, and 5 of its 18 classes
         # have no sampled prime; the sampled matrices span the same space here
-        m = build_module(_delta_form(3, 5, 50), sample_bound=50)
+        m = build_module(delta_form(3, 5, 50), sample_bound=50)
         nil = set(m.report.nilpotent_classes)
         sampled = _distinct([mat for q, mat in m.per_prime.items() if q % 27 in nil])
         by_class = m.nilpotent_matrices()
@@ -400,8 +397,6 @@ class TestNilpotenceOrder:
         m = HeckeModule(
             p,
             12,
-            None,
-            eye,
             eye.astype(np.uint8),
             per_prime,
             9,
@@ -422,7 +417,7 @@ class TestNilpotenceOrder:
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_distinct_primes_realize_h(self, k):
         # constructive version: h distinct primes with nonzero product action
-        m = build_module(_delta_form(3, k))
+        m = build_module(delta_form(3, k))
         rep = m.report
         h = strict_nilpotence_order(m)
         if h == 0:
@@ -447,7 +442,7 @@ class TestNilpotenceOrder:
             primes.append(ell)
         assert len(set(primes)) == h
         if h <= 2:
-            prec = math.prod(primes) * (m.ambient.dim + 2)
+            prec = math.prod(primes) * (dim_level_one(12 * k) + 2)
             f = GradedForm(delta_power(3, k, prec), 12 * k)
             g = f
             for ell in primes:
@@ -462,7 +457,7 @@ class TestGammaGroup:
         assert g.contains_scalars
 
     def test_delta_mod7_proper_subgroup(self):
-        m = build_module(_delta_form(7, 1))
+        m = build_module(delta_form(7, 1))
         g = gamma_group(m)
         assert g.order == 3
         assert not g.contains_scalars
@@ -471,7 +466,7 @@ class TestGammaGroup:
 
     def test_each_distinct_generator_multiplies_once(self, monkeypatch):
         # Delta^5 mod 3: the 9 invertible classes mod 27 act by 2 distinct matrices
-        m = build_module(_delta_form(3, 5))
+        m = build_module(delta_form(3, 5))
         p, r = m.p, m.dim
         mats = [m.prime_power_matrix(u, 1) for u in m.report.invertible_classes]
         assert (m.conductor, len(mats), len(_distinct(mats))) == (27, 9, 2)
@@ -496,8 +491,6 @@ class TestGammaGroup:
         synthetic = HeckeModule(
             m.p,
             m.weight,
-            m.ambient,
-            m.ambient_coords,
             m.vector_series,
             m.per_prime,
             m.conductor,
@@ -540,18 +533,35 @@ class TestDecompose:
         ref = delta_power(7, 1, 60)
         assert list(oseries.coeffs) == [scale * int(c) % 7 for c in ref.coeffs]
 
-    def test_pure_decomposition_forms(self):
-        f = GradedForm(delta_power(7, 2, 4009), 24)
-        parts = pure_decomposition(f)
+    def test_pure_decomposition_forms(self, delta2_mod7_module):
+        m = delta2_mod7_module
+        parts = decompose(m)
         assert len(parts) == 2
-        total = linear_combine([(1, parts[0].series), (1, parts[1].series)])
-        assert total == f.series
+        series = [m.vector_to_series(part.coords_in_parent) for part in parts]
+        total = linear_combine([(1, series[0]), (1, series[1])])
+        assert total == delta_power(7, 2, m.vector_series.shape[1])
 
     def test_eigenform_decomposes_to_itself(self):
-        f = _delta_form(7, 1)
-        parts = pure_decomposition(f)
+        f = delta_form(7, 1)
+        m = build_module(f)
+        parts = decompose(m)
         assert len(parts) == 1
-        assert parts[0].series == f.series
+        assert m.vector_to_series(parts[0].coords_in_parent) == f.series.truncate(
+            m.vector_series.shape[1]
+        )
+
+
+class TestVectorToSeries:
+    def test_reads_no_further_than_the_stored_precision(self, delta2_mod7_module):
+        m = delta2_mod7_module
+        prec = m.vector_series.shape[1]
+        vec = np.arange(1, m.dim + 1, dtype=np.int64)
+        series = m.vector_to_series(vec, prec)
+        assert np.array_equal(series.coeffs, kernels.combine(vec, m.vector_series, m.p))
+        assert m.vector_to_series(vec) == series
+        for bad in (prec + 1, 0, -1):
+            with pytest.raises(ValueError, match="outside the stored precision"):
+                m.vector_to_series(vec, bad)
 
 
 class TestGroupBlocks:
@@ -559,7 +569,7 @@ class TestGroupBlocks:
 
     @pytest.fixture(scope="class")
     def mod(self):
-        return build_module(_delta_form(3, 10))
+        return build_module(delta_form(3, 10))
 
     def _block(self, m, flip=()):
         """The whole module as one block; one matrix of each class in flip has its flag flipped."""
@@ -781,18 +791,18 @@ class TestRestrictAgainstPerRow:
 
 class TestEquidistribution:
     def test_delta_square_mod3_holds(self):
-        rep = equidistribution_report(build_module(_delta_form(3, 2)))
+        rep = equidistribution_report(build_module(delta_form(3, 2)))
         assert rep.criterion_holds
         assert rep.primitive_root_shortcut  # 2 generates F_3*
 
     def test_delta_mod7_not_equidistributed(self):
-        rep = equidistribution_report(build_module(_delta_form(7, 1)))
+        rep = equidistribution_report(build_module(delta_form(7, 1)))
         assert rep.eigenform_converse_applies
         assert not rep.criterion_holds
         assert rep.scalar_values == (1, 2, 4)
 
     def test_mod5_shortcut(self):
-        rep = equidistribution_report(build_module(_delta_form(5, 1)))
+        rep = equidistribution_report(build_module(delta_form(5, 1)))
         assert rep.primitive_root_shortcut  # 2 is a primitive root mod 5
         assert rep.criterion_holds
 

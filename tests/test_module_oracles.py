@@ -38,17 +38,18 @@ from modpforms.module import (
 from oracles import (
     class_table_by_recurrence,
     closure_row_basis,
+    delta_form,
     invertible_int64,
     nilpotence_order_bfs,
     nilpotent_matrices_per_matrix,
     status_of,
 )
 from test_acceptance import H_TABLE
-from test_edge_paths import _delta_form, _synthetic_module
+from test_edge_paths import _synthetic_module
 
 
 def _delta_module(k):
-    return build_module(_delta_form(3, k))
+    return build_module(delta_form(3, k))
 
 
 def _two_component_module():
@@ -65,7 +66,7 @@ BUILDERS = {f"delta^{k} mod 3": lambda k=k: _delta_module(k) for k in H_TABLE}
 BUILDERS["delta^2-delta mod 7"] = _two_component_module
 BUILDERS["four eigen-systems mod 3"] = _four_eigen_systems_module
 BUILDERS["delta^5 mod 3 at sample bound 50"] = lambda: build_module(
-    _delta_form(3, 5, 50), sample_bound=50
+    delta_form(3, 5, 50), sample_bound=50
 )
 CASES = list(BUILDERS)
 
@@ -156,14 +157,14 @@ def test_closure_of_sparse_matrices_matches_row_basis_route(seed):
 
 DETECTION_BUILDERS = {
     **BUILDERS,
-    "delta mod 5": lambda: build_module(_delta_form(5, 1)),
-    "delta mod 7": lambda: build_module(_delta_form(7, 1)),
+    "delta mod 5": lambda: build_module(delta_form(5, 1)),
+    "delta mod 7": lambda: build_module(delta_form(7, 1)),
     # predict's modules: Delta has indices divisible by p, so its W-projection is lifted
-    "delta mod 11": lambda: densities.profile(_delta_form(11, 1), prime_bound=10**4),
-    "delta mod 23": lambda: densities.profile(_delta_form(23, 1), prime_bound=10**4),
-    "delta^6 mod 5": lambda: build_module(_delta_form(5, 6)),
+    "delta mod 11": lambda: densities.profile(delta_form(11, 1), prime_bound=10**4),
+    "delta mod 23": lambda: densities.profile(delta_form(23, 1), prime_bound=10**4),
+    "delta^6 mod 5": lambda: build_module(delta_form(5, 6)),
     # 4 of the 18 classes mod 27 carry no sampled prime
-    "delta^5 mod 3, sample bound 50": lambda: build_module(_delta_form(3, 5, 50), 50),
+    "delta^5 mod 3, sample bound 50": lambda: build_module(delta_form(3, 5, 50), 50),
 }
 
 # the reasons the parent modules' detection gives, as the CLI prints them

@@ -152,7 +152,7 @@ class TestInputChecks:
 def _synthetic_module():
     eye = np.eye(1, dtype=np.int64)
     return HeckeModule(
-        3, 12, None, eye, eye.astype(np.uint8), {2: eye}, None, None,
+        3, 12, eye.astype(np.uint8), {2: eye}, None, None,
         "a synthetic module has no class table", 3, {1: "invertible", 2: "invertible"},
         np.ones(1, dtype=np.int64),
     )
